@@ -353,12 +353,9 @@ void BM_Fingerprint(benchmark::State &State) {
 BENCHMARK(BM_Fingerprint)->Arg(16)->Arg(64)->Arg(256);
 
 //===----------------------------------------------------------------------===//
-// Vectorized hot path vs the always-built scalar reference tier. Each pair
-// runs the SAME code path with the kernel tier forced to Scalar vs left at
-// the CPU's best (support/Simd.h); both arms produce identical results, so
-// the ratio is pure dispatch-tier speedup (BENCHMARKS.md records it).
-// forceSimdLevel is process-wide — every arm restores the tier on exit so
-// benchmark registration order cannot leak a forced tier into later arms.
+// Columnar hot paths: the batched candidate check against the per-candidate
+// gate chain it replaces on a sketch's last hole, and the filter and
+// group-by kernels (support/Simd.h).
 //===----------------------------------------------------------------------===//
 
 /// A batch-sized pool of near-misses (one numeric cell nudged): NO true
@@ -380,7 +377,7 @@ std::vector<Table> candidatePoolN(const Table &Output, size_t Count) {
   return Pool;
 }
 
-/// Scalar arm: the per-candidate gate chain of SearchContext::checkCandidate
+/// Per-candidate arm: the gate chain of SearchContext::checkCandidate
 /// (rows, schema, fingerprint, compare). Batched arm: the same candidates
 /// moved into a BatchChecker and swept per 64, as fillLastHoleBatched does.
 /// Each iteration checks fresh uncached Table wrappers (the fingerprint
@@ -388,9 +385,7 @@ std::vector<Table> candidatePoolN(const Table &Output, size_t Count) {
 /// wrapper construction itself is component evaluation's cost, not the
 /// check's, so it happens off the clock — manual timing brackets just the
 /// check in both arms.
-void candidateCheckArm(benchmark::State &State, simd::SimdLevel Tier,
-                       bool Batched) {
-  simd::forceSimdLevel(Tier);
+void candidateCheckArm(benchmark::State &State, bool Batched) {
   Table Output = wideTable(size_t(State.range(0)));
   std::vector<Table> Pool = candidatePoolN(Output, 64);
   std::vector<std::vector<ColumnPtr>> Cols;
@@ -436,64 +431,41 @@ void candidateCheckArm(benchmark::State &State, simd::SimdLevel Tier,
             .count());
   }
   State.SetItemsProcessed(int64_t(State.iterations()) * int64_t(Pool.size()));
-  simd::clearForcedSimdLevel();
 }
 
-void BM_CandidateCheckScalarTier(benchmark::State &State) {
-  candidateCheckArm(State, simd::SimdLevel::Scalar, /*Batched=*/false);
+void BM_CandidateCheckPerCandidate(benchmark::State &State) {
+  candidateCheckArm(State, /*Batched=*/false);
 }
-BENCHMARK(BM_CandidateCheckScalarTier)
+BENCHMARK(BM_CandidateCheckPerCandidate)
     ->Arg(16)
     ->Arg(64)
     ->Arg(256)
     ->UseManualTime();
 
 void BM_CandidateCheckBatched(benchmark::State &State) {
-  candidateCheckArm(State, simd::detectedSimdLevel(), /*Batched=*/true);
+  candidateCheckArm(State, /*Batched=*/true);
 }
 BENCHMARK(BM_CandidateCheckBatched)->Arg(16)->Arg(64)->Arg(256)->UseManualTime();
 
-void filterArm(benchmark::State &State, simd::SimdLevel Tier) {
-  simd::forceSimdLevel(Tier);
+void BM_Filter(benchmark::State &State) {
   Table In = wideTable(size_t(State.range(0)));
   HypPtr P = filter(in(0), "c", "<", num(4)); // keeps ~4/7 of the rows
   for (auto _ : State) {
     auto T = P->evaluate({In});
     benchmark::DoNotOptimize(T);
   }
-  simd::clearForcedSimdLevel();
 }
+BENCHMARK(BM_Filter)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_FilterScalarTier(benchmark::State &State) {
-  filterArm(State, simd::SimdLevel::Scalar);
-}
-BENCHMARK(BM_FilterScalarTier)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_FilterVectorized(benchmark::State &State) {
-  filterArm(State, simd::detectedSimdLevel());
-}
-BENCHMARK(BM_FilterVectorized)->Arg(100)->Arg(1000)->Arg(10000);
-
-void groupByArm(benchmark::State &State, simd::SimdLevel Tier) {
-  simd::forceSimdLevel(Tier);
+void BM_GroupBy(benchmark::State &State) {
   Table In = wideTable(size_t(State.range(0)));
   std::vector<size_t> Keys = {0, 3}; // str id (all distinct) + num c (mod 7)
   for (auto _ : State) {
     RowGrouping G = groupRowsBy(In, Keys);
     benchmark::DoNotOptimize(G);
   }
-  simd::clearForcedSimdLevel();
 }
-
-void BM_GroupByScalarTier(benchmark::State &State) {
-  groupByArm(State, simd::SimdLevel::Scalar);
-}
-BENCHMARK(BM_GroupByScalarTier)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_GroupByVectorized(benchmark::State &State) {
-  groupByArm(State, simd::detectedSimdLevel());
-}
-BENCHMARK(BM_GroupByVectorized)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_GroupBy)->Arg(100)->Arg(1000)->Arg(10000);
 
 } // namespace
 

@@ -27,7 +27,6 @@
 #define MORPHEUS_API_ENGINE_H
 
 #include "api/CancellationToken.h"
-#include "support/Simd.h"
 #include "synth/Portfolio.h"
 #include "synth/Synthesizer.h"
 
@@ -37,12 +36,6 @@
 namespace morpheus {
 
 class SynthService; // src/service/SynthService.h
-
-/// EngineOptions::simd — vectorized execution on/off (see the setter).
-enum class SimdMode {
-  Off, ///< scalar reference kernels + per-candidate checks only
-  Auto ///< best CPU tier (clamped by env MORPHEUS_SIMD) + batched checks
-};
 
 /// How Engine::solve searches.
 enum class Strategy {
@@ -123,24 +116,6 @@ public:
   /// publish site costs one relaxed atomic load.
   EngineOptions &eventBus(std::shared_ptr<EventBus> B) {
     Cfg.Bus = std::move(B);
-    return *this;
-  }
-  /// Vectorized execution (support/Simd.h + table/BatchCheck.h). Auto —
-  /// the default — dispatches the columnar kernels to the best tier the
-  /// CPU supports (still clamped by the MORPHEUS_SIMD environment
-  /// variable) and enables batched sibling-candidate checking. Off forces
-  /// the always-built scalar reference kernels and per-candidate checks;
-  /// a pure performance knob — solved sets and synthesized programs are
-  /// byte-identical either way (the parity suite asserts it). NOTE: the
-  /// kernel tier is process-wide (one dispatch table), so Off pins every
-  /// engine in the process to scalar, not just this one; the batched-check
-  /// half is per-engine config.
-  EngineOptions &simd(SimdMode M) {
-    Cfg.UseBatchedCheck = M == SimdMode::Auto;
-    if (M == SimdMode::Auto)
-      simd::clearForcedSimdLevel();
-    else
-      simd::forceSimdLevel(simd::SimdLevel::Scalar);
     return *this;
   }
   /// Directory for durable warm state (service/WarmState.h). When set, a

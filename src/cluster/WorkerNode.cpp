@@ -313,9 +313,13 @@ void WorkerNode::sendResultFor(uint64_t JobId) {
   M.Candidates = S.Stats.CandidatesChecked;
   if (S)
     M.Program = printSexp(S.Program);
+  {
+    // Counted before the send: a client that has read its Result must
+    // already see it in stats().
+    MutexLock Lock(StatsM);
+    ++Counters.JobsAnswered;
+  }
   sendMsg(C, M);
-  MutexLock Lock(StatsM);
-  ++Counters.JobsAnswered;
 }
 
 void WorkerNode::sendMsg(Conn &C, const WireMessage &M) {

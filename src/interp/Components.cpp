@@ -390,15 +390,15 @@ std::optional<simd::CmpOp> cmpOpFor(std::string_view Name) {
   return std::nullopt;
 }
 
-/// The vectorized filter fast path. Predicates of the shape the enumerator
+/// The columnar filter fast path. Predicates of the shape the enumerator
 /// generates — `col <cmp> const` over the standard comparison operators —
 /// evaluate as one selection-vector kernel over the raw column span
 /// instead of a per-row Term interpretation (which would pay the
 /// grouped-row map, the App dispatch and a Value compare per row).
 ///
 /// Returns true when the shape was handled and \p Result holds
-/// applyFilter's answer; false means "not this shape — use the scalar
-/// evaluator". Semantics are bit-identical to the scalar path:
+/// applyFilter's answer; false means "not this shape — use the row-wise
+/// evaluator". Semantics are bit-identical to the row-wise path:
 ///  - a missing column or a cell/constant type mismatch aborts the
 ///    candidate (compare() in ValueOps.cpp yields nullopt),
 ///  - numeric comparison uses the exact tolerant truth table of
@@ -413,7 +413,7 @@ bool filterFastPath(const Table &T, const Term &Pred,
       Pred.Args[1]->K != Term::Kind::Const)
     return false;
   // Operator identity, not name: a custom transformer that borrows a
-  // comparison name keeps its own semantics on the scalar path.
+  // comparison name keeps its own semantics on the row-wise path.
   if (StandardValueOps::get().find(Pred.Fn->name()) != Pred.Fn)
     return false;
   std::optional<simd::CmpOp> Op = cmpOpFor(Pred.Fn->name());
@@ -453,7 +453,7 @@ bool filterFastPath(const Table &T, const Term &Pred,
                               /*Ne=*/*Op == simd::CmpOp::Ne, Sel);
   }
   if (Kept == N)
-    return true; // keep-all no-op, rejected like the scalar path
+    return true; // keep-all no-op, rejected like the row-wise path
 
   std::vector<ColumnPtr> Out;
   Out.reserve(T.numCols());
@@ -474,11 +474,9 @@ bool filterFastPath(const Table &T, const Term &Pred,
 std::optional<Table> applyFilter(const Table &T, const TermPtr &Pred) {
   if (!Pred)
     return std::nullopt;
-  if (simd::activeSimdLevel() != simd::SimdLevel::Scalar) {
-    std::optional<Table> Fast;
-    if (filterFastPath(T, *Pred, Fast))
-      return Fast;
-  }
+  std::optional<Table> Fast;
+  if (filterFastPath(T, *Pred, Fast))
+    return Fast;
   auto Groups = T.groupedRowIndices();
   auto GroupMap = rowToGroup(T, Groups);
   std::vector<size_t> Keep;

@@ -1,125 +1,25 @@
-//===- support/Simd.cpp - CPU dispatch + data-parallel kernels --------------==//
+//===- support/Simd.cpp - Data-parallel kernels over columns ----------------==//
 //
 // Part of the Morpheus reproduction, MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Every kernel has up to three bodies (scalar / SSE2 / AVX2) that compute
-// bit-identical results; the vector bodies only change how many lanes each
-// instruction covers. The AVX2 bodies carry a function-level target
-// attribute so the translation unit itself stays buildable at the baseline
-// -march (the binary runs on any x86-64; cpuid picks the tier at runtime).
-//
-// Atomics contract: the active tier lives in one process-global atomic,
-// written by forceSimdLevel()/first use and read relaxed on every kernel
-// call. Relaxed is sufficient — all tiers compute identical results, so a
-// racing reader momentarily seeing a stale tier picks a differently-shaped
-// but equally-correct kernel body (the tier is a pure performance knob).
+// Each kernel is one plain loop over a contiguous span, branch-light where
+// the loop body allows it so the compiler can vectorize it for the build's
+// target. The semantics are documented in support/Simd.h.
 //
 //===----------------------------------------------------------------------===//
 
 #include "support/Simd.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
-#if !defined(MORPHEUS_NO_SIMD) && (defined(__x86_64__) || defined(_M_X64))
-#define MORPHEUS_SIMD_X86 1
-#include <immintrin.h>
-#endif
-
-using namespace morpheus;
 using namespace morpheus::simd;
-
-//===----------------------------------------------------------------------===//
-// Tier detection and selection
-//===----------------------------------------------------------------------===//
-
-std::string_view morpheus::simd::simdLevelName(SimdLevel L) {
-  switch (L) {
-  case SimdLevel::Scalar:
-    return "scalar";
-  case SimdLevel::SSE2:
-    return "sse2";
-  case SimdLevel::AVX2:
-    return "avx2";
-  }
-  return "?";
-}
-
-SimdLevel morpheus::simd::detectedSimdLevel() {
-#ifdef MORPHEUS_SIMD_X86
-  static const SimdLevel Detected =
-      __builtin_cpu_supports("avx2") ? SimdLevel::AVX2 : SimdLevel::SSE2;
-  return Detected; // SSE2 is the x86-64 baseline; never below it here
-#else
-  return SimdLevel::Scalar; // non-x86 or -DMORPHEUS_SIMD=OFF builds
-#endif
-}
-
-bool morpheus::simd::parseSimdLevel(std::string_view Name, SimdLevel &Out) {
-  if (Name == "off" || Name == "scalar")
-    Out = SimdLevel::Scalar;
-  else if (Name == "sse2")
-    Out = SimdLevel::SSE2;
-  else if (Name == "avx2")
-    Out = SimdLevel::AVX2;
-  else if (Name == "auto")
-    Out = detectedSimdLevel();
-  else
-    return false;
-  return true;
-}
-
-namespace {
-
-/// -1 = not yet resolved; otherwise the int value of the active SimdLevel.
-std::atomic<int> ActiveLevel{-1};
-
-SimdLevel clampToDetected(SimdLevel L) {
-  SimdLevel D = detectedSimdLevel();
-  return L < D ? L : D;
-}
-
-} // namespace
-
-SimdLevel morpheus::simd::activeSimdLevel() {
-  int V = ActiveLevel.load(std::memory_order_relaxed);
-  if (V >= 0)
-    return SimdLevel(V);
-  SimdLevel L = detectedSimdLevel();
-  if (const char *Env = std::getenv("MORPHEUS_SIMD")) {
-    SimdLevel Parsed;
-    if (parseSimdLevel(Env, Parsed))
-      L = clampToDetected(Parsed);
-    // Unknown values keep auto-detection: an env typo must not silently
-    // change behaviour, and every tier is behaviour-identical anyway.
-  }
-  ActiveLevel.store(int(L), std::memory_order_relaxed);
-  return L;
-}
-
-void morpheus::simd::forceSimdLevel(SimdLevel L) {
-  ActiveLevel.store(int(clampToDetected(L)), std::memory_order_relaxed);
-}
-
-void morpheus::simd::clearForcedSimdLevel() {
-  ActiveLevel.store(-1, std::memory_order_relaxed);
-}
-
-//===----------------------------------------------------------------------===//
-// Kernel bodies
-//
-// The scalar bodies below are THE semantics; SSE2/AVX2 bodies restate them
-// lane-parallel. TableTest/PropertyTest force each tier and assert
-// bit-identical outputs over randomized inputs.
-//===----------------------------------------------------------------------===//
 
 namespace {
 
 /// The table-fingerprint finalizer (the murmur3 64-bit mixer). Must match
-/// the mixer in table/Table.cpp; the cross-tier fingerprint parity test
+/// the mixer in table/Table.cpp; the fingerprint reference test
 /// (TableTest) guards the pairing.
 inline uint64_t mixFp(uint64_t X) {
   X ^= X >> 33;
@@ -130,58 +30,20 @@ inline uint64_t mixFp(uint64_t X) {
   return X;
 }
 
-//===--------------------------------------------------------------------===//
-// findEqualU64
-//===--------------------------------------------------------------------===//
-
-size_t findEqualScalar(const uint64_t *Xs, size_t N, uint64_t T, size_t I) {
-  for (; I < N; ++I)
-    if (Xs[I] == T)
-      return I;
-  return morpheus::simd::npos;
+/// The integer mixer of Value::hash (table/Value.cpp mixInt). Must match;
+/// the fingerprint reference tests guard the pairing.
+inline uint64_t mixIntHash(uint64_t X, uint64_t Salt) {
+  X = (X + Salt) * 0x9e3779b97f4a7c15ULL;
+  X ^= X >> 29;
+  X *= 0xbf58476d1ce4e5b9ULL;
+  X ^= X >> 32;
+  return X;
 }
 
-#ifdef MORPHEUS_SIMD_X86
-
-size_t findEqualSse2(const uint64_t *Xs, size_t N, uint64_t T, size_t I) {
-  // SSE2 has no 64-bit lane compare: compare 32-bit lanes and require both
-  // halves of a 64-bit lane to match (8 consecutive byte-mask bits).
-  const __m128i Tv = _mm_set1_epi64x(int64_t(T));
-  for (; I + 2 <= N; I += 2) {
-    __m128i V = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Xs + I));
-    int M = _mm_movemask_epi8(_mm_cmpeq_epi32(V, Tv));
-    if ((M & 0x00FF) == 0x00FF)
-      return I;
-    if ((M & 0xFF00) == 0xFF00)
-      return I + 1;
-  }
-  return findEqualScalar(Xs, N, T, I);
-}
-
-__attribute__((target("avx2"))) size_t
-findEqualAvx2(const uint64_t *Xs, size_t N, uint64_t T, size_t I) {
-  const __m256i Tv = _mm256_set1_epi64x(int64_t(T));
-  for (; I + 4 <= N; I += 4) {
-    __m256i V =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Xs + I));
-    int M = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(V, Tv)));
-    if (M)
-      return I + size_t(__builtin_ctz(unsigned(M)));
-  }
-  return findEqualScalar(Xs, N, T, I);
-}
-
-#endif // MORPHEUS_SIMD_X86
-
-//===--------------------------------------------------------------------===//
-// selectCmpF64 — tolerant comparison selection vectors
-//===--------------------------------------------------------------------===//
-
-/// Scalar restatement of interp/ValueOps.cpp compare() over raw doubles:
-/// Lt/Gt are the strict tolerant orders of Value::operator<, Eq their
+/// Restatement of interp/ValueOps.cpp compare() over raw doubles: Lt/Gt
+/// are the strict tolerant orders of Value::operator<, Eq their
 /// complement, and every operator derives from those three.
-inline bool cmpScalar(double A, double B, CmpOp Op) {
+inline bool cmpTolerant(double A, double B, CmpOp Op) {
   bool Tol = A == B;
   if (!Tol) {
     double AbsA = A < 0 ? -A : A, AbsB = B < 0 ? -B : B;
@@ -213,152 +75,6 @@ inline bool cmpScalar(double A, double B, CmpOp Op) {
   return false;
 }
 
-size_t selectCmpF64Scalar(const double *Xs, size_t N, double C, CmpOp Op,
-                          uint32_t *Out, size_t I, size_t Count) {
-  for (; I < N; ++I) {
-    Out[Count] = uint32_t(I);
-    Count += size_t(cmpScalar(Xs[I], C, Op));
-  }
-  return Count;
-}
-
-#ifdef MORPHEUS_SIMD_X86
-
-__attribute__((target("avx2"))) size_t
-selectCmpF64Avx2(const double *Xs, size_t N, double C, CmpOp Op,
-                 uint32_t *Out) {
-  const __m256d Cv = _mm256_set1_pd(C);
-  const __m256d AbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d Tiny = _mm256_set1_pd(1e-9);
-  const __m256d One = _mm256_set1_pd(1.0);
-  size_t Count = 0, I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256d A = _mm256_loadu_pd(Xs + I);
-    __m256d AbsA = _mm256_and_pd(A, AbsMask);
-    __m256d AbsC = _mm256_and_pd(Cv, AbsMask);
-    __m256d Scale =
-        _mm256_max_pd(_mm256_max_pd(AbsA, AbsC), One);
-    __m256d Diff = _mm256_and_pd(_mm256_sub_pd(A, Cv), AbsMask);
-    // Tol = (A == C) | (|A-C| <= 1e-9 * Scale). NaN lanes compare false
-    // in both terms, exactly like the scalar body.
-    __m256d Tol = _mm256_or_pd(
-        _mm256_cmp_pd(A, Cv, _CMP_EQ_OQ),
-        _mm256_cmp_pd(Diff, _mm256_mul_pd(Tiny, Scale), _CMP_LE_OQ));
-    __m256d Lt = _mm256_andnot_pd(Tol, _mm256_cmp_pd(A, Cv, _CMP_LT_OQ));
-    __m256d Gt = _mm256_andnot_pd(Tol, _mm256_cmp_pd(Cv, A, _CMP_LT_OQ));
-    __m256d Eq = _mm256_andnot_pd(_mm256_or_pd(Lt, Gt),
-                                  _mm256_castsi256_pd(
-                                      _mm256_set1_epi64x(-1)));
-    __m256d Res;
-    switch (Op) {
-    case CmpOp::Eq:
-      Res = Eq;
-      break;
-    case CmpOp::Ne:
-      Res = _mm256_or_pd(Lt, Gt);
-      break;
-    case CmpOp::Lt:
-      Res = Lt;
-      break;
-    case CmpOp::Le:
-      Res = _mm256_or_pd(Lt, Eq);
-      break;
-    case CmpOp::Gt:
-      Res = Gt;
-      break;
-    case CmpOp::Ge:
-      Res = _mm256_or_pd(Gt, Eq);
-      break;
-    }
-    unsigned M = unsigned(_mm256_movemask_pd(Res));
-    while (M) {
-      unsigned Lane = unsigned(__builtin_ctz(M));
-      Out[Count++] = uint32_t(I + Lane);
-      M &= M - 1;
-    }
-  }
-  return selectCmpF64Scalar(Xs, N, C, Op, Out, I, Count);
-}
-
-#endif // MORPHEUS_SIMD_X86
-
-//===--------------------------------------------------------------------===//
-// selectCmpU32 — interned-id equality selection vectors
-//===--------------------------------------------------------------------===//
-
-size_t selectCmpU32Scalar(const uint32_t *Ids, size_t N, uint32_t Id,
-                          bool Ne, uint32_t *Out, size_t I, size_t Count) {
-  for (; I < N; ++I) {
-    Out[Count] = uint32_t(I);
-    Count += size_t((Ids[I] == Id) != Ne);
-  }
-  return Count;
-}
-
-#ifdef MORPHEUS_SIMD_X86
-
-__attribute__((target("avx2"))) size_t
-selectCmpU32Avx2(const uint32_t *Ids, size_t N, uint32_t Id, bool Ne,
-                 uint32_t *Out) {
-  const __m256i Tv = _mm256_set1_epi32(int32_t(Id));
-  size_t Count = 0, I = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i V =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ids + I));
-    unsigned M = unsigned(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(V, Tv))));
-    if (Ne)
-      M = ~M & 0xFFu;
-    while (M) {
-      unsigned Lane = unsigned(__builtin_ctz(M));
-      Out[Count++] = uint32_t(I + Lane);
-      M &= M - 1;
-    }
-  }
-  return selectCmpU32Scalar(Ids, N, Id, Ne, Out, I, Count);
-}
-
-#endif // MORPHEUS_SIMD_X86
-
-//===--------------------------------------------------------------------===//
-// Hash loops (group-by combine, fingerprint fold/reduce, cell hashing)
-//
-// Pure 64-bit integer arithmetic. The AVX2 bodies are explicit intrinsics:
-// gcc at -O2 does not auto-vectorize 64-bit multiply loops, so the target
-// attribute alone buys nothing — every multiply is spelled out via the
-// 32x32 pmuludq decomposition. All ops are exact integer arithmetic, so
-// the lanes are bit-identical to the scalar bodies by construction.
-//===--------------------------------------------------------------------===//
-
-/// The integer mixer of Value::hash (table/Value.cpp mixInt). Must match;
-/// the cross-tier fingerprint parity tests guard the pairing.
-inline uint64_t mixIntHash(uint64_t X, uint64_t Salt) {
-  X = (X + Salt) * 0x9e3779b97f4a7c15ULL;
-  X ^= X >> 29;
-  X *= 0xbf58476d1ce4e5b9ULL;
-  X ^= X >> 32;
-  return X;
-}
-
-void fnvCombineBase(uint64_t *Hs, const uint64_t *Ks, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    Hs[I] = (Hs[I] ^ Ks[I]) * 0x100000001b3ULL;
-}
-void foldRowsBase(uint64_t *RowHs, const uint64_t *CellHs, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    RowHs[I] = mixFp(RowHs[I] ^ CellHs[I]);
-}
-void reduceBase(const uint64_t *RowHs, size_t N, uint64_t &Sum,
-                uint64_t &Xor) {
-  uint64_t S = 0, X = 0;
-  for (size_t I = 0; I != N; ++I) {
-    S += RowHs[I];
-    X ^= mixFp(RowHs[I]);
-  }
-  Sum = S;
-  Xor = X;
-}
 /// Field reads of the raw 16-byte cells the fold*CellsU64 kernels stream
 /// over (layout contract in support/Simd.h; TableTest pins it against
 /// table/Value.h empirically).
@@ -378,8 +94,56 @@ inline uint32_t cellType(const void *Cells, size_t I) {
   return T;
 }
 
-size_t foldStrCellsBase(uint64_t *RowHs, const void *Cells, size_t N,
-                        uint32_t TypeCode, uint64_t Salt, uint32_t *SlowIdx) {
+} // namespace
+
+size_t morpheus::simd::findEqualU64(const uint64_t *Xs, size_t N,
+                                    uint64_t Target, size_t From) {
+  for (size_t I = From; I < N; ++I)
+    if (Xs[I] == Target)
+      return I;
+  return npos;
+}
+
+size_t morpheus::simd::selectCmpF64(const double *Xs, size_t N, double C,
+                                    CmpOp Op, uint32_t *OutIdx) {
+  size_t Count = 0;
+  for (size_t I = 0; I != N; ++I) {
+    OutIdx[Count] = uint32_t(I);
+    Count += size_t(cmpTolerant(Xs[I], C, Op));
+  }
+  return Count;
+}
+
+size_t morpheus::simd::selectCmpU32(const uint32_t *Ids, size_t N,
+                                    uint32_t Id, bool Ne, uint32_t *OutIdx) {
+  size_t Count = 0;
+  for (size_t I = 0; I != N; ++I) {
+    OutIdx[Count] = uint32_t(I);
+    Count += size_t((Ids[I] == Id) != Ne);
+  }
+  return Count;
+}
+
+void morpheus::simd::fnvCombineU64(uint64_t *Hs, const uint64_t *Ks,
+                                   size_t N) {
+  for (size_t I = 0; I != N; ++I)
+    Hs[I] = (Hs[I] ^ Ks[I]) * 0x100000001b3ULL;
+}
+
+void morpheus::simd::reduceSumXorU64(const uint64_t *RowHs, size_t N,
+                                     uint64_t &Sum, uint64_t &Xor) {
+  uint64_t S = 0, X = 0;
+  for (size_t I = 0; I != N; ++I) {
+    S += RowHs[I];
+    X ^= mixFp(RowHs[I]);
+  }
+  Sum = S;
+  Xor = X;
+}
+
+size_t morpheus::simd::foldStrCellsU64(uint64_t *RowHs, const void *Cells,
+                                       size_t N, uint32_t TypeCode,
+                                       uint64_t Salt, uint32_t *SlowIdx) {
   size_t NSlow = 0;
   for (size_t I = 0; I != N; ++I) {
     if (cellType(Cells, I) == TypeCode)
@@ -389,8 +153,10 @@ size_t foldStrCellsBase(uint64_t *RowHs, const void *Cells, size_t N,
   }
   return NSlow;
 }
-size_t foldNumCellsBase(uint64_t *RowHs, const void *Cells, size_t N,
-                        uint32_t TypeCode, uint64_t Salt, uint32_t *SlowIdx) {
+
+size_t morpheus::simd::foldNumCellsU64(uint64_t *RowHs, const void *Cells,
+                                       size_t N, uint32_t TypeCode,
+                                       uint64_t Salt, uint32_t *SlowIdx) {
   size_t NSlow = 0;
   for (size_t I = 0; I != N; ++I) {
     double X = cellNum(Cells, I);
@@ -405,307 +171,4 @@ size_t foldNumCellsBase(uint64_t *RowHs, const void *Cells, size_t N,
       SlowIdx[NSlow++] = uint32_t(I);
   }
   return NSlow;
-}
-
-#ifdef MORPHEUS_SIMD_X86
-
-/// 64x64 -> low-64 multiply per lane from AVX2's 32x32 pmuludq:
-/// lo(a*b) = lo32(a)*lo32(b) + ((lo32(a)*hi32(b) + hi32(a)*lo32(b)) << 32).
-__attribute__((target("avx2"))) inline __m256i mul64Avx2(__m256i A,
-                                                         __m256i B) {
-  __m256i Lo = _mm256_mul_epu32(A, B);
-  __m256i Cross =
-      _mm256_add_epi64(_mm256_mul_epu32(A, _mm256_srli_epi64(B, 32)),
-                       _mm256_mul_epu32(_mm256_srli_epi64(A, 32), B));
-  return _mm256_add_epi64(Lo, _mm256_slli_epi64(Cross, 32));
-}
-
-/// mixFp, four lanes at a time.
-__attribute__((target("avx2"))) inline __m256i mixFpAvx2(__m256i X) {
-  X = _mm256_xor_si256(X, _mm256_srli_epi64(X, 33));
-  X = mul64Avx2(X, _mm256_set1_epi64x(int64_t(0xff51afd7ed558ccdULL)));
-  X = _mm256_xor_si256(X, _mm256_srli_epi64(X, 33));
-  X = mul64Avx2(X, _mm256_set1_epi64x(int64_t(0xc4ceb9fe1a85ec53ULL)));
-  X = _mm256_xor_si256(X, _mm256_srli_epi64(X, 33));
-  return X;
-}
-
-/// mixIntHash, four lanes at a time.
-__attribute__((target("avx2"))) inline __m256i mixIntAvx2(__m256i X,
-                                                          __m256i Salt) {
-  X = mul64Avx2(_mm256_add_epi64(X, Salt),
-                _mm256_set1_epi64x(int64_t(0x9e3779b97f4a7c15ULL)));
-  X = _mm256_xor_si256(X, _mm256_srli_epi64(X, 29));
-  X = mul64Avx2(X, _mm256_set1_epi64x(int64_t(0xbf58476d1ce4e5b9ULL)));
-  X = _mm256_xor_si256(X, _mm256_srli_epi64(X, 32));
-  return X;
-}
-
-__attribute__((target("avx2"))) void
-fnvCombineAvx2(uint64_t *Hs, const uint64_t *Ks, size_t N) {
-  const __m256i Fnv = _mm256_set1_epi64x(int64_t(0x100000001b3ULL));
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i H =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Hs + I));
-    __m256i K =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Ks + I));
-    H = mul64Avx2(_mm256_xor_si256(H, K), Fnv);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Hs + I), H);
-  }
-  for (; I < N; ++I)
-    Hs[I] = (Hs[I] ^ Ks[I]) * 0x100000001b3ULL;
-}
-
-__attribute__((target("avx2"))) void
-foldRowsAvx2(uint64_t *RowHs, const uint64_t *CellHs, size_t N) {
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i R =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(RowHs + I));
-    __m256i C =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(CellHs + I));
-    R = mixFpAvx2(_mm256_xor_si256(R, C));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(RowHs + I), R);
-  }
-  for (; I < N; ++I)
-    RowHs[I] = mixFp(RowHs[I] ^ CellHs[I]);
-}
-
-__attribute__((target("avx2"))) void reduceAvx2(const uint64_t *RowHs,
-                                                size_t N, uint64_t &Sum,
-                                                uint64_t &Xor) {
-  __m256i SumV = _mm256_setzero_si256();
-  __m256i XorV = _mm256_setzero_si256();
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256i R =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(RowHs + I));
-    SumV = _mm256_add_epi64(SumV, R);
-    XorV = _mm256_xor_si256(XorV, mixFpAvx2(R));
-  }
-  // Horizontal fold: sum and xor are commutative mod 2^64, so the lane
-  // reassociation cannot change the result.
-  alignas(32) uint64_t SLanes[4], XLanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i *>(SLanes), SumV);
-  _mm256_store_si256(reinterpret_cast<__m256i *>(XLanes), XorV);
-  uint64_t S = SLanes[0] + SLanes[1] + SLanes[2] + SLanes[3];
-  uint64_t X = XLanes[0] ^ XLanes[1] ^ XLanes[2] ^ XLanes[3];
-  for (; I < N; ++I) {
-    S += RowHs[I];
-    X ^= mixFp(RowHs[I]);
-  }
-  Sum = S;
-  Xor = X;
-}
-
-/// Deinterleaves four consecutive 16-byte cells into their payload doubles
-/// (\p Nums) and meta qwords `id | type << 32` (\p Meta), both in row
-/// order. unpacklo pairs the payload qwords as [c0 c2 | c1 c3] (the
-/// unpacks work per 128-bit lane); the 4x64 permute restores row order so
-/// lane L always holds row I+L — the fold below writes RowHs positionally.
-__attribute__((target("avx2"))) inline void
-loadCells4Avx2(const void *Cells, size_t I, __m256d &Nums, __m256i &Meta) {
-  const char *P = static_cast<const char *>(Cells) + I * 16;
-  __m256i V01 = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(P));
-  __m256i V23 = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(P + 32));
-  Nums = _mm256_castsi256_pd(_mm256_permute4x64_epi64(
-      _mm256_unpacklo_epi64(V01, V23), _MM_SHUFFLE(3, 1, 2, 0)));
-  Meta = _mm256_permute4x64_epi64(_mm256_unpackhi_epi64(V01, V23),
-                                  _MM_SHUFFLE(3, 1, 2, 0));
-}
-
-__attribute__((target("avx2"))) size_t
-foldStrCellsAvx2(uint64_t *RowHs, const void *Cells, size_t N,
-                 uint32_t TypeCode, uint64_t Salt, uint32_t *SlowIdx) {
-  const __m256i SaltV = _mm256_set1_epi64x(int64_t(Salt));
-  const __m256i TypeV = _mm256_set1_epi64x(int64_t(TypeCode));
-  const __m256i IdMask = _mm256_set1_epi64x(0xffffffffLL);
-  size_t NSlow = 0, I = 0;
-  for (; I + 4 <= N; I += 4) {
-    __m256d Nums;
-    __m256i Meta;
-    loadCells4Avx2(Cells, I, Nums, Meta); // Nums dead-code-eliminates
-    __m256i Fast = _mm256_cmpeq_epi64(_mm256_srli_epi64(Meta, 32), TypeV);
-    __m256i K = _mm256_and_si256(Meta, IdMask);
-    __m256i R =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(RowHs + I));
-    // The fold runs on every lane; the blend keeps foreign-typed lanes'
-    // RowHs untouched, so only the mask must be exact.
-    __m256i Folded = mixFpAvx2(_mm256_xor_si256(R, mixIntAvx2(K, SaltV)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(RowHs + I),
-                        _mm256_blendv_epi8(R, Folded, Fast));
-    unsigned Slow =
-        ~unsigned(_mm256_movemask_pd(_mm256_castsi256_pd(Fast))) & 0xFu;
-    while (Slow) {
-      unsigned Lane = unsigned(__builtin_ctz(Slow));
-      SlowIdx[NSlow++] = uint32_t(I + Lane);
-      Slow &= Slow - 1;
-    }
-  }
-  for (; I < N; ++I) {
-    if (cellType(Cells, I) == TypeCode)
-      RowHs[I] = mixFp(RowHs[I] ^ mixIntHash(cellId(Cells, I), Salt));
-    else
-      SlowIdx[NSlow++] = uint32_t(I);
-  }
-  return NSlow;
-}
-
-/// One 4-row group of foldNumCellsAvx2 (a named function because GCC does
-/// not propagate the target attribute into lambdas). Fast lanes hold a
-/// cell of the expected type with a finite integral |x| < 1e15 payload.
-/// Both float compares are false on NaN (ordered, non-signalling), and
-/// |inf| < 1e15 is false, so NaN/inf lanes always fall out as slow — like
-/// the scalar body. The conversion and fold run on every lane; the blend
-/// keeps slow lanes' RowHs untouched, so only the mask must be exact.
-/// Returns the updated slow count.
-__attribute__((target("avx2"))) inline size_t
-foldNumGroupAvx2(uint64_t *RowHs, const void *Cells, size_t Base,
-                 __m256d Limit, __m256d MagicD, __m256i MagicI, __m256i SaltV,
-                 __m256i TypeV, uint32_t *SlowIdx, size_t NSlow) {
-  const __m256d AbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d X;
-  __m256i Meta;
-  loadCells4Avx2(Cells, Base, X, Meta);
-  __m256d Integral = _mm256_and_pd(
-      _mm256_cmp_pd(_mm256_and_pd(X, AbsMask), Limit, _CMP_LT_OQ),
-      _mm256_cmp_pd(
-          X, _mm256_round_pd(X, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC),
-          _CMP_EQ_OQ));
-  __m256i Fast = _mm256_and_si256(
-      _mm256_castpd_si256(Integral),
-      _mm256_cmpeq_epi64(_mm256_srli_epi64(Meta, 32), TypeV));
-  __m256i K =
-      _mm256_sub_epi64(_mm256_castpd_si256(_mm256_add_pd(X, MagicD)), MagicI);
-  __m256i R =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i *>(RowHs + Base));
-  __m256i Folded = mixFpAvx2(_mm256_xor_si256(R, mixIntAvx2(K, SaltV)));
-  _mm256_storeu_si256(reinterpret_cast<__m256i *>(RowHs + Base),
-                      _mm256_blendv_epi8(R, Folded, Fast));
-  unsigned Slow =
-      ~unsigned(_mm256_movemask_pd(_mm256_castsi256_pd(Fast))) & 0xFu;
-  while (Slow) {
-    unsigned Lane = unsigned(__builtin_ctz(Slow));
-    SlowIdx[NSlow++] = uint32_t(Base + Lane);
-    Slow &= Slow - 1;
-  }
-  return NSlow;
-}
-
-__attribute__((target("avx2"))) size_t
-foldNumCellsAvx2(uint64_t *RowHs, const void *Cells, size_t N,
-                 uint32_t TypeCode, uint64_t Salt, uint32_t *SlowIdx) {
-  const __m256d Limit = _mm256_set1_pd(1e15);
-  // Double->int64 magic-bias conversion: for |x| <= 2^51 (1e15 is well
-  // inside), x + 1.5*2^52 lands in [2^52, 2^53) where the ulp is exactly
-  // 1, so for integral x the addition is exact and the low mantissa bits
-  // ARE the two's-complement integer: bits(x + C) - bits(C) == int64(x).
-  const __m256d MagicD = _mm256_set1_pd(6755399441055744.0); // 1.5 * 2^52
-  const __m256i MagicI = _mm256_castpd_si256(MagicD);
-  const __m256i SaltV = _mm256_set1_epi64x(int64_t(Salt));
-  const __m256i TypeV = _mm256_set1_epi64x(int64_t(TypeCode));
-  size_t NSlow = 0, I = 0;
-  for (; I + 4 <= N; I += 4)
-    NSlow = foldNumGroupAvx2(RowHs, Cells, I, Limit, MagicD, MagicI, SaltV,
-                             TypeV, SlowIdx, NSlow);
-  for (; I < N; ++I) {
-    double X = cellNum(Cells, I);
-    double AbsX = X < 0 ? -X : X;
-    if (cellType(Cells, I) == TypeCode && AbsX < 1e15 &&
-        X == (double)(int64_t)X)
-      RowHs[I] = mixFp(RowHs[I] ^ mixIntHash(uint64_t(int64_t(X)), Salt));
-    else
-      SlowIdx[NSlow++] = uint32_t(I);
-  }
-  return NSlow;
-}
-
-#endif // MORPHEUS_SIMD_X86
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Dispatch wrappers
-//===----------------------------------------------------------------------===//
-
-size_t morpheus::simd::findEqualU64(const uint64_t *Xs, size_t N,
-                                    uint64_t Target, size_t From) {
-#ifdef MORPHEUS_SIMD_X86
-  switch (activeSimdLevel()) {
-  case SimdLevel::AVX2:
-    return findEqualAvx2(Xs, N, Target, From);
-  case SimdLevel::SSE2:
-    return findEqualSse2(Xs, N, Target, From);
-  case SimdLevel::Scalar:
-    break;
-  }
-#endif
-  return findEqualScalar(Xs, N, Target, From);
-}
-
-size_t morpheus::simd::selectCmpF64(const double *Xs, size_t N, double C,
-                                    CmpOp Op, uint32_t *OutIdx) {
-#ifdef MORPHEUS_SIMD_X86
-  if (activeSimdLevel() == SimdLevel::AVX2)
-    return selectCmpF64Avx2(Xs, N, C, Op, OutIdx);
-#endif
-  return selectCmpF64Scalar(Xs, N, C, Op, OutIdx, 0, 0);
-}
-
-size_t morpheus::simd::selectCmpU32(const uint32_t *Ids, size_t N,
-                                    uint32_t Id, bool Ne, uint32_t *OutIdx) {
-#ifdef MORPHEUS_SIMD_X86
-  if (activeSimdLevel() == SimdLevel::AVX2)
-    return selectCmpU32Avx2(Ids, N, Id, Ne, OutIdx);
-#endif
-  return selectCmpU32Scalar(Ids, N, Id, Ne, OutIdx, 0, 0);
-}
-
-void morpheus::simd::fnvCombineU64(uint64_t *Hs, const uint64_t *Ks,
-                                   size_t N) {
-#ifdef MORPHEUS_SIMD_X86
-  if (activeSimdLevel() == SimdLevel::AVX2)
-    return fnvCombineAvx2(Hs, Ks, N);
-#endif
-  fnvCombineBase(Hs, Ks, N);
-}
-
-void morpheus::simd::foldRowHashesU64(uint64_t *RowHs, const uint64_t *CellHs,
-                                      size_t N) {
-#ifdef MORPHEUS_SIMD_X86
-  if (activeSimdLevel() == SimdLevel::AVX2)
-    return foldRowsAvx2(RowHs, CellHs, N);
-#endif
-  foldRowsBase(RowHs, CellHs, N);
-}
-
-void morpheus::simd::reduceSumXorU64(const uint64_t *RowHs, size_t N,
-                                     uint64_t &Sum, uint64_t &Xor) {
-#ifdef MORPHEUS_SIMD_X86
-  if (activeSimdLevel() == SimdLevel::AVX2)
-    return reduceAvx2(RowHs, N, Sum, Xor);
-#endif
-  reduceBase(RowHs, N, Sum, Xor);
-}
-
-size_t morpheus::simd::foldStrCellsU64(uint64_t *RowHs, const void *Cells,
-                                       size_t N, uint32_t TypeCode,
-                                       uint64_t Salt, uint32_t *SlowIdx) {
-#ifdef MORPHEUS_SIMD_X86
-  if (activeSimdLevel() == SimdLevel::AVX2)
-    return foldStrCellsAvx2(RowHs, Cells, N, TypeCode, Salt, SlowIdx);
-#endif
-  return foldStrCellsBase(RowHs, Cells, N, TypeCode, Salt, SlowIdx);
-}
-
-size_t morpheus::simd::foldNumCellsU64(uint64_t *RowHs, const void *Cells,
-                                       size_t N, uint32_t TypeCode,
-                                       uint64_t Salt, uint32_t *SlowIdx) {
-#ifdef MORPHEUS_SIMD_X86
-  if (activeSimdLevel() == SimdLevel::AVX2)
-    return foldNumCellsAvx2(RowHs, Cells, N, TypeCode, Salt, SlowIdx);
-#endif
-  return foldNumCellsBase(RowHs, Cells, N, TypeCode, Salt, SlowIdx);
 }

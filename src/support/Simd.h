@@ -1,27 +1,15 @@
-//===- support/Simd.h - CPU dispatch + data-parallel kernels ----*- C++ -*-==//
+//===- support/Simd.h - Data-parallel kernels over columns ------*- C++ -*-==//
 //
 // Part of the Morpheus reproduction, MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runtime CPU-feature dispatch and the data-parallel kernels the columnar
-/// hot path runs over contiguous spans: batched 64-bit fingerprint
-/// compares, selection-vector comparison kernels for filter predicates,
-/// and the hash-combine loops behind group-by keys and table fingerprints.
-///
-/// Three tiers: Scalar (the always-built reference — plain loops, also the
-/// pre-vectorization code paths in table/ and interp/), SSE2 (the x86-64
-/// baseline) and AVX2 (selected at runtime via cpuid). The active tier is
-/// chosen once per process: the highest tier the CPU supports, clamped by
-/// the MORPHEUS_SIMD environment variable (`off`/`scalar`, `sse2`, `avx2`,
-/// `auto`) or by forceSimdLevel() (tests, the CLI `--simd` flag). Every
-/// kernel has a scalar body that computes bit-identical results to the
-/// vector bodies; the parity suites in TableTest/PropertyTest force each
-/// tier and assert equality.
-///
-/// Building with -DMORPHEUS_SIMD=OFF (cmake) defines MORPHEUS_NO_SIMD and
-/// compiles only the scalar bodies; detection then always reports Scalar.
+/// The data-parallel kernels the columnar hot path runs over contiguous
+/// spans: batched 64-bit fingerprint compares, selection-vector comparison
+/// kernels for filter predicates, and the hash-combine loops behind
+/// group-by keys and table fingerprints. Each kernel is one plain loop;
+/// the compiler is free to vectorize it for the build's target.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,41 +23,19 @@
 namespace morpheus {
 namespace simd {
 
-/// Instruction tiers, in increasing capability order. Comparable with <.
-enum class SimdLevel : int { Scalar = 0, SSE2 = 1, AVX2 = 2 };
+/// The kernel tier. There is one: the plain loops below. The benchmark's
+/// meta line (perfbench/runner.cpp) stamps simdLevelName(activeSimdLevel())
+/// and is the only caller of these two names.
+enum class SimdLevel : int { Scalar = 0 };
 
-/// Printable name ("scalar" / "sse2" / "avx2") of \p L.
-std::string_view simdLevelName(SimdLevel L);
+constexpr SimdLevel activeSimdLevel() { return SimdLevel::Scalar; }
 
-/// The highest tier this CPU (and this build) supports. Cached; cpuid runs
-/// once.
-SimdLevel detectedSimdLevel();
-
-/// The tier the kernels dispatch on: detectedSimdLevel() clamped by the
-/// MORPHEUS_SIMD environment variable, or whatever forceSimdLevel() set
-/// last. Cached after first use; one relaxed atomic load per call.
-SimdLevel activeSimdLevel();
-
-/// Overrides the active tier (clamped to detectedSimdLevel(); requesting
-/// avx2 on a non-avx2 CPU yields the best available tier). For tests and
-/// the CLI `--simd` flag. Not synchronized with concurrent kernel calls:
-/// set it before spawning search threads.
-void forceSimdLevel(SimdLevel L);
-
-/// Clears any forced tier: the next activeSimdLevel() call re-resolves
-/// auto detection, including the MORPHEUS_SIMD environment clamp.
-void clearForcedSimdLevel();
-
-/// Parses "off"/"scalar"/"sse2"/"avx2"/"auto" (case-sensitive, like the
-/// CLI). Returns false on an unknown value. "auto" yields
-/// detectedSimdLevel().
-bool parseSimdLevel(std::string_view Name, SimdLevel &Out);
+constexpr std::string_view simdLevelName(SimdLevel) { return "scalar"; }
 
 constexpr size_t npos = size_t(-1);
 
 /// First index I in [From, N) with Xs[I] == Target, or npos. The batched
-/// candidate-check sweep: one vector compare covers 2 (SSE2) or 4 (AVX2)
-/// fingerprints per instruction.
+/// candidate-check sweep over a block of output fingerprints.
 size_t findEqualU64(const uint64_t *Xs, size_t N, uint64_t Target,
                     size_t From = 0);
 
@@ -84,7 +50,7 @@ enum class CmpOp { Eq, Ne, Lt, Le, Gt, Ge };
 ///   Tol = (A == B) || |A - B| <= 1e-9 * max(max(|A|, |B|), 1)
 /// the kernel computes Lt = (A < B) && !Tol, Gt = (B < A) && !Tol,
 /// Eq = !Lt && !Gt, and derives every operator from those three — the
-/// same truth table the scalar evaluator produces (NaNs included).
+/// same truth table the row-wise evaluator produces (NaNs included).
 size_t selectCmpF64(const double *Xs, size_t N, double C, CmpOp Op,
                     uint32_t *OutIdx);
 
@@ -94,17 +60,13 @@ size_t selectCmpU32(const uint32_t *Ids, size_t N, uint32_t Id, bool Ne,
                     uint32_t *OutIdx);
 
 /// Hash-combine step of the group-by key hash: for each I,
-/// `Hs[I] = (Hs[I] ^ Ks[I]) * 0x100000001b3` (the FNV-1a fold the scalar
-/// grouping code applies per key column).
+/// `Hs[I] = (Hs[I] ^ Ks[I]) * 0x100000001b3` (the FNV-1a fold applied per
+/// key column).
 void fnvCombineU64(uint64_t *Hs, const uint64_t *Ks, size_t N);
 
-/// Fingerprint row fold: `RowHs[I] = mixFp(RowHs[I] ^ CellHs[I])` where
-/// mixFp is the table-fingerprint finalizer (table/Table.cpp). One call
-/// per column accumulates that column's cell hashes into the row hashes.
-void foldRowHashesU64(uint64_t *RowHs, const uint64_t *CellHs, size_t N);
-
-/// Fingerprint reduction: Sum = sum(RowHs[I]), Xor = xor(mixFp(RowHs[I])) —
-/// the commutative row-order-insensitive combine of Table::fingerprint.
+/// Fingerprint reduction: Sum = sum(RowHs[I]), Xor = xor(mixFp(RowHs[I]))
+/// where mixFp is the table-fingerprint finalizer (table/Table.cpp) — the
+/// commutative row-order-insensitive combine of Table::fingerprint.
 void reduceSumXorU64(const uint64_t *RowHs, size_t N, uint64_t &Sum,
                      uint64_t &Xor);
 
@@ -119,9 +81,9 @@ void reduceSumXorU64(const uint64_t *RowHs, size_t N, uint64_t &Sum,
 /// xor-shift 29, *0xbf58476d1ce4e5b9, xor-shift 32) and mixFp the
 /// fingerprint finalizer. Every other lane leaves RowHs[I] UNTOUCHED and
 /// appends its index (ascending) to \p SlowIdx (capacity >= N) for the
-/// caller to fold with the full scalar Value::hash; both return the
-/// slow-lane count. A mixed-typed column therefore needs no separate
-/// fallback — its foreign-typed cells simply come back slow.
+/// caller to fold with the full Value::hash; both return the slow-lane
+/// count. A mixed-typed column therefore needs no separate fallback — its
+/// foreign-typed cells simply come back slow.
 ///
 /// foldStrCellsU64: fast lane = type code equals \p TypeCode; key is the
 /// cell's interner id.

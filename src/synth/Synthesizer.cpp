@@ -247,8 +247,8 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
 
   // The final hole's completions all go straight to the candidate check —
   // the batched sibling-fill path evaluates their shared prefix once and
-  // sweeps their output fingerprints in SIMD batches. Ordered-compare
-  // tasks stay scalar (see BatchCheck.h).
+  // sweeps their output fingerprints in batches. Ordered-compare tasks
+  // stay on the per-candidate check (see BatchCheck.h).
   if (Cfg.UseBatchedCheck && !Cfg.OrderedCompare &&
       Index + 1 == Holes.size())
     return fillLastHoleBatched(Tree, HI, *Universe, unsigned(Index));
@@ -298,8 +298,8 @@ bool SearchContext::fillLastHoleBatched(const HypPtr &Tree,
   // each sibling becomes a direct component apply over the shared
   // arguments, skipping the per-candidate tree rebuild, tree re-walk and
   // eval-cache insertion of the scalar path. Candidate outputs then
-  // accumulate into a BatchChecker and are rejected in SIMD fingerprint
-  // sweeps; only fingerprint hits pay a scalar table compare.
+  // accumulate into a BatchChecker and are rejected in fingerprint
+  // sweeps; only fingerprint hits pay a full table compare.
   const HypPtr &Node = nodeAt(Tree, HI.NodePath);
   bool Direct = HI.NodePath.empty();
   std::vector<Table> TableArgs;

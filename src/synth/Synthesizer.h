@@ -95,8 +95,8 @@ struct SynthesisConfig {
   bool OrderedCompare = false;
   /// Batched sibling-candidate checking on a sketch's final value hole:
   /// the N completions of the last hole share their evaluated prefix, and
-  /// their outputs accumulate into fingerprint batches swept with the
-  /// SIMD kernels (table/BatchCheck.h) instead of being compared one at a
+  /// their outputs accumulate into fingerprint batches swept with one
+  /// kernel call (table/BatchCheck.h) instead of being compared one at a
   /// time. Accept/reject semantics are identical to the scalar path (the
   /// parity suite runs both); ordered-compare tasks always take the
   /// scalar path because equalsOrdered is not fingerprint-gated. Excluded

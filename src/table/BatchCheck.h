@@ -10,7 +10,7 @@
 /// all of them lose. BatchChecker accumulates sibling candidates (the N
 /// completions of one sketch hole), lays their order-insensitive 64-bit
 /// fingerprints out contiguously, and rejects the whole batch with one
-/// SIMD equality sweep (support/Simd.h findEqualU64); only fingerprint
+/// equality sweep (support/Simd.h findEqualU64); only fingerprint
 /// hits fall back to the scalar confirm (Table::equalsUnordered).
 ///
 /// Semantics are identical to the scalar candidate check

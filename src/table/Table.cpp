@@ -154,9 +154,9 @@ size_t Table::numGroups() const { return groupedRowIndices().size(); }
 
 namespace {
 
-/// The fingerprint finalizer. support/Simd.cpp's foldRowHashesU64 and
-/// reduceSumXorU64 embed the same mixer; the cross-tier fingerprint parity
-/// test (TableTest) guards the pairing.
+/// The fingerprint finalizer. support/Simd.cpp's fold and reduce kernels
+/// embed the same mixer; the fingerprint reference test (TableTest) guards
+/// the pairing.
 inline uint64_t mix64(uint64_t X) {
   X ^= X >> 33;
   X *= 0xff51afd7ed558ccdULL;
@@ -183,15 +183,10 @@ uint64_t Table::fingerprint() const {
   // order-dependent; cell hashing matches Value::hash, whose printed-form
   // numeric hashing keeps tolerant-equal cells fingerprint-equal for all
   // values that arise in practice.
+  // The fold runs column by column (RH = mix64(RH ^ cell hash) per
+  // column, in schema order) over contiguous per-row hash spans.
   uint64_t Sum = 0, Xor = 0;
-  if (simd::activeSimdLevel() != simd::SimdLevel::Scalar && NRows != 0) {
-    // Columnar restatement of the scalar loop below: hash each column's
-    // cells into a contiguous span, fold spans into the per-row hashes
-    // column by column (simd::foldRowHashesU64 applies the same
-    // RH = mix64(RH ^ cell) step, so the in-row column order is
-    // preserved), then reduce. Sum and xor are commutative/associative,
-    // so lane reassociation cannot change the result — the cross-tier
-    // fingerprint parity test in TableTest pins this down.
+  if (NRows != 0) {
     Arena &A = threadArena();
     ArenaScope Scope(A);
     uint64_t *RowHs = A.alloc<uint64_t>(NRows);
@@ -208,9 +203,9 @@ uint64_t Table::fingerprint() const {
       // fast paths cannot cover — non-integral numbers (printed-form
       // hashing) and cells whose type differs from the schema's (a mixed
       // column, impossible via the public constructors) — come back in
-      // SlowIdx and are folded here with the full scalar Value::hash. The
-      // salts are Value.cpp's mixInt salts; the cross-tier fingerprint
-      // parity test guards the pairing.
+      // SlowIdx and are folded here with the full Value::hash. The salts
+      // are Value.cpp's mixInt salts; the fingerprint reference test
+      // guards the pairing.
       size_t NSlow =
           TableSchema[C].Type == CellType::Str
               ? simd::foldStrCellsU64(RowHs, Col.data(), NRows,
@@ -225,14 +220,6 @@ uint64_t Table::fingerprint() const {
       }
     }
     simd::reduceSumXorU64(RowHs, NRows, Sum, Xor);
-  } else {
-    for (size_t R = 0; R != NRows; ++R) {
-      uint64_t RH = 0x9e3779b97f4a7c15ULL;
-      for (size_t C = 0; C != Cols.size(); ++C)
-        RH = mix64(RH ^ uint64_t((*Cols[C])[R].hash()));
-      Sum += RH;
-      Xor ^= mix64(RH);
-    }
   }
   uint64_t Fp = mix64(H ^ Sum) ^ mix64(Xor ^ (uint64_t(NRows) << 32));
 

@@ -10,7 +10,6 @@
 #include "support/Simd.h"
 
 #include <cstring>
-#include <unordered_map>
 
 using namespace morpheus;
 
@@ -96,75 +95,47 @@ RowGrouping morpheus::groupRowsBy(const Table &T,
   RowGrouping G;
   G.GroupOf.resize(N);
 
-  if (simd::activeSimdLevel() != simd::SimdLevel::Scalar && N != 0) {
-    // Vectorized path: the per-row key hash becomes one FNV-combine sweep
-    // per key column over the contiguous token spans, and the bucket map
-    // becomes a flat open-addressing table in arena scratch. Group
-    // identity is decided by Equal over the full key tuples, never by the
-    // hash, and rows are scanned in order — so FirstRow/GroupOf come out
-    // identical to the scalar path (first-appearance numbering) no matter
-    // how probing lays groups out.
-    Arena &A = threadArena();
-    ArenaScope Scope(A);
-    uint64_t *Hs = A.alloc<uint64_t>(N);
-    for (size_t R = 0; R != N; ++R)
-      Hs[R] = 0xcbf29ce484222325ULL;
-    for (size_t K = 0; K != Keys.size(); ++K)
-      simd::fnvCombineU64(Hs, Keys[K].data(), N);
-
-    size_t Cap = 16;
-    while (Cap < 2 * N)
-      Cap *= 2;
-    constexpr uint32_t Empty = UINT32_MAX;
-    uint32_t *SlotGid = A.alloc<uint32_t>(Cap);
-    uint64_t *SlotHash = A.alloc<uint64_t>(Cap);
-    std::memset(SlotGid, 0xFF, Cap * sizeof(uint32_t));
-    for (size_t R = 0; R != N; ++R) {
-      size_t S = size_t(Hs[R]) & (Cap - 1);
-      for (;;) {
-        uint32_t Gid = SlotGid[S];
-        if (Gid == Empty) {
-          Gid = uint32_t(G.FirstRow.size());
-          G.FirstRow.push_back(R);
-          SlotGid[S] = Gid;
-          SlotHash[S] = Hs[R];
-          G.GroupOf[R] = Gid;
-          break;
-        }
-        if (SlotHash[S] == Hs[R] && Equal(G.FirstRow[Gid], R)) {
-          G.GroupOf[R] = Gid;
-          break;
-        }
-        S = (S + 1) & (Cap - 1);
-      }
-    }
+  if (N == 0)
     return G;
-  }
+  // The per-row key hash is one FNV-combine sweep per key column over the
+  // contiguous token spans, and the bucket map is a flat open-addressing
+  // table in arena scratch. Group identity is decided by Equal over the
+  // full key tuples, never by the hash, and rows are scanned in order — so
+  // groups are numbered by first appearance no matter how probing lays
+  // them out.
+  Arena &A = threadArena();
+  ArenaScope Scope(A);
+  uint64_t *Hs = A.alloc<uint64_t>(N);
+  for (size_t R = 0; R != N; ++R)
+    Hs[R] = 0xcbf29ce484222325ULL;
+  for (size_t K = 0; K != Keys.size(); ++K)
+    simd::fnvCombineU64(Hs, Keys[K].data(), N);
 
-  // Scalar reference path.
-  auto Hash = [&](size_t R) {
-    uint64_t H = 0xcbf29ce484222325ULL;
-    for (size_t K = 0; K != Keys.size(); ++K) {
-      H ^= Keys[K][R];
-      H *= 0x100000001b3ULL;
-    }
-    return H;
-  };
-  std::unordered_map<uint64_t, std::vector<size_t>> Buckets;
+  size_t Cap = 16;
+  while (Cap < 2 * N)
+    Cap *= 2;
+  constexpr uint32_t Empty = UINT32_MAX;
+  uint32_t *SlotGid = A.alloc<uint32_t>(Cap);
+  uint64_t *SlotHash = A.alloc<uint64_t>(Cap);
+  std::memset(SlotGid, 0xFF, Cap * sizeof(uint32_t));
   for (size_t R = 0; R != N; ++R) {
-    std::vector<size_t> &Bucket = Buckets[Hash(R)];
-    size_t Id = SIZE_MAX;
-    for (size_t Candidate : Bucket)
-      if (Equal(G.FirstRow[Candidate], R)) {
-        Id = Candidate;
+    size_t S = size_t(Hs[R]) & (Cap - 1);
+    for (;;) {
+      uint32_t Gid = SlotGid[S];
+      if (Gid == Empty) {
+        Gid = uint32_t(G.FirstRow.size());
+        G.FirstRow.push_back(R);
+        SlotGid[S] = Gid;
+        SlotHash[S] = Hs[R];
+        G.GroupOf[R] = Gid;
         break;
       }
-    if (Id == SIZE_MAX) {
-      Id = G.FirstRow.size();
-      G.FirstRow.push_back(R);
-      Bucket.push_back(Id);
+      if (SlotHash[S] == Hs[R] && Equal(G.FirstRow[Gid], R)) {
+        G.GroupOf[R] = Gid;
+        break;
+      }
+      S = (S + 1) & (Cap - 1);
     }
-    G.GroupOf[R] = uint32_t(Id);
   }
   return G;
 }

@@ -16,6 +16,7 @@
 #include "spec/Abstraction.h"
 #include "suite/Task.h"
 #include "synth/Inhabitation.h"
+#include "table/TableUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 using namespace morpheus;
@@ -339,91 +341,77 @@ TEST(GoldenRenders, All108GroundTruthsRenderByteIdentically) {
 }
 
 //===----------------------------------------------------------------------===//
-// Vectorization tier parity: the SIMD kernels (support/Simd.h) are pure
-// performance — every dispatch tier must render byte-identical evaluation
-// results, and batched candidate checking must synthesize byte-identical
-// programs. Each test computes a forced-Scalar reference first, then
-// re-runs under every tier (forcing above the CPU's capability clamps
-// down, so the sweep degenerates gracefully on older machines).
+// Columnar evaluation against row-wise references written here: filter
+// predicates (selection-vector compare kernels) against a per-row
+// evalTerm loop, and the open-addressing group-by against std::map
+// first-appearance numbering. Batched candidate checking must synthesize
+// the same programs as per-candidate checking.
 //===----------------------------------------------------------------------===//
 
-struct ForcedTier {
-  explicit ForcedTier(simd::SimdLevel L) { simd::forceSimdLevel(L); }
-  ~ForcedTier() { simd::clearForcedSimdLevel(); }
-};
+/// applyFilter's definition, one row at a time: an aborted row aborts the
+/// candidate, and a predicate keeping every row is a rejected no-op.
+std::optional<Table> rowWiseFilter(const Table &T, const Term &Pred) {
+  std::vector<size_t> AllRows(T.numRows());
+  for (size_t R = 0; R != AllRows.size(); ++R)
+    AllRows[R] = R;
+  std::vector<Row> Kept;
+  for (size_t R = 0; R != T.numRows(); ++R) {
+    std::optional<Value> V = evalTerm(Pred, EvalContext{&T, R, &AllRows});
+    if (!V)
+      return std::nullopt;
+    if (isTruthy(*V))
+      Kept.push_back(T.row(R));
+  }
+  if (Kept.size() == T.numRows())
+    return std::nullopt;
+  return Table(T.schema(), Kept);
+}
 
-const simd::SimdLevel AllTiers[] = {simd::SimdLevel::Scalar,
-                                    simd::SimdLevel::SSE2,
-                                    simd::SimdLevel::AVX2};
-
-TEST_P(RandomTables, VerbEvaluationIsTierInvariant) {
+TEST_P(RandomTables, VerbEvaluationMatchesRowWiseReference) {
   Table T = randomTable(GetParam());
-  // Programs covering the vectorized evaluation paths: filter predicates
-  // (selection-vector compare kernels), group-by + summarise (key-hash
-  // kernels), and distinct (row-hash grouping).
-  std::vector<HypPtr> Programs = {
-      distinct(in(0)),
-      summarise(groupBy(in(0), {"key"}), "agg_out", "n"),
-      arrange(in(0), {T.schema()[1].Name}),
-  };
   ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
   Inhabitation Inhab(Lib, {});
   Inhab.enumerate(ParamKind::Pred, {T}, T, 0, [&](TermPtr P) {
-    Programs.push_back(Hypothesis::apply(
+    HypPtr Prog = Hypothesis::apply(
         StandardComponents::get().find("filter"),
-        {Hypothesis::input(0), Hypothesis::filled(ParamKind::Pred, P)}));
+        {Hypothesis::input(0), Hypothesis::filled(ParamKind::Pred, P)});
+    std::optional<Table> Out = Prog->evaluate({T});
+    std::optional<Table> Ref = rowWiseFilter(T, *P);
+    EXPECT_EQ(Out.has_value(), Ref.has_value()) << P->toString();
+    if (Out && Ref)
+      EXPECT_EQ(Out->toString(), Ref->toString()) << P->toString();
     return true;
   });
-  for (const HypPtr &Prog : Programs) {
-    std::string Ref;
-    bool RefHas;
-    {
-      ForcedTier F(simd::SimdLevel::Scalar);
-      std::optional<Table> Out = Prog->evaluate({T});
-      RefHas = Out.has_value();
-      Ref = RefHas ? Out->toString() : "";
-    }
-    for (simd::SimdLevel L : AllTiers) {
-      ForcedTier F(L);
-      std::optional<Table> Out = Prog->evaluate({T});
-      ASSERT_EQ(Out.has_value(), RefHas) << simd::simdLevelName(L);
-      if (RefHas)
-        EXPECT_EQ(Out->toString(), Ref) << simd::simdLevelName(L);
-    }
-  }
-}
 
-TEST(GoldenRenders, GroundTruthEvaluationIsTierInvariant) {
-  // All 108 suite ground truths, evaluated on their inputs under every
-  // dispatch tier, must render byte-identically.
-  std::vector<BenchmarkTask> All = morpheusSuite();
-  for (const BenchmarkTask &T : sqlSuite())
-    All.push_back(T);
-  ASSERT_EQ(All.size(), 108u);
-  std::vector<std::string> Ref;
-  {
-    ForcedTier F(simd::SimdLevel::Scalar);
-    for (const BenchmarkTask &T : All) {
-      std::optional<Table> Out = T.GroundTruth->evaluate(T.Inputs);
-      ASSERT_TRUE(Out) << T.Id;
-      Ref.push_back(Out->toString());
+  // Every non-empty key-column subset: groups numbered by first
+  // appearance of their key tuple.
+  for (unsigned Mask = 1; Mask != (1u << T.numCols()); ++Mask) {
+    std::vector<size_t> KeyIdx;
+    for (size_t C = 0; C != T.numCols(); ++C)
+      if (Mask & (1u << C))
+        KeyIdx.push_back(C);
+    std::map<std::vector<uint64_t>, uint32_t> Ids;
+    std::vector<uint32_t> RefGroupOf;
+    std::vector<size_t> RefFirstRow;
+    for (size_t R = 0; R != T.numRows(); ++R) {
+      std::vector<uint64_t> Key;
+      for (size_t C : KeyIdx)
+        Key.push_back(T.col(C)[R].typedToken());
+      auto [It, New] = Ids.emplace(Key, uint32_t(RefFirstRow.size()));
+      if (New)
+        RefFirstRow.push_back(R);
+      RefGroupOf.push_back(It->second);
     }
-  }
-  for (simd::SimdLevel L : AllTiers) {
-    ForcedTier F(L);
-    for (size_t I = 0; I != All.size(); ++I) {
-      std::optional<Table> Out = All[I].GroundTruth->evaluate(All[I].Inputs);
-      ASSERT_TRUE(Out) << All[I].Id << " " << simd::simdLevelName(L);
-      EXPECT_EQ(Out->toString(), Ref[I])
-          << All[I].Id << " " << simd::simdLevelName(L);
-    }
+    RowGrouping G = groupRowsBy(T, KeyIdx);
+    EXPECT_EQ(G.GroupOf, RefGroupOf) << "key mask " << Mask;
+    EXPECT_EQ(G.FirstRow, RefFirstRow) << "key mask " << Mask;
   }
 }
 
 TEST(SynthesisParity, BatchedAndScalarCheckingFindIdenticalPrograms) {
   // Small problems the sequential search solves well inside the budget;
-  // what matters is that flipping the dispatch tier and the batched
-  // sibling check never changes WHICH program wins, only how fast.
+  // what matters is that the batched sibling check never changes WHICH
+  // program wins, only how fast.
   Table People = makeTable({{"name", CellType::Str},
                             {"dept", CellType::Str},
                             {"score", CellType::Num}},
@@ -455,8 +443,7 @@ TEST(SynthesisParity, BatchedAndScalarCheckingFindIdenticalPrograms) {
                           {{str("eng"), num(3)}, {str("ops"), num(2)}});
     Problems.push_back(Problem::fromTables({People}, Out));
   }
-  auto solveWith = [](const Problem &P, bool Batched, simd::SimdLevel L) {
-    ForcedTier F(L);
+  auto solveWith = [](const Problem &P, bool Batched) {
     SynthesisConfig Cfg;
     Cfg.Timeout = std::chrono::milliseconds(30000);
     Cfg.UseBatchedCheck = Batched;
@@ -465,16 +452,12 @@ TEST(SynthesisParity, BatchedAndScalarCheckingFindIdenticalPrograms) {
     return E.solve(P);
   };
   for (size_t I = 0; I != Problems.size(); ++I) {
-    Solution Ref = solveWith(Problems[I], false, simd::SimdLevel::Scalar);
-    ASSERT_TRUE(bool(Ref)) << "problem " << I << " unsolved (scalar)";
-    std::string RefProg = Ref.Program->toString();
-    for (simd::SimdLevel L : AllTiers) {
-      Solution S = solveWith(Problems[I], true, L);
-      ASSERT_TRUE(bool(S))
-          << "problem " << I << " unsolved at " << simd::simdLevelName(L);
-      EXPECT_EQ(S.Program->toString(), RefProg)
-          << "problem " << I << " at " << simd::simdLevelName(L);
-    }
+    Solution Ref = solveWith(Problems[I], false);
+    ASSERT_TRUE(bool(Ref)) << "problem " << I << " unsolved (per-candidate)";
+    Solution S = solveWith(Problems[I], true);
+    ASSERT_TRUE(bool(S)) << "problem " << I << " unsolved (batched)";
+    EXPECT_EQ(S.Program->toString(), Ref.Program->toString())
+        << "problem " << I;
   }
 }
 

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "interp/ValueOps.h"
 #include "support/Arena.h"
 #include "support/Simd.h"
 #include "table/BatchCheck.h"
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -294,43 +296,53 @@ TEST(Arena, RetainsChunksAcrossReset) {
 }
 
 //===----------------------------------------------------------------------===//
-// Kernel parity: every dispatch tier must compute bit-identical results.
-// Each test computes the forced-Scalar reference first, then re-runs under
-// every tier (force requests above the CPU's capability clamp down, so on
-// a non-AVX2 machine the AVX2 row degenerates to a cheap re-check).
+// Kernels (support/Simd.h), each checked against the semantics it restates:
+// the standard comparison operators, Value::hash, and the row-wise
+// fingerprint fold.
 //===----------------------------------------------------------------------===//
 
-struct ForcedTier {
-  explicit ForcedTier(simd::SimdLevel L) { simd::forceSimdLevel(L); }
-  ~ForcedTier() { simd::clearForcedSimdLevel(); }
-};
+/// The table-fingerprint finalizer, restated from table/Table.cpp.
+uint64_t mixFp(uint64_t X) {
+  X ^= X >> 33;
+  X *= 0xff51afd7ed558ccdULL;
+  X ^= X >> 33;
+  X *= 0xc4ceb9fe1a85ec53ULL;
+  X ^= X >> 33;
+  return X;
+}
 
-const simd::SimdLevel AllTiers[] = {simd::SimdLevel::Scalar,
-                                    simd::SimdLevel::SSE2,
-                                    simd::SimdLevel::AVX2};
+/// Indices where the standard comparison operator \p Name (the filter's
+/// row-wise semantics) holds for `Cells[I] <op> C`.
+std::vector<uint32_t> standardSelect(const std::vector<Value> &Cells,
+                                     std::string_view Name, const Value &C) {
+  const ValueTransformer *Op = StandardValueOps::get().find(Name);
+  std::vector<uint32_t> Out;
+  for (size_t I = 0; I != Cells.size(); ++I) {
+    std::optional<Value> V = Op->applyScalar({Cells[I], C});
+    if (V && isTruthy(*V))
+      Out.push_back(uint32_t(I));
+  }
+  return Out;
+}
 
-TEST(Simd, FindEqualU64ParityAllTiers) {
+TEST(Simd, FindEqualU64) {
   std::vector<uint64_t> Xs(133);
   for (size_t I = 0; I != Xs.size(); ++I)
     Xs[I] = I * 2 + 1; // odd values; even targets cannot collide
   Xs[77] = 1000;
   Xs[131] = 1000;
-  for (simd::SimdLevel L : AllTiers) {
-    ForcedTier F(L);
-    EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000), 77u);
-    EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000, 78), 131u);
-    EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 2000), simd::npos);
-    EXPECT_EQ(simd::findEqualU64(Xs.data(), 0, 1000), simd::npos);
-    EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000, 132),
-              simd::npos);
-  }
+  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000), 77u);
+  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000, 78), 131u);
+  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 2000), simd::npos);
+  EXPECT_EQ(simd::findEqualU64(Xs.data(), 0, 1000), simd::npos);
+  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000, 132), simd::npos);
 }
 
-TEST(Simd, SelectCmpF64ParityAllTiers) {
-  const double C = 100.0;
+TEST(Simd, SelectCmpF64MatchesStandardOps) {
   // Edge inputs around compare()'s tolerant equality (|a-b| <= 1e-9 *
   // max(|a|,|b|,1)): exact hit, within-tolerance, just outside, NaN and
-  // infinities, zeros, and plain misses on both sides.
+  // infinities, zeros, and plain misses on both sides — against a large
+  // constant, zero, and infinity.
   std::vector<double> Xs = {100.0,
                             100.0 + 5e-8,
                             100.0 - 5e-8,
@@ -341,63 +353,43 @@ TEST(Simd, SelectCmpF64ParityAllTiers) {
                             -std::numeric_limits<double>::infinity(),
                             0.0,
                             -0.0,
+                            1e-10,
                             99.0,
                             101.0,
                             -100.0};
-  // Pad past one vector width so every tier runs its tail loop too.
-  for (int I = 0; I != 9; ++I)
-    Xs.push_back(90.0 + I);
-  const simd::CmpOp Ops[] = {simd::CmpOp::Eq, simd::CmpOp::Ne,
-                             simd::CmpOp::Lt, simd::CmpOp::Le,
-                             simd::CmpOp::Gt, simd::CmpOp::Ge};
-  for (simd::CmpOp Op : Ops) {
-    std::vector<uint32_t> Ref(Xs.size());
-    size_t NRef;
-    {
-      ForcedTier F(simd::SimdLevel::Scalar);
-      NRef = simd::selectCmpF64(Xs.data(), Xs.size(), C, Op, Ref.data());
-    }
-    for (simd::SimdLevel L : AllTiers) {
-      ForcedTier F(L);
+  std::vector<Value> Cells;
+  for (double X : Xs)
+    Cells.push_back(num(X));
+  const std::pair<simd::CmpOp, std::string_view> Ops[] = {
+      {simd::CmpOp::Eq, "=="}, {simd::CmpOp::Ne, "!="},
+      {simd::CmpOp::Lt, "<"},  {simd::CmpOp::Le, "<="},
+      {simd::CmpOp::Gt, ">"},  {simd::CmpOp::Ge, ">="}};
+  for (double C : {100.0, 0.0, -0.0, std::numeric_limits<double>::infinity()})
+    for (const auto &[Op, Name] : Ops) {
       std::vector<uint32_t> Out(Xs.size());
-      size_t N = simd::selectCmpF64(Xs.data(), Xs.size(), C, Op, Out.data());
-      ASSERT_EQ(N, NRef) << "op " << int(Op) << " tier "
-                         << simd::simdLevelName(L);
-      for (size_t I = 0; I != N; ++I)
-        EXPECT_EQ(Out[I], Ref[I]);
+      Out.resize(simd::selectCmpF64(Xs.data(), Xs.size(), C, Op, Out.data()));
+      EXPECT_EQ(Out, standardSelect(Cells, Name, num(C)))
+          << Name << " " << C;
     }
-  }
 }
 
-TEST(Simd, SelectCmpU32ParityAllTiers) {
+TEST(Simd, SelectCmpU32MatchesStandardOps) {
+  std::vector<Value> Cells;
   std::vector<uint32_t> Ids;
-  for (uint32_t I = 0; I != 41; ++I)
-    Ids.push_back(I % 5);
-  for (bool Ne : {false, true}) {
-    for (uint32_t Target : {3u, 99u}) { // present and absent
-      std::vector<uint32_t> Ref(Ids.size());
-      size_t NRef;
-      {
-        ForcedTier F(simd::SimdLevel::Scalar);
-        NRef = simd::selectCmpU32(Ids.data(), Ids.size(), Target, Ne,
-                                  Ref.data());
-      }
-      for (simd::SimdLevel L : AllTiers) {
-        ForcedTier F(L);
-        std::vector<uint32_t> Out(Ids.size());
-        size_t N =
-            simd::selectCmpU32(Ids.data(), Ids.size(), Target, Ne, Out.data());
-        ASSERT_EQ(N, NRef);
-        for (size_t I = 0; I != N; ++I)
-          EXPECT_EQ(Out[I], Ref[I]);
-      }
-    }
+  for (int I = 0; I != 41; ++I) {
+    Cells.push_back(str("s" + std::to_string(I % 5)));
+    Ids.push_back(Cells.back().strId());
   }
+  for (bool Ne : {false, true})
+    for (const Value &Target : {str("s3"), str("absent")}) {
+      std::vector<uint32_t> Out(Ids.size());
+      Out.resize(simd::selectCmpU32(Ids.data(), Ids.size(), Target.strId(),
+                                    Ne, Out.data()));
+      EXPECT_EQ(Out, standardSelect(Cells, Ne ? "!=" : "==", Target));
+    }
 }
 
-TEST(Simd, HashKernelParityAllTiers) {
-  // fnvCombine / foldRowHashes / reduceSumXor over pseudo-random spans
-  // whose length exercises the vector body and the scalar tail.
+TEST(Simd, HashKernelsMatchDefinitions) {
   const size_t N = 71;
   std::vector<uint64_t> Ks(N), Seed(N);
   uint64_t S = 0x1234;
@@ -406,31 +398,21 @@ TEST(Simd, HashKernelParityAllTiers) {
     Ks[I] = S;
     Seed[I] = S ^ (I * 0x9e3779b97f4a7c15ULL);
   }
-  std::vector<uint64_t> RefFnv, RefFold;
+  std::vector<uint64_t> Fnv = Seed;
+  simd::fnvCombineU64(Fnv.data(), Ks.data(), N);
+  uint64_t Sum = 0, Xor = 0;
+  simd::reduceSumXorU64(Seed.data(), N, Sum, Xor);
   uint64_t RefSum = 0, RefXor = 0;
-  {
-    ForcedTier F(simd::SimdLevel::Scalar);
-    RefFnv = Seed;
-    simd::fnvCombineU64(RefFnv.data(), Ks.data(), N);
-    RefFold = Seed;
-    simd::foldRowHashesU64(RefFold.data(), Ks.data(), N);
-    simd::reduceSumXorU64(RefFold.data(), N, RefSum, RefXor);
+  for (size_t I = 0; I != N; ++I) {
+    EXPECT_EQ(Fnv[I], (Seed[I] ^ Ks[I]) * 0x100000001b3ULL);
+    RefSum += Seed[I];
+    RefXor ^= mixFp(Seed[I]);
   }
-  for (simd::SimdLevel L : AllTiers) {
-    ForcedTier F(L);
-    std::vector<uint64_t> Fnv = Seed, Fold = Seed;
-    simd::fnvCombineU64(Fnv.data(), Ks.data(), N);
-    simd::foldRowHashesU64(Fold.data(), Ks.data(), N);
-    uint64_t Sum = 0, Xor = 0;
-    simd::reduceSumXorU64(Fold.data(), N, Sum, Xor);
-    EXPECT_EQ(Fnv, RefFnv) << simd::simdLevelName(L);
-    EXPECT_EQ(Fold, RefFold) << simd::simdLevelName(L);
-    EXPECT_EQ(Sum, RefSum) << simd::simdLevelName(L);
-    EXPECT_EQ(Xor, RefXor) << simd::simdLevelName(L);
-  }
+  EXPECT_EQ(Sum, RefSum);
+  EXPECT_EQ(Xor, RefXor);
 }
 
-TEST(Simd, FoldCellKernelParityAllTiers) {
+TEST(Simd, FoldCellKernelsMatchValueHash) {
   // A numeric column with every fast/slow edge: integral values, the 1e15
   // boundary (1e15 - 1 is fast, 1e15 itself is slow), negatives, -0.0,
   // non-integral values, NaN, both infinities — plus str cells to model a
@@ -446,52 +428,36 @@ TEST(Simd, FoldCellKernelParityAllTiers) {
   std::vector<Value> StrCells = {str("a"), str("b"), str(""), num(3),
                                  str("a"), str("long-ish token value"),
                                  str("c"), num(2.5), str("d")};
-  auto RunNum = [&](std::vector<uint64_t> &RowHs,
-                    std::vector<uint32_t> &Slow) {
-    RowHs.assign(NumCells.size(), 0x9e3779b97f4a7c15ULL);
-    Slow.resize(NumCells.size());
-    size_t NSlow = simd::foldNumCellsU64(
-        RowHs.data(), NumCells.data(), NumCells.size(),
-        uint32_t(CellType::Num), 0x2545f4914f6cdd1dULL, Slow.data());
-    Slow.resize(NSlow);
+  const uint64_t Seed = 0x9e3779b97f4a7c15ULL;
+  // Fast lanes fold Value::hash into the row hash; slow lanes are left
+  // untouched and reported in ascending order.
+  auto Check = [&](const std::vector<Value> &Cells, bool StrCol,
+                   const std::vector<uint32_t> &ExpectSlow) {
+    std::vector<uint64_t> RowHs(Cells.size(), Seed);
+    std::vector<uint32_t> Slow(Cells.size());
+    Slow.resize(StrCol ? simd::foldStrCellsU64(
+                             RowHs.data(), Cells.data(), Cells.size(),
+                             uint32_t(CellType::Str), 0x5851f42d4c957f2dULL,
+                             Slow.data())
+                       : simd::foldNumCellsU64(
+                             RowHs.data(), Cells.data(), Cells.size(),
+                             uint32_t(CellType::Num), 0x2545f4914f6cdd1dULL,
+                             Slow.data()));
+    EXPECT_EQ(Slow, ExpectSlow);
+    for (size_t I = 0; I != Cells.size(); ++I) {
+      bool IsSlow =
+          std::find(Slow.begin(), Slow.end(), uint32_t(I)) != Slow.end();
+      EXPECT_EQ(RowHs[I],
+                IsSlow ? Seed : mixFp(Seed ^ uint64_t(Cells[I].hash())))
+          << "cell " << I;
+    }
   };
-  auto RunStr = [&](std::vector<uint64_t> &RowHs,
-                    std::vector<uint32_t> &Slow) {
-    RowHs.assign(StrCells.size(), 0x9e3779b97f4a7c15ULL);
-    Slow.resize(StrCells.size());
-    size_t NSlow = simd::foldStrCellsU64(
-        RowHs.data(), StrCells.data(), StrCells.size(),
-        uint32_t(CellType::Str), 0x5851f42d4c957f2dULL, Slow.data());
-    Slow.resize(NSlow);
-  };
-  std::vector<uint64_t> RefNumHs, RefStrHs;
-  std::vector<uint32_t> RefNumSlow, RefStrSlow;
-  {
-    ForcedTier F(simd::SimdLevel::Scalar);
-    RunNum(RefNumHs, RefNumSlow);
-    RunStr(RefStrHs, RefStrSlow);
-  }
-  // The scalar reference must route exactly the right lanes to the slow
-  // path: everything from index 7 (1e15) through 15 (the str cell).
-  EXPECT_EQ(RefNumSlow, (std::vector<uint32_t>{7, 8, 9, 10, 11, 12, 13, 14,
-                                               15}));
-  EXPECT_EQ(RefStrSlow, (std::vector<uint32_t>{3, 7}));
-  for (simd::SimdLevel L : AllTiers) {
-    ForcedTier F(L);
-    std::vector<uint64_t> NumHs, StrHs;
-    std::vector<uint32_t> NumSlow, StrSlow;
-    RunNum(NumHs, NumSlow);
-    RunStr(StrHs, StrSlow);
-    EXPECT_EQ(NumHs, RefNumHs) << simd::simdLevelName(L);
-    EXPECT_EQ(NumSlow, RefNumSlow) << simd::simdLevelName(L);
-    EXPECT_EQ(StrHs, RefStrHs) << simd::simdLevelName(L);
-    EXPECT_EQ(StrSlow, RefStrSlow) << simd::simdLevelName(L);
-  }
+  // Everything from index 7 (1e15) through 15 (the str cell) is slow.
+  Check(NumCells, false, {7, 8, 9, 10, 11, 12, 13, 14, 15});
+  Check(StrCells, true, {3, 7});
 }
 
-TEST(Table, FingerprintParityAcrossTiers) {
-  // Fresh uncached wrappers per tier: fingerprint() caches per Table, so a
-  // reused wrapper would compare one tier against its own cached value.
+TEST(Table, FingerprintMatchesRowWiseFold) {
   Table Mixed = makeTable(
       {{"k", CellType::Str}, {"a", CellType::Num}, {"b", CellType::Num}},
       {{str("x"), num(1), num(2.5)},
@@ -499,20 +465,25 @@ TEST(Table, FingerprintParityAcrossTiers) {
        {str("x"), num(1e15), num(std::numeric_limits<double>::infinity())},
        {str(""), num(-0.0), num(std::numeric_limits<double>::quiet_NaN())},
        {str("z"), num(123456), num(-1e15 + 1)}});
-  std::vector<ColumnPtr> Handles;
-  for (size_t C = 0; C != Mixed.numCols(); ++C)
-    Handles.push_back(Mixed.colHandle(C));
-  uint64_t Ref;
-  {
-    ForcedTier F(simd::SimdLevel::Scalar);
-    Ref = Table(Mixed.schema(), Handles, Mixed.numRows()).fingerprint();
+  // Table::fingerprint's definition, one row at a time: an order-dependent
+  // schema hash, an order-dependent fold of each row's cell hashes, and a
+  // row-order-insensitive sum/xor combine of the row hashes.
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (const Column &C : Mixed.schema().columns()) {
+    H = mixFp(H ^ std::hash<std::string>()(C.Name));
+    H = mixFp(H ^ (C.Type == CellType::Str ? 0x53 : 0x4e));
   }
-  for (simd::SimdLevel L : AllTiers) {
-    ForcedTier F(L);
-    EXPECT_EQ(Table(Mixed.schema(), Handles, Mixed.numRows()).fingerprint(),
-              Ref)
-        << simd::simdLevelName(L);
+  uint64_t Sum = 0, Xor = 0;
+  for (size_t R = 0; R != Mixed.numRows(); ++R) {
+    uint64_t RH = 0x9e3779b97f4a7c15ULL;
+    for (size_t C = 0; C != Mixed.numCols(); ++C)
+      RH = mixFp(RH ^ uint64_t(Mixed.col(C)[R].hash()));
+    Sum += RH;
+    Xor ^= mixFp(RH);
   }
+  uint64_t Ref =
+      mixFp(H ^ Sum) ^ mixFp(Xor ^ (uint64_t(Mixed.numRows()) << 32));
+  EXPECT_EQ(Mixed.fingerprint(), Ref);
 }
 
 //===----------------------------------------------------------------------===//
@@ -588,7 +559,7 @@ TEST(BatchCheck, CheckCandidatesMapsIndicesAcrossBatches) {
   EXPECT_EQ(checkCandidates(E, Pool), Pool.size() - 1);
 }
 
-TEST(BatchCheck, AllTiersAgree) {
+TEST(BatchCheck, FindsMatchAgainstFreshExpectedTable) {
   Table E = roster();
   std::vector<Table> Pool;
   for (int I = 0; I != 10; ++I)
@@ -599,16 +570,13 @@ TEST(BatchCheck, AllTiersAgree) {
                               {num(2), str("Bob"), num(18)},
                               {num(3), str("Tom"), num(100 + I)}}));
   Pool.insert(Pool.begin() + 6, E);
-  for (simd::SimdLevel L : AllTiers) {
-    ForcedTier F(L);
-    // Fresh expected wrapper too: its fingerprint cache is tier-agnostic
-    // by the parity above, but keep the tiers fully independent anyway.
-    std::vector<ColumnPtr> Handles;
-    for (size_t C = 0; C != E.numCols(); ++C)
-      Handles.push_back(E.colHandle(C));
-    Table Fresh(E.schema(), Handles, E.numRows());
-    EXPECT_EQ(checkCandidates(Fresh, Pool), 6u) << simd::simdLevelName(L);
-  }
+  // A fresh expected wrapper over the same columns: its fingerprint is
+  // computed here, not taken from E's cache.
+  std::vector<ColumnPtr> Handles;
+  for (size_t C = 0; C != E.numCols(); ++C)
+    Handles.push_back(E.colHandle(C));
+  Table Fresh(E.schema(), Handles, E.numRows());
+  EXPECT_EQ(checkCandidates(Fresh, Pool), 6u);
 }
 
 } // namespace

@@ -46,7 +46,6 @@
 #include "net/Socket.h"
 #include "service/SynthService.h"
 #include "suite/Runner.h"
-#include "support/Simd.h"
 #include "support/Sync.h"
 
 #include <sys/stat.h>
@@ -100,9 +99,6 @@ int usage(const char *Msg = nullptr) {
       "  --sharing off|per-solve|process  refutation-store sharing across\n"
       "                                   engines (default per-solve)\n"
       "  --library tidy|sql               component library (default tidy)\n"
-      "  --simd off|auto                  vectorized kernels + batched\n"
-      "                                   candidate checks (default auto;\n"
-      "                                   results are identical either way)\n"
       "  --quiet                          print only the program\n"
       "\n"
       "bench options:\n"
@@ -110,11 +106,11 @@ int usage(const char *Msg = nullptr) {
       "  --config spec2|spec1|nodeduction paper configuration (default\n"
       "                                   spec2)\n"
       "  --strategy, --timeout, --threads,\n"
-      "  --sharing, --simd                as above (default timeout 5000)\n"
+      "  --sharing                        as above (default timeout 5000)\n"
       "  --limit N                        run only the first N tasks\n"
       "  --json PATH                      write a perf snapshot (per-task\n"
       "                                   solve times + candidate\n"
-      "                                   throughput), e.g. BENCH_synth.json\n"
+      "                                   throughput)\n"
       "  --bus                            attach a lossless event bus and\n"
       "                                   cross-check event-derived stats\n"
       "                                   against the in-band counters\n"
@@ -321,17 +317,6 @@ int engineArg(ArgReader &Args, const std::string &A, EngineOptions &Opts,
     LibraryName = V;
     return 0;
   }
-  if (A == "--simd") {
-    if (!Args.value(A, V))
-      return 2;
-    if (V == "off")
-      Opts.simd(SimdMode::Off);
-    else if (V == "auto")
-      Opts.simd(SimdMode::Auto);
-    else
-      return usage("unknown simd mode (use off or auto)");
-    return 0;
-  }
   return -1;
 }
 
@@ -402,9 +387,9 @@ int runSolve(ArgReader &Args) {
   return 0;
 }
 
-/// Serializes suite results as the BENCH_synth.json perf snapshot: per-task
-/// solve times and candidate-check throughput, plus suite-level aggregates,
-/// so successive runs record the engine's performance trajectory.
+/// Serializes suite results as the `bench --json` perf snapshot: per-task
+/// solve times and candidate-check throughput, plus suite-level
+/// aggregates.
 JsonValue benchSnapshot(const std::string &SuiteName,
                         const std::string &ConfigName, Strategy Strat,
                         int TimeoutMs, const std::vector<TaskResult> &Results) {
@@ -491,7 +476,6 @@ int runBench(ArgReader &Args) {
   unsigned Threads = 0;
   size_t Limit = SIZE_MAX;
   bool UseBus = false;
-  bool SimdOff = false;
 
   while (!Args.done()) {
     std::string A = Args.next();
@@ -536,15 +520,6 @@ int runBench(ArgReader &Args) {
         return 2;
       if (!parseRefutationSharing(V, Sharing))
         return usage("unknown sharing mode (use off, per-solve or process)");
-    } else if (A == "--simd") {
-      if (!Args.value(A, V))
-        return 2;
-      if (V == "off")
-        SimdOff = true;
-      else if (V == "auto")
-        SimdOff = false;
-      else
-        return usage("unknown simd mode (use off or auto)");
     } else if (A == "--limit") {
       if (!Args.value(A, V))
         return 2;
@@ -580,10 +555,6 @@ int runBench(ArgReader &Args) {
                             ? configNoDeduction(Timeout)
                             : configSpec2(Timeout);
   Cfg.Sharing = Sharing;
-  if (SimdOff) {
-    Cfg.UseBatchedCheck = false;
-    simd::forceSimdLevel(simd::SimdLevel::Scalar);
-  }
 
   std::vector<BenchmarkTask> Suite =
       SuiteName == "sql" ? sqlSuite() : morpheusSuite();
@@ -604,12 +575,10 @@ int runBench(ArgReader &Args) {
   }
 
   std::printf("suite %s (%zu tasks), config %s, strategy %s, timeout %d ms, "
-              "sharing %s, simd %s\n",
+              "sharing %s\n",
               SuiteName.c_str(), Suite.size(), ConfigName.c_str(),
               std::string(strategyName(Strat)).c_str(), TimeoutMs,
-              std::string(refutationSharingName(Sharing)).c_str(),
-              std::string(simd::simdLevelName(simd::activeSimdLevel()))
-                  .c_str());
+              std::string(refutationSharingName(Sharing)).c_str());
 
   std::vector<TaskResult> Results;
   std::optional<ServiceStats> SvcStats;
