@@ -21,6 +21,7 @@
 #include "lang/Spec.h"
 #include "lang/Term.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,7 +34,7 @@ public:
   TableTransformer(std::string Name, unsigned NumTableArgs,
                    std::vector<ParamKind> ValueParams)
       : Name(std::move(Name)), NumTableArgs(NumTableArgs),
-        ValueParams(std::move(ValueParams)) {}
+        ValueParams(std::move(ValueParams)), SpecId(nextSpecId()) {}
   virtual ~TableTransformer();
 
   TableTransformer(const TableTransformer &) = delete;
@@ -58,13 +59,24 @@ public:
   }
   void setSpec(SpecLevel Level, SpecFormula F) {
     (Level == SpecLevel::Spec1 ? Spec1 : Spec2) = std::move(F);
+    SpecId = nextSpecId();
   }
 
+  /// Identifies this component's current (Spec1, Spec2) pair for the whole
+  /// process: drawn from a global counter at construction and again on
+  /// every setSpec, so it is never reused — unlike the object's address,
+  /// which a later component may occupy. Caches of compiled specs that
+  /// outlive one solve (smt/SpecCompiler.h) key on it.
+  uint64_t specId() const { return SpecId; }
+
 private:
+  static uint64_t nextSpecId();
+
   std::string Name;
   unsigned NumTableArgs;
   std::vector<ParamKind> ValueParams;
   SpecFormula Spec1, Spec2;
+  uint64_t SpecId;
 };
 
 /// A component library Λ = ΛT ∪ Λv (Definition 3). Owns nothing; the

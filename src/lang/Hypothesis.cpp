@@ -8,11 +8,17 @@
 
 #include "table/Hash.h"
 
+#include <atomic>
 #include <sstream>
 
 using namespace morpheus;
 
 TableTransformer::~TableTransformer() = default;
+
+uint64_t TableTransformer::nextSpecId() {
+  static std::atomic<uint64_t> Next{1};
+  return Next.fetch_add(1, std::memory_order_relaxed);
+}
 
 const TableTransformer *
 ComponentLibrary::findTable(std::string_view Name) const {

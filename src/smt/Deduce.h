@@ -24,8 +24,11 @@
 ///
 /// The engine is a thin *session* over the three-tier deduction substrate:
 ///  - tier 1, compiled spec templates (smt/SpecCompiler.h): each
-///    component's SpecFormula is encoded to Z3 once per engine and
-///    instantiated by substitution;
+///    component's SpecFormula is encoded to Z3 once per core and
+///    instantiated by substitution. A core — the Z3 context, the
+///    persistent solver and the template compiler — depends on no
+///    example, so engines lease one from a process-wide pool at
+///    construction and hand it back, at base scope, when destroyed;
 ///  - tier 2, incremental shape sessions: ψ splits into a shape-determined
 ///    part (Φ(H), axioms, ϕin, ϕout — identical for every partial fill of
 ///    one sketch) kept in an outer push/pop scope keyed on
@@ -57,10 +60,14 @@ class EventBus; // bus/EventBus.h
 struct DeduceStats {
   uint64_t Calls = 0;            ///< deduce() entries
   uint64_t Rejections = 0;       ///< verdicts that refuted the hypothesis
+  /// Concrete rejections before any Z3 call: the interval fast path
+  /// refuted a node, or a complete subtree failed to evaluate.
   uint64_t FastPathRejections = 0;
   uint64_t CacheHits = 0;        ///< per-engine verdict-cache hits
   uint64_t SolverChecks = 0;     ///< actual Z3 check() invocations
-  uint64_t TemplateCompiles = 0; ///< spec formulas compiled to templates
+  /// Spec formulas compiled to templates by this engine; about 0 on a
+  /// core an earlier engine already warmed.
+  uint64_t TemplateCompiles = 0;
   uint64_t TemplateHits = 0;     ///< template instantiations from cache
   uint64_t SessionBuilds = 0;    ///< shape scopes built from scratch
   uint64_t SessionHits = 0;      ///< calls that reused the open shape scope
@@ -90,7 +97,8 @@ struct DeduceStats {
 };
 
 /// SMT-based deduction engine. Not thread-safe; use one engine per search
-/// thread (Z3 contexts are not shared). The ExampleContext and the
+/// thread. The Z3 core it leases is its alone until it is destroyed, after
+/// which any thread's next engine may lease it. The ExampleContext and the
 /// RefutationStore it is wired to ARE shared across engines.
 class DeductionEngine {
 public:

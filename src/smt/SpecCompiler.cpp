@@ -145,14 +145,15 @@ SpecTemplate SpecCompiler::compile(const SpecFormula &F,
 const SpecTemplate &SpecCompiler::get(const TableTransformer *X,
                                       SpecLevel Level) {
   size_t Slot = Level == SpecLevel::Spec1 ? 0 : 1;
-  auto It = Cache.find(X);
+  uint64_t Key = X->specId();
+  auto It = Cache.find(Key);
   if (It == Cache.end()) {
     std::vector<SpecTemplate> Slots;
     Slots.reserve(2);
     for (SpecLevel L : {SpecLevel::Spec1, SpecLevel::Spec2})
       Slots.push_back(compile(X->spec(L), X->numTableArgs()));
     Compilations += 2;
-    It = Cache.emplace(X, std::move(Slots)).first;
+    It = Cache.emplace(Key, std::move(Slots)).first;
   } else {
     ++Hits;
   }

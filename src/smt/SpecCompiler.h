@@ -12,7 +12,7 @@
 /// per-node attribute variables — instead of re-walking the SpecExpr tree
 /// and re-encoding atom by atom.
 ///
-/// The compiler also owns the two other per-engine constant encodings the
+/// The compiler also owns the two other example-independent encodings the
 /// old DeductionEngine rebuilt on every call:
 ///  - the domain axioms of one table node (row >= 0, col >= 1, ...),
 ///    compiled once over a placeholder node;
@@ -20,11 +20,14 @@
 ///    path can evaluate directly), cached so the hot fastCheck never
 ///    re-filters atoms.
 ///
-/// Z3 ASTs are context-bound, so a SpecCompiler is per-context (one per
-/// DeductionEngine); "once" means once per engine lifetime rather than
-/// once per process. The compilation itself is keyed on the component
-/// *pointer* — the standard libraries are immutable singletons, so a
-/// pointer identifies (spec formula, level) for the whole process.
+/// Z3 ASTs are context-bound, so a SpecCompiler is per-context. The
+/// context, its solver and this compiler form a *core* that deduction
+/// engines lease from a process-wide pool (smt/Deduce.cpp) and hand back
+/// when they die, so "once" means once per core — a core serves up to 256
+/// solves — rather than once per solve. Because templates outlive the
+/// solve that compiled them, the cache keys on TableTransformer::specId(),
+/// which is never reused, not on the component's address: a freed user
+/// component's address may be taken by a new one with a different spec.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +88,8 @@ struct SpecTemplate {
 };
 
 /// Per-context template cache. Not thread-safe (neither is the context).
+/// The counters are cumulative over the compiler's life; engines report
+/// their own share as the difference since they leased it.
 class SpecCompiler {
 public:
   explicit SpecCompiler(z3::context &Ctx);
@@ -103,9 +108,8 @@ public:
 
 private:
   z3::context &Ctx;
-  /// Key: component pointer, one slot per spec level.
-  std::unordered_map<const TableTransformer *, std::vector<SpecTemplate>>
-      Cache;
+  /// Key: TableTransformer::specId(), one slot per spec level.
+  std::unordered_map<uint64_t, std::vector<SpecTemplate>> Cache;
   /// Placeholder node for the axiom template.
   NodeVars AxiomNode;
   z3::expr AxiomTemplate;

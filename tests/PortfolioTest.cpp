@@ -165,6 +165,45 @@ TEST(Portfolio, MatchesSequentialOnSmokeExamples) {
   }
 }
 
+/// Deduction engines lease warm Z3 cores from one process-wide pool. The
+/// sequential solves below warm cores on this thread; two back-to-back
+/// 4-thread portfolios then lease them on pool threads, each over a
+/// different example. A core carries nothing from one lease to the next,
+/// so every winner's program is byte-identical to a sequential solve of
+/// the winning member's configuration.
+TEST(Portfolio, LeasedCoresSolveLikeSequential) {
+  struct Case {
+    std::vector<Table> Inputs;
+    Table Output;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({{studentsTable()}, filterProjectOutput()});
+  Cases.push_back({{studentsTable()},
+                   makeTable({{"name", CellType::Str}, {"age", CellType::Num}},
+                             {{str("Alice"), num(8)},
+                              {str("Bob"), num(18)},
+                              {str("Tom"), num(12)}})});
+  const ComponentLibrary &Lib = StandardComponents::get().tidyDplyr();
+  SynthesisConfig Base;
+  Base.Timeout = std::chrono::milliseconds(30000);
+  Base.MaxComponents = 3;
+  std::vector<SynthesisConfig> Variants =
+      PortfolioSynthesizer::sizeClassVariants(Base);
+
+  for (const Case &C : Cases)
+    ASSERT_TRUE(Synthesizer(Lib, Base).synthesize(C.Inputs, C.Output));
+
+  for (const Case &C : Cases) {
+    PortfolioSynthesizer Par(Lib, Variants, /*MaxThreads=*/4);
+    PortfolioResult PR = Par.synthesize(C.Inputs, C.Output);
+    ASSERT_TRUE(PR);
+    SynthesisResult SR = Synthesizer(Lib, Variants[size_t(PR.WinnerIndex)])
+                             .synthesize(C.Inputs, C.Output);
+    ASSERT_TRUE(SR);
+    EXPECT_EQ(PR.Program->toString(), SR.Program->toString());
+  }
+}
+
 TEST(Portfolio, RunnerWiringSolvesSuiteTask) {
   const std::vector<BenchmarkTask> &Suite = morpheusSuite();
   ASSERT_FALSE(Suite.empty());

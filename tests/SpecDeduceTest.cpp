@@ -18,6 +18,7 @@
 #include "suite/Task.h"
 
 #include <gtest/gtest.h>
+#include <new>
 
 using namespace morpheus;
 using namespace morpheus::pb;
@@ -222,7 +223,7 @@ TEST(ShapeHash, FillInvariantAndStructureSensitive) {
 
 /// Incremental sessions: two fills of one sketch shape reuse the pushed
 /// shape scope (SessionHits), and spec templates compile once per
-/// component/level, not once per call.
+/// component/level and core, not once per call or per engine.
 TEST(DeduceSubstrate, SessionAndTemplateReuse) {
   Table In = makeTable({{"id", CellType::Num},
                         {"name", CellType::Str},
@@ -235,25 +236,119 @@ TEST(DeduceSubstrate, SessionAndTemplateReuse) {
                         {{num(2), str("Bob")}});
   const TableTransformer *Select = StandardComponents::get().find("select");
 
-  DeductionEngine E({In}, Out);
-  // Same sketch shape, three predicate fills with distinct intermediate
-  // row counts (3, 2, 1 rows; a keep-all cut would be rejected by the
-  // filter kernel as a spec-excluded no-op) -> distinct queries sharing
-  // one shape: one session build, two session reuses.
-  for (double Cut : {6.0, 10.0, 15.0}) {
-    HypPtr Sigma = filter(in(0), "age", ">", num(Cut));
-    HypPtr Pi = Hypothesis::apply(
-        Select, {Sigma, Hypothesis::valueHole(ParamKind::Cols)});
-    E.deduce(Pi, SpecLevel::Spec2, true);
+  auto Run = [&](DeductionEngine &E) {
+    // Same sketch shape, three predicate fills with distinct intermediate
+    // row counts (3, 2, 1 rows; a keep-all cut would be rejected by the
+    // filter kernel as a spec-excluded no-op) -> distinct queries sharing
+    // one shape: one session build, two session reuses.
+    for (double Cut : {6.0, 10.0, 15.0}) {
+      HypPtr Sigma = filter(in(0), "age", ">", num(Cut));
+      HypPtr Pi = Hypothesis::apply(
+          Select, {Sigma, Hypothesis::valueHole(ParamKind::Cols)});
+      E.deduce(Pi, SpecLevel::Spec2, true);
+    }
+    const DeduceStats &S = E.stats();
+    EXPECT_EQ(S.SessionBuilds, 1u);
+    EXPECT_EQ(S.SessionHits, 2u);
+    EXPECT_GT(S.TemplateHits, 0u);
+    // Scopes balance: every push has its pop except the still-open session.
+    EXPECT_EQ(S.SolverPushes, S.SolverPops + 1);
+    return S.TemplateCompiles;
+  };
+
+  // Templates: filter + select at both levels, compiled at most once each
+  // per core — exactly 4 only when this engine leased a cold core.
+  {
+    DeductionEngine E({In}, Out);
+    EXPECT_LE(Run(E), 4u);
   }
-  const DeduceStats &S = E.stats();
-  EXPECT_EQ(S.SessionBuilds, 1u);
-  EXPECT_EQ(S.SessionHits, 2u);
-  // Templates: filter + select at both levels, compiled exactly once each.
-  EXPECT_EQ(S.TemplateCompiles, 4u);
-  EXPECT_GT(S.TemplateHits, 0u);
-  // Scopes balance: every push has its pop except the still-open session.
-  EXPECT_EQ(S.SolverPushes, S.SolverPops + 1);
+  // The next engine on this thread leases the core the first one handed
+  // back (the core is far from its lease limit), so every template is
+  // already compiled.
+  DeductionEngine E({In}, Out);
+  EXPECT_EQ(Run(E), 0u);
+}
+
+/// Leased cores carry nothing from one engine to the next: an engine
+/// destroyed with its shape session still open (the refuting Example 13
+/// spread) must not change the verdict of the same hypothesis over an
+/// example where it is satisfiable, nor the other way round, and the next
+/// engine's scopes balance exactly as the first one's did.
+TEST(DeduceSubstrate, NoStateLeaksBetweenLeases) {
+  Table RefutedIn = paperExample1Input();
+  Table RefutedOut = paperExample1Output();
+  // A long table that spread(x0, key, val) turns wide: the hypothesis is
+  // satisfiable over this example.
+  Table SatIn = makeTable({{"id", CellType::Num},
+                           {"key", CellType::Str},
+                           {"val", CellType::Num}},
+                          {{num(1), str("A"), num(5)},
+                           {num(1), str("B"), num(10)},
+                           {num(2), str("A"), num(3)},
+                           {num(2), str("B"), num(50)}});
+  Table SatOut = *spread(in(0), "key", "val")->evaluate({SatIn});
+  HypPtr H = Hypothesis::apply(
+      StandardComponents::get().find("spread"),
+      {Hypothesis::input(0), Hypothesis::valueHole(ParamKind::ColName),
+       Hypothesis::valueHole(ParamKind::ColName)});
+  DeduceStats First;
+  {
+    DeductionEngine E({RefutedIn}, RefutedOut);
+    EXPECT_FALSE(E.deduce(H, SpecLevel::Spec2, true));
+    First = E.stats();
+  } // destroyed with the shape session open
+  {
+    DeductionEngine E({SatIn}, SatOut);
+    EXPECT_TRUE(E.deduce(H, SpecLevel::Spec2, true));
+    EXPECT_EQ(E.stats().SessionBuilds, 1u);
+    EXPECT_EQ(First.SolverPushes, First.SolverPops + 1);
+    EXPECT_EQ(E.stats().SolverPushes, E.stats().SolverPops + 1);
+  }
+  DeductionEngine E({RefutedIn}, RefutedOut);
+  EXPECT_FALSE(E.deduce(H, SpecLevel::Spec2, true));
+  EXPECT_EQ(E.stats().SolverChecks, 1u);
+}
+
+/// A component whose only spec is supplied by the test. apply() is never
+/// reached: the value hole keeps every hypothesis incomplete.
+class SpecOnlyComponent final : public TableTransformer {
+public:
+  explicit SpecOnlyComponent(SpecFormula F)
+      : TableTransformer("spec_only", 1, {ParamKind::ColName}) {
+    setSpec(SpecLevel::Spec1, F);
+    setSpec(SpecLevel::Spec2, std::move(F));
+  }
+  std::optional<Table> apply(const std::vector<Table> &,
+                             const std::vector<TermPtr> &) const override {
+    return std::nullopt;
+  }
+};
+
+/// Compiled templates outlive the engine that compiled them, so they must
+/// not be keyed on the component's address: a component built where a
+/// freed one lived, with a contradicting spec, must get its own template.
+TEST(DeduceSubstrate, SpecIdSurvivesAddressReuse) {
+  using namespace morpheus::specdsl;
+  Table In = makeTable({{"a", CellType::Num}},
+                       {{num(1)}, {num(2)}, {num(3)}});
+  alignas(SpecOnlyComponent) unsigned char Storage[sizeof(SpecOnlyComponent)];
+  auto Deduce = [&](SpecFormula F) {
+    auto *X = new (Storage) SpecOnlyComponent(std::move(F));
+    HypPtr H = Hypothesis::apply(
+        X, {Hypothesis::input(0), Hypothesis::valueHole(ParamKind::ColName)});
+    bool Verdict;
+    {
+      DeductionEngine E({In}, In);
+      Verdict = E.deduce(H, SpecLevel::Spec2, true);
+    }
+    H.reset();
+    X->~SpecOnlyComponent();
+    return Verdict;
+  };
+  // Output rows == input rows: satisfiable over a 3-row -> 3-row example.
+  EXPECT_TRUE(Deduce({{outA(TableAttr::Row) == inA(0, TableAttr::Row)}}));
+  // Same address, output rows > input rows: refuted.
+  EXPECT_FALSE(Deduce({{outA(TableAttr::Row) > inA(0, TableAttr::Row)}}));
 }
 
 /// Cross-engine refutation sharing: a ⊥ verdict recorded by one engine
