@@ -10,22 +10,16 @@
 //  1. sequential baseline: Z3 invocations per task and how many deduce
 //     calls the verdict cache / shape sessions / compiled templates
 //     absorb;
-//  2. sequential sharing ablation with a program-parity check: the
+//  2. the refutation store, cold then warm: a fresh store per task is
+//     handed to the solve (as the SynthService hands in its per-example
+//     scope), then every task is solved again with the same stores. The
 //     sequential search is deterministic (modulo wall-clock timeout
-//     boundaries), so refutation sharing must reproduce the identical
-//     program on every commonly solved task — cold and warm;
-//  3. portfolio ablation: refutation sharing off vs per-solve vs
-//     process-wide — total Z3 invocations summed across ALL portfolio
-//     members (the winner's siblings burn solver time too, which is
-//     exactly what the shared store removes), with a second process-wide
-//     pass showing cross-solve reuse. No program parity here: the
-//     portfolio's first-solution-wins race may legitimately return a
-//     different (equally valid) program run to run, sharing or not.
+//     boundaries), so both passes must reproduce the baseline's program
+//     on every commonly solved task; the exit code is that parity check.
 //
-//   ./bench_deduce [limit] [timeout_ms] [threads]
+//   ./bench_deduce [limit] [timeout_ms]
 //     limit      suite tasks to run               (default 24)
 //     timeout_ms engine budget per solve          (default 5000)
-//     threads    portfolio pool size              (default hardware)
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +28,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,28 +41,26 @@ struct ArmResult {
   std::string Label;
   size_t Solved = 0;
   double WallSeconds = 0;
-  DeduceStats Deduce; ///< summed across tasks and ALL portfolio members
+  DeduceStats Deduce; ///< summed across tasks
   std::vector<std::string> Programs; ///< per task; "" when unsolved
 };
 
-/// Runs every task of \p Suite under \p Opts, summing DeduceStats over
-/// every portfolio member (Solution.Workers), not just the winner.
+/// Solves every task of \p Suite under \p Opts; when \p Stores is given,
+/// task I is handed (*Stores)[I] — the store scoped to its example.
 ArmResult runArm(const std::string &Label,
                  const std::vector<BenchmarkTask> &Suite,
-                 const EngineOptions &Opts) {
+                 const EngineOptions &Opts,
+                 const std::vector<std::shared_ptr<RefutationStore>> *Stores =
+                     nullptr) {
   ArmResult Out;
   Out.Label = Label;
-  for (const BenchmarkTask &T : Suite) {
-    Engine E(libraryForTask(T), Opts);
-    Solution S = E.solve(toProblem(T));
+  for (size_t I = 0; I != Suite.size(); ++I) {
+    Engine E(libraryForTask(Suite[I]), Opts);
+    Solution S = E.solve(toProblem(Suite[I]), {}, std::nullopt,
+                         Stores ? (*Stores)[I] : nullptr);
     Out.Solved += bool(S);
     Out.WallSeconds += S.Seconds;
-    if (S.Workers.empty()) {
-      Out.Deduce += S.Stats.Deduce;
-    } else {
-      for (const PortfolioWorkerResult &W : S.Workers)
-        Out.Deduce += W.Stats.Deduce;
-    }
+    Out.Deduce += S.Stats.Deduce;
     Out.Programs.push_back(S ? printSexp(S.Program) : std::string());
   }
   return Out;
@@ -105,7 +99,6 @@ bool paritize(const ArmResult &Base, const ArmResult &Arm) {
 int main(int argc, char **argv) {
   size_t Limit = argc > 1 ? size_t(std::atoi(argv[1])) : 24;
   int TimeoutMs = argc > 2 ? std::atoi(argv[2]) : 5000;
-  unsigned Threads = argc > 3 ? unsigned(std::atoi(argv[3])) : 0;
 
   std::vector<BenchmarkTask> Suite = morpheusSuite();
   if (Suite.size() > Limit)
@@ -118,14 +111,11 @@ int main(int argc, char **argv) {
   Seq.timeout(std::chrono::milliseconds(TimeoutMs));
 
   // ------------------------------------------- 1. sequential substrate tiers
-  ArmResult SeqOff = runArm(
-      "sequential/off", Suite,
-      EngineOptions(Seq).refutationSharing(RefutationSharing::Off));
+  ArmResult Base = runArm("sequential/no store", Suite, Seq);
   std::printf("sequential baseline (per-engine tiers only):\n");
-  printArm(SeqOff);
+  printArm(Base);
   {
-    const DeduceStats &D = SeqOff.Deduce;
-    uint64_t Absorbed = D.CacheHits + D.SessionHits;
+    const DeduceStats &D = Base.Deduce;
     std::printf("    %.1f%% of %llu deduce calls never reached a Z3 "
                 "check; %llu scope rebuilds for %llu calls "
                 "(%llu push/pop)\n\n",
@@ -136,73 +126,26 @@ int main(int argc, char **argv) {
                 (unsigned long long)D.SessionBuilds,
                 (unsigned long long)D.Calls,
                 (unsigned long long)D.SolverPushes);
-    (void)Absorbed;
   }
 
-  // -------------------------- 2. sequential sharing ablation, with parity
-  RefutationStore::clearProcessScope();
-  ArmResult SeqCold = runArm(
-      "sequential/process #1", Suite,
-      EngineOptions(Seq).refutationSharing(RefutationSharing::ProcessWide));
-  ArmResult SeqWarm = runArm(
-      "sequential/process #2", Suite,
-      EngineOptions(Seq).refutationSharing(RefutationSharing::ProcessWide));
-  std::printf("sequential sharing ablation:\n");
-  printArm(SeqCold);
-  printArm(SeqWarm);
-  bool Ok = paritize(SeqOff, SeqCold) && paritize(SeqOff, SeqWarm);
-  double SeqDrop =
-      SeqOff.Deduce.SolverChecks
-          ? 100.0 * (1.0 - double(SeqWarm.Deduce.SolverChecks) /
-                               double(SeqOff.Deduce.SolverChecks))
-          : 0.0;
+  // ------------------------- 2. refutation store, cold then warm, parity
+  std::vector<std::shared_ptr<RefutationStore>> Stores;
+  for (size_t I = 0; I != Suite.size(); ++I)
+    Stores.push_back(std::make_shared<RefutationStore>());
+  ArmResult Cold = runArm("sequential/store cold", Suite, Seq, &Stores);
+  ArmResult Warm = runArm("sequential/store warm", Suite, Seq, &Stores);
+  std::printf("refutation store (one per task, reused by the warm pass):\n");
+  printArm(Cold);
+  printArm(Warm);
+  bool Ok = paritize(Base, Cold) && paritize(Base, Warm);
+  double Drop = Base.Deduce.SolverChecks
+                    ? 100.0 * (1.0 - double(Warm.Deduce.SolverChecks) /
+                                         double(Base.Deduce.SolverChecks))
+                    : 0.0;
   std::printf("  warm Z3 checks %llu vs %llu baseline (-%.1f%%); parity "
-              "(identical programs on commonly solved tasks): %s\n\n",
-              (unsigned long long)SeqWarm.Deduce.SolverChecks,
-              (unsigned long long)SeqOff.Deduce.SolverChecks, SeqDrop,
+              "(identical programs on commonly solved tasks): %s\n",
+              (unsigned long long)Warm.Deduce.SolverChecks,
+              (unsigned long long)Base.Deduce.SolverChecks, Drop,
               Ok ? "OK" : "FAILED");
-
-  // ---------------------------------------------- 3. portfolio sharing arms
-  EngineOptions Par(Seq);
-  Par.strategy(Strategy::Portfolio).threads(Threads);
-
-  RefutationStore::clearProcessScope();
-  ArmResult Off = runArm(
-      "portfolio/off", Suite,
-      EngineOptions(Par).refutationSharing(RefutationSharing::Off));
-  ArmResult PerSolve = runArm(
-      "portfolio/per-solve", Suite,
-      EngineOptions(Par).refutationSharing(RefutationSharing::PerSolve));
-  ArmResult Process = runArm(
-      "portfolio/process #1", Suite,
-      EngineOptions(Par).refutationSharing(RefutationSharing::ProcessWide));
-  ArmResult Process2 = runArm(
-      "portfolio/process #2", Suite,
-      EngineOptions(Par).refutationSharing(RefutationSharing::ProcessWide));
-
-  std::printf("portfolio ablation (deduce counters summed over ALL "
-              "members):\n");
-  printArm(Off);
-  printArm(PerSolve);
-  printArm(Process);
-  printArm(Process2);
-
-  double Drop1 = Off.Deduce.SolverChecks
-                     ? 100.0 * (1.0 - double(PerSolve.Deduce.SolverChecks) /
-                                          double(Off.Deduce.SolverChecks))
-                     : 0.0;
-  double Drop2 = Off.Deduce.SolverChecks
-                     ? 100.0 * (1.0 - double(Process2.Deduce.SolverChecks) /
-                                          double(Off.Deduce.SolverChecks))
-                     : 0.0;
-  std::printf("\n  Z3 checks: %llu (off) -> %llu (per-solve, -%.1f%%) -> "
-              "%llu (process-wide warm, -%.1f%%)\n",
-              (unsigned long long)Off.Deduce.SolverChecks,
-              (unsigned long long)PerSolve.Deduce.SolverChecks, Drop1,
-              (unsigned long long)Process2.Deduce.SolverChecks, Drop2);
-  std::printf("  (solved counts may differ by timeout-boundary tasks only; "
-              "program identity is asserted on the deterministic\n   "
-              "sequential arms above and by tests/DeduceParityTest)\n");
-  RefutationStore::clearProcessScope();
   return Ok ? 0 : 1;
 }

@@ -102,13 +102,6 @@ public:
     Cfg.MaxComponents = N;
     return *this;
   }
-  /// How DEDUCE refutations are shared across portfolio members, service
-  /// workers and repeated solves (default per-solve). Sound at every
-  /// setting — identical solved sets and programs, fewer solver calls.
-  EngineOptions &refutationSharing(RefutationSharing S) {
-    Cfg.Sharing = S;
-    return *this;
-  }
   /// Attaches a synthesis event bus (bus/EventBus.h): the search engines,
   /// the deduction substrate and any SynthService built over this engine
   /// publish typed events to it. Null (default) disables publishing
@@ -138,7 +131,6 @@ public:
   Strategy strategy() const { return Strat; }
   /// Portfolio pool size; 0 means hardware concurrency.
   unsigned threads() const { return NumThreads; }
-  RefutationSharing refutationSharing() const { return Cfg.Sharing; }
   const std::shared_ptr<EventBus> &eventBus() const { return Cfg.Bus; }
   const std::string &stateDir() const { return StateDir; }
   const SynthesisConfig &config() const { return Cfg; }
@@ -197,10 +189,11 @@ public:
   solve(const Problem &P, CancellationToken Cancel,
         std::optional<std::chrono::steady_clock::time_point> Deadline) const;
 
-  /// As above, additionally pre-wiring \p Refutations into the search (a
-  /// null store falls back to the configured sharing mode). The service
-  /// uses this to hand every worker the store scoped to the problem's
-  /// example; the store MUST be scoped to \p P's example (inputs+output).
+  /// As above, additionally handing \p Refutations to the search. Null
+  /// keeps the configured SynthesisConfig::Refutations, which is itself
+  /// null — no store — unless set through config(). The service uses this
+  /// to hand every worker the store scoped to the problem's example; the
+  /// store MUST be scoped to \p P's example (inputs+output).
   Solution
   solve(const Problem &P, CancellationToken Cancel,
         std::optional<std::chrono::steady_clock::time_point> Deadline,

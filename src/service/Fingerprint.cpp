@@ -44,10 +44,10 @@ uint64_t morpheus::problemFingerprint(const Problem &P,
     H = fold(H, orderedRowsHash(P.Output));
 
   const SynthesisConfig &Cfg = Opts.config();
-  // RefutationSharing is deliberately excluded, like the thread count: a
-  // shared refutation store changes how fast a verdict is reached, never
-  // which verdict (the parity suite asserts this), so two submissions
-  // differing only in sharing mode are the same problem.
+  // The refutation store is deliberately excluded, like the thread count:
+  // a warm store changes how fast a verdict is reached, never which
+  // verdict (WarmRestartTest asserts this), so a solve with or without
+  // one answers the same problem.
   uint64_t Knobs = uint64_t(Opts.strategy() == Strategy::Portfolio) |
                    uint64_t(Cfg.Level == SpecLevel::Spec2) << 1 |
                    uint64_t(Cfg.UseDeduction) << 2 |

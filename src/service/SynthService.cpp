@@ -540,27 +540,20 @@ void SynthService::workerLoop() {
 
 void SynthService::loadWarmState() {
   Warm->loadResults(Cache, Eng.library());
-  const SynthesisConfig &Cfg = Eng.options().config();
-  if (Cfg.UseDeduction && Cfg.Sharing != RefutationSharing::Off) {
+  if (Eng.options().config().UseDeduction) {
     // Pre-populate the same scope map refutationScopeFor consults, bounded
     // by the same cap so a preloaded scope is never the one that triggers
     // the epoch flush.
     size_t Cap = std::max<size_t>(Opts.cacheCapacity(), 64);
-    bool ProcessWide = Cfg.Sharing == RefutationSharing::ProcessWide;
     Warm->loadRefutations([&](uint64_t Fp, std::vector<uint64_t> &&Keys) {
       MutexLock Lock(M);
-      std::shared_ptr<RefutationStore> Store;
-      auto It = RefScopes.find(Fp);
-      if (It != RefScopes.end()) {
-        Store = It->second; // a later chunk of an already-loaded scope
-      } else {
+      auto It = RefScopes.find(Fp); // found: a later chunk of a scope
+      if (It == RefScopes.end()) {
         if (RefScopes.size() >= Cap)
           return false; // scope budget spent; keep what we have
-        Store = ProcessWide ? RefutationStore::forExample(Fp)
-                            : std::make_shared<RefutationStore>();
-        RefScopes.emplace(Fp, Store);
+        It = RefScopes.emplace(Fp, std::make_shared<RefutationStore>()).first;
       }
-      Store->restoreKeys(Keys);
+      It->second->restoreKeys(Keys);
       return true;
     });
   }
@@ -634,8 +627,7 @@ void SynthService::checkpointNow(bool Final) {
 
 std::shared_ptr<RefutationStore>
 SynthService::refutationScopeFor(const Problem &Prob) {
-  const SynthesisConfig &Cfg = Eng.options().config();
-  if (!Cfg.UseDeduction || Cfg.Sharing == RefutationSharing::Off)
+  if (!Eng.options().config().UseDeduction)
     return nullptr;
   // Cheap under M: table fingerprints are cached inside the tables and
   // were forced by problemFingerprint at submit.
@@ -647,12 +639,8 @@ SynthService::refutationScopeFor(const Problem &Prob) {
   size_t Cap = std::max<size_t>(Opts.cacheCapacity(), 64);
   if (RefScopes.size() >= Cap)
     RefScopes.clear();
-  std::shared_ptr<RefutationStore> Store =
-      Cfg.Sharing == RefutationSharing::ProcessWide
-          ? RefutationStore::forExample(Fp)
-          : std::make_shared<RefutationStore>();
-  RefScopes.emplace(Fp, Store);
-  return Store;
+  return RefScopes.emplace(Fp, std::make_shared<RefutationStore>())
+      .first->second;
 }
 
 void SynthService::cancelJob(const std::shared_ptr<JobHandle::JobState> &State) {

@@ -273,7 +273,7 @@ private:
   /// use — the deduction analog of the ResultCache: a job whose result
   /// was evicted (or whose budget differs, so its problem fingerprint
   /// misses) still reuses every refutation earlier jobs over the same
-  /// example derived. Null when the engine's sharing mode is Off.
+  /// example derived. Null when the engine runs without deduction.
   std::shared_ptr<RefutationStore> refutationScopeFor(const Problem &Prob)
       REQUIRES(M);
   /// Restores the warm stores from the engine's state dir (constructor

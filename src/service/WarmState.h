@@ -104,8 +104,8 @@ public:
 
   /// Streams persisted refutation scopes: \p Sink is called once per
   /// (example fingerprint, key chunk) record. The caller owns placement
-  /// (process registry vs. service-local scopes) and capacity policy —
-  /// return false from \p Sink to stop early (capacity reached).
+  /// (the service's per-example scopes) and capacity policy — return
+  /// false from \p Sink to stop early (capacity reached).
   void
   loadRefutations(const std::function<bool(uint64_t, std::vector<uint64_t> &&)>
                       &Sink);

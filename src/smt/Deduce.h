@@ -35,9 +35,10 @@
 ///    Hypothesis::shapeHash, and a per-call part (the concrete
 ///    abstractions partial evaluation conjoins) asserted in an inner
 ///    scope, so sibling fills of one sketch reuse the solver state;
-///  - tier 3, the cross-engine RefutationStore (smt/RefutationStore.h):
-///    ⊥ verdicts are consulted before and published after every solver
-///    call, shared across portfolio members and service workers.
+///  - tier 3, the example-scoped RefutationStore (smt/RefutationStore.h):
+///    when the owner of the example's scope (the SynthService) hands the
+///    engine a store, ⊥ verdicts are consulted before and published after
+///    every solver call, so later solves of that example reuse them.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,7 +7,6 @@
 #include "smt/RefutationStore.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace morpheus;
 
@@ -17,24 +16,6 @@ namespace {
 /// default load factor — generous for one example's refutation universe
 /// (a full suite task records thousands to low millions).
 constexpr size_t DefaultMaxEntries = 1 << 20;
-
-/// Registry cap: examples an operator's process plausibly touches. Past
-/// it the whole registry is flushed (epoch eviction) — simpler than LRU
-/// and the stores are caches, not state.
-constexpr size_t MaxProcessExamples = 256;
-
-struct ProcessRegistry {
-  Mutex M;
-  std::unordered_map<uint64_t, std::shared_ptr<RefutationStore>> Stores
-      GUARDED_BY(M);
-};
-
-ProcessRegistry &processRegistry() {
-  // Leaked on purpose (like Engine::shared()): stores may be referenced
-  // by engines still winding down at process exit.
-  static ProcessRegistry *R = new ProcessRegistry();
-  return *R;
-}
 
 } // namespace
 
@@ -103,44 +84,4 @@ size_t RefutationStore::size() const {
     N += S.Keys.size();
   }
   return N;
-}
-
-std::shared_ptr<RefutationStore>
-RefutationStore::forExample(uint64_t ExampleFp) {
-  ProcessRegistry &R = processRegistry();
-  MutexLock Lock(R.M);
-  auto It = R.Stores.find(ExampleFp);
-  if (It != R.Stores.end())
-    return It->second;
-  if (R.Stores.size() >= MaxProcessExamples)
-    R.Stores.clear(); // epoch flush; live engines keep their shared_ptrs
-  return R.Stores.emplace(ExampleFp, std::make_shared<RefutationStore>())
-      .first->second;
-}
-
-std::vector<std::pair<uint64_t, std::shared_ptr<RefutationStore>>>
-RefutationStore::processScopeSnapshot() {
-  ProcessRegistry &R = processRegistry();
-  std::vector<std::pair<uint64_t, std::shared_ptr<RefutationStore>>> Out;
-  {
-    MutexLock Lock(R.M);
-    Out.reserve(R.Stores.size());
-    for (const auto &KV : R.Stores)
-      Out.push_back(KV);
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  return Out;
-}
-
-size_t RefutationStore::processScopeCount() {
-  ProcessRegistry &R = processRegistry();
-  MutexLock Lock(R.M);
-  return R.Stores.size();
-}
-
-void RefutationStore::clearProcessScope() {
-  ProcessRegistry &R = processRegistry();
-  MutexLock Lock(R.M);
-  R.Stores.clear();
 }

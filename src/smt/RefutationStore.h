@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Tier 3 of the deduction substrate: a concurrent store of DEDUCE
-/// refutations (⊥ verdicts) shared across engines — portfolio members,
-/// SynthService workers, repeated solves of the same example.
+/// refutations (⊥ verdicts) reused across solves of the same example —
+/// the SynthService workers that re-solve it, and the restarted process
+/// that restores it from warm state.
 ///
 /// Soundness of sharing: a DEDUCE verdict is a pure function of
 ///  - the *query key* — the hypothesis's canonical sketch shape (component
@@ -18,9 +19,11 @@
 ///  - the *example* — the input tables (they fix ϕin, the base sets behind
 ///    α, and every partial-evaluation result) and the output table (ϕout).
 ///
-/// A store instance is scoped to ONE example (per-solve, or fetched from
-/// the process-wide registry keyed by the example fingerprint), so entries
-/// are keyed on the 64-bit query hash alone. Search-budget knobs (timeout,
+/// A store instance is scoped to ONE example: the owner of that scope
+/// (SynthService::refutationScopeFor, keyed by the example fingerprint)
+/// creates it and hands it to every solve of the example, so entries are
+/// keyed on the 64-bit query hash alone. A solve handed no store uses
+/// none. Search-budget knobs (timeout,
 /// component bounds, thread count) do not enter the key: they change how
 /// much of the space is explored, never a verdict — which is exactly why
 /// jobs with different budgets can share a store.
@@ -40,9 +43,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 namespace morpheus {
@@ -83,25 +84,6 @@ public:
   /// Respects the capacity cap like recordRefuted. Returns the number of
   /// keys actually stored.
   size_t restoreKeys(const std::vector<uint64_t> &Keys);
-
-  /// The process-wide store for the example fingerprinted \p ExampleFp
-  /// (spec/Abstraction.h exampleFingerprint), created on first use. The
-  /// registry is bounded; past the bound it is flushed wholesale — a
-  /// cache-policy event, invisible to correctness.
-  static std::shared_ptr<RefutationStore> forExample(uint64_t ExampleFp);
-
-  /// Number of examples currently in the process-wide registry.
-  static size_t processScopeCount();
-
-  /// A copy of the process-wide registry: (example fingerprint, store)
-  /// pairs, sorted by fingerprint. Checkpoints walk this to persist the
-  /// ProcessWide sharing scope.
-  static std::vector<std::pair<uint64_t, std::shared_ptr<RefutationStore>>>
-  processScopeSnapshot();
-
-  /// Empties the process-wide registry (benchmarks establishing a cold
-  /// baseline; tests isolating runs).
-  static void clearProcessScope();
 
 private:
   /// Sharded to keep portfolio members off each other's locks: deduce is

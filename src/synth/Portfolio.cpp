@@ -50,17 +50,12 @@ PortfolioSynthesizer::synthesize(const std::vector<Table> &Inputs,
   auto Start = std::chrono::steady_clock::now();
 
   // One example context for every member: α(Ti)/α(Tout) and the base sets
-  // are computed once here instead of once per size class. Likewise ONE
-  // refutation store (resolved from the first variant's sharing mode):
-  // when a member refutes a sketch shape, its siblings — and, under
-  // process-wide sharing, later solves of the same example — skip the
-  // solver call entirely.
+  // are computed once here instead of once per size class. No refutation
+  // store is made here: member K deduces only size-K sketches, so a
+  // sibling's refutation never answers its queries. A caller's store
+  // (Cfg.Refutations) reaches every member through its variant config.
   std::shared_ptr<const ExampleContext> Ex =
       ExampleContext::make(Inputs, Output);
-  std::shared_ptr<RefutationStore> SharedStore =
-      Variants.empty() ? nullptr
-                       : resolveRefutationStore(Variants.front(),
-                                                Ex->Fingerprint);
 
   // The portfolio's wall clock never exceeds the largest member budget:
   // with fewer pool threads than members, later members would otherwise
@@ -109,8 +104,6 @@ PortfolioSynthesizer::synthesize(const std::vector<Table> &Inputs,
       Cfg.Timeout = std::min(
           std::chrono::duration_cast<std::chrono::milliseconds>(Cfg.Timeout),
           Remaining);
-      if (!Cfg.Refutations)
-        Cfg.Refutations = SharedStore;
       Synthesizer S(Lib, Cfg);
       SynthesisResult R = S.synthesize(Ex);
       if (R.Program) {

@@ -532,37 +532,6 @@ SynthesisResult SearchContext::run() {
 
 } // namespace
 
-std::string_view morpheus::refutationSharingName(RefutationSharing S) {
-  switch (S) {
-  case RefutationSharing::Off:
-    return "off";
-  case RefutationSharing::PerSolve:
-    return "per-solve";
-  case RefutationSharing::ProcessWide:
-    return "process-wide";
-  }
-  return "?";
-}
-
-/// The store \p Cfg's sharing mode calls for when no store was pre-wired.
-std::shared_ptr<RefutationStore>
-morpheus::resolveRefutationStore(const SynthesisConfig &Cfg,
-                                 uint64_t ExampleFp) {
-  if (!Cfg.UseDeduction)
-    return nullptr;
-  if (Cfg.Refutations)
-    return Cfg.Refutations;
-  switch (Cfg.Sharing) {
-  case RefutationSharing::Off:
-    return nullptr;
-  case RefutationSharing::PerSolve:
-    return std::make_shared<RefutationStore>();
-  case RefutationSharing::ProcessWide:
-    return RefutationStore::forExample(ExampleFp);
-  }
-  return nullptr;
-}
-
 Synthesizer::Synthesizer(ComponentLibrary Lib, SynthesisConfig Cfg)
     : Lib(std::move(Lib)), Cfg(Cfg) {}
 
@@ -573,15 +542,6 @@ SynthesisResult Synthesizer::synthesize(const std::vector<Table> &Inputs,
 
 SynthesisResult
 Synthesizer::synthesize(std::shared_ptr<const ExampleContext> Ex) {
-  SynthesisConfig Run = Cfg;
-  // A per-solve store pays off only when several engines share it
-  // (Portfolio and SynthService pre-wire theirs); for a lone sequential
-  // engine its own verdict cache subsumes the store — every query it
-  // refuted is cached locally and never re-consulted — so attaching one
-  // would be pure hot-loop overhead. Only ProcessWide (facts outlive
-  // this solve) warrants a store here.
-  if (!Run.Refutations && Run.Sharing == RefutationSharing::ProcessWide)
-    Run.Refutations = resolveRefutationStore(Cfg, Ex->Fingerprint);
-  SearchContext Ctx(Lib, Run, std::move(Ex));
+  SearchContext Ctx(Lib, Cfg, std::move(Ex));
   return Ctx.run();
 }

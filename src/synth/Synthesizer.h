@@ -29,34 +29,10 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <string_view>
 
 namespace morpheus {
 
 class EventBus; // bus/EventBus.h
-
-/// How DEDUCE refutations are shared across engines (portfolio members,
-/// service workers, repeated solves). Sharing is *sound* — a refutation is
-/// a pure function of (query, example), never of search budgets — so the
-/// modes trade memory lifetime for reuse, not correctness (the golden
-/// parity suite asserts identical solved sets and programs across all
-/// three).
-enum class RefutationSharing {
-  Off,      ///< no store; every engine re-derives every refutation
-  PerSolve, ///< one store per top-level solve, shared by its portfolio
-            ///< members, dropped when the solve returns. A lone
-            ///< sequential engine skips the store entirely (its verdict
-            ///< cache subsumes it). Inside a SynthService the solve
-            ///< boundary widens to the service: stores are kept per
-            ///< example fingerprint for the service lifetime
-            ///< (SynthService::refutationScopeFor), so repeat jobs reuse
-            ///< them — but nothing outlives the service
-  ProcessWide ///< stores live in a process registry keyed by the example
-              ///< fingerprint and survive across solves and services
-};
-
-/// Printable name ("off" / "per-solve" / "process-wide") of \p S.
-std::string_view refutationSharingName(RefutationSharing S);
 
 /// Configuration of one synthesis run.
 struct SynthesisConfig {
@@ -100,8 +76,8 @@ struct SynthesisConfig {
   /// time. Accept/reject semantics are identical to the scalar path (the
   /// parity suite runs both); ordered-compare tasks always take the
   /// scalar path because equalsOrdered is not fingerprint-gated. Excluded
-  /// from the service problem fingerprint, like Sharing: it changes solve
-  /// speed, never which program is found.
+  /// from the service problem fingerprint: it changes solve speed, never
+  /// which program is found.
   bool UseBatchedCheck = true;
   /// Budget per sketch: candidate checks + partial fills before the
   /// completion engine abandons the sketch and lets the worklist advance.
@@ -122,14 +98,10 @@ struct SynthesisConfig {
   /// requested. The default-constructed token is inert (never cancels); the
   /// token shares ownership of its flag, so there is no lifetime to manage.
   CancellationToken Cancel;
-  /// Cross-engine refutation sharing (see RefutationSharing). Excluded
-  /// from the service problem fingerprint, like the thread count: it
-  /// changes solve speed, never which problems are solvable or which
-  /// program is found.
-  RefutationSharing Sharing = RefutationSharing::PerSolve;
-  /// Pre-wired refutation store; when set it wins over \c Sharing. The
-  /// portfolio uses this to hand one store to every member, the service
-  /// to scope stores by example fingerprint alongside its ResultCache.
+  /// Refutation store handed in by the owner of this example's scope (the
+  /// SynthService, which keeps one per example and restores it from warm
+  /// state). Null — the default — means no store: the engine's own verdict
+  /// cache covers repeats within one solve. Portfolio members inherit it.
   /// Must be scoped to the example being solved (see RefutationStore).
   std::shared_ptr<RefutationStore> Refutations;
   /// Optional synthesis event bus (bus/EventBus.h). When set, the search
@@ -143,14 +115,6 @@ struct SynthesisConfig {
   std::shared_ptr<EventBus> Bus;
   InhabitationConfig Inhab;
 };
-
-/// The store \p Cfg's sharing mode calls for: the pre-wired store when
-/// set, a fresh store for PerSolve, the process registry's store for the
-/// example under ProcessWide, null when sharing (or deduction) is off.
-/// Callers that fan one solve out across engines (Portfolio, the service)
-/// resolve once and pre-wire the result into every member config.
-std::shared_ptr<RefutationStore>
-resolveRefutationStore(const SynthesisConfig &Cfg, uint64_t ExampleFp);
 
 /// Counters reported by the evaluation harness.
 struct SynthesisStats {

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cluster tier's central promise mirrors the deduction layer's
-/// (DeduceParityTest): distribution changes WHERE a problem is solved,
+/// The cluster tier's central promise mirrors warm restart's
+/// (WarmRestartTest): distribution changes WHERE a problem is solved,
 /// never WHAT the answer is. A coordinator sharding the full 108-task
 /// suite across two loopback workers must produce the identical solved
 /// set and byte-identical program s-expressions as a single-node Engine
@@ -21,7 +21,7 @@
 ///
 /// Timing discipline: no assertion depends on a tight wall-clock window;
 /// comfortable-task filtering (half the budget) keeps boundary tasks out
-/// of the parity set, as in DeduceParityTest.
+/// of the parity set, as in WarmRestartTest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,8 +57,7 @@ struct ArmRow {
   std::string Sexp;
 };
 
-/// Single-node baseline: plain Engine::solve per task, the exact loop
-/// DeduceParityTest uses.
+/// Single-node baseline: plain sequential Engine::solve per task.
 std::vector<ArmRow> runLocalArm(const std::vector<BenchmarkTask> &Suite,
                                 const ComponentLibrary &Lib) {
   std::vector<ArmRow> Out;

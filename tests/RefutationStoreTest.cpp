@@ -6,12 +6,12 @@
 ///
 /// \file
 /// Unit tests of the concurrent RefutationStore (record/consult, stats,
-/// capacity, process registry scoping) plus a thread stress test that CI
-/// runs under ThreadSanitizer: many writers and readers hammering one
-/// store over an overlapping key space, with full-set verification at the
-/// end. Deduction-level integration (a store wired between two engines)
-/// lives in SpecDeduceTest; whole-suite soundness parity in
-/// DeduceParityTest.
+/// capacity) plus a thread stress test that CI runs under
+/// ThreadSanitizer: many writers and readers hammering one store over an
+/// overlapping key space, with full-set verification at the end.
+/// Deduction-level integration (a store wired between two engines) lives
+/// in SpecDeduceTest; whole-suite soundness parity with warm stores in
+/// WarmRestartTest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,25 +54,6 @@ TEST(RefutationStore, CapacityDropsInsertsNeverCorrupts) {
   EXPECT_EQ(Served, S.size());
 }
 
-TEST(RefutationStore, ProcessRegistryScopesByExample) {
-  RefutationStore::clearProcessScope();
-  std::shared_ptr<RefutationStore> A = RefutationStore::forExample(1);
-  std::shared_ptr<RefutationStore> B = RefutationStore::forExample(2);
-  EXPECT_NE(A, B);
-  EXPECT_EQ(A, RefutationStore::forExample(1));
-  EXPECT_EQ(RefutationStore::processScopeCount(), 2u);
-
-  A->recordRefuted(7);
-  EXPECT_TRUE(RefutationStore::forExample(1)->isRefuted(7));
-  EXPECT_FALSE(RefutationStore::forExample(2)->isRefuted(7));
-
-  // A flush forgets the store but never breaks holders of the old one.
-  RefutationStore::clearProcessScope();
-  EXPECT_EQ(RefutationStore::processScopeCount(), 0u);
-  EXPECT_TRUE(A->isRefuted(7));
-  EXPECT_FALSE(RefutationStore::forExample(1)->isRefuted(7));
-}
-
 /// Concurrency stress (run under TSan in CI): writers insert disjoint key
 /// ranges while readers probe the full space, then every thread's keys
 /// must be present and counted exactly once.
@@ -107,27 +88,6 @@ TEST(RefutationStore, ConcurrentStress) {
       EXPECT_TRUE(
           S.isRefuted((uint64_t(W) << 32 | K) * 0x9e3779b97f4a7c15ULL));
   EXPECT_EQ(S.stats().Inserts, uint64_t(Writers) * KeysPerWriter);
-}
-
-/// Registry access from many threads: all callers of one fingerprint get
-/// the same store, and facts recorded through any alias are visible.
-TEST(RefutationStore, ConcurrentRegistryAccess) {
-  RefutationStore::clearProcessScope();
-  constexpr unsigned N = 8;
-  std::vector<std::shared_ptr<RefutationStore>> Got(N);
-  std::vector<std::thread> Threads;
-  for (unsigned I = 0; I != N; ++I)
-    Threads.emplace_back([&, I] {
-      Got[I] = RefutationStore::forExample(0xabcdef);
-      Got[I]->recordRefuted(1000 + I);
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  for (unsigned I = 1; I != N; ++I)
-    EXPECT_EQ(Got[0], Got[I]);
-  for (unsigned I = 0; I != N; ++I)
-    EXPECT_TRUE(Got[0]->isRefuted(1000 + I));
-  RefutationStore::clearProcessScope();
 }
 
 } // namespace

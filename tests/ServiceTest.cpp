@@ -19,6 +19,7 @@
 
 #include "service/SynthService.h"
 
+#include "io/ProgramIO.h"
 #include "service/Fingerprint.h"
 #include "service/ResultCache.h"
 
@@ -221,6 +222,27 @@ TEST(SynthService, SolvesAndServesRepeatsFromCache) {
   EXPECT_EQ(St.Cache.Hits, 1u);
   EXPECT_EQ(St.Submitted, 2u);
   EXPECT_EQ(St.Completed, 2u);
+}
+
+/// A re-solve of an example the service has seen — the result evicted, or
+/// never cached — reuses the refutations the earlier solve derived: the
+/// service keeps one store per example for its lifetime. A zero-capacity
+/// ResultCache makes the repeat a miss that genuinely re-runs the engine.
+TEST(SynthService, ReSolveReusesTheExampleRefutationScope) {
+  SynthService Svc(longEngine(), ServiceOptions().workers(1).cacheCapacity(0));
+  JobHandle A = Svc.submit(fastProblem(2));
+  const Solution &SA = A.get();
+  ASSERT_EQ(SA.Result, Outcome::Solved);
+  ASSERT_GT(SA.Stats.Deduce.StoreInserts, 0u)
+      << "the task must refute at least one query in Z3";
+
+  JobHandle B = Svc.submit(fastProblem(2));
+  const Solution &SB = B.get();
+  EXPECT_EQ(B.source(), ResultSource::Solve);
+  ASSERT_EQ(SB.Result, Outcome::Solved);
+  EXPECT_GT(SB.Stats.Deduce.StoreHits, 0u);
+  EXPECT_EQ(printSexp(SB.Program), printSexp(SA.Program));
+  EXPECT_EQ(Svc.stats().RefutationScopes, 1u);
 }
 
 TEST(SynthService, SingleFlightCoalescesIdenticalConcurrentProblems) {

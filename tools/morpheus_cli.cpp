@@ -51,6 +51,8 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -96,8 +98,6 @@ int usage(const char *Msg = nullptr) {
       "  --spec spec1|spec2               specification family (default\n"
       "                                   spec2)\n"
       "  --no-deduction                   disable SMT deduction\n"
-      "  --sharing off|per-solve|process  refutation-store sharing across\n"
-      "                                   engines (default per-solve)\n"
       "  --library tidy|sql               component library (default tidy)\n"
       "  --quiet                          print only the program\n"
       "\n"
@@ -105,8 +105,7 @@ int usage(const char *Msg = nullptr) {
       "  --suite morpheus|sql             which suite (default morpheus)\n"
       "  --config spec2|spec1|nodeduction paper configuration (default\n"
       "                                   spec2)\n"
-      "  --strategy, --timeout, --threads,\n"
-      "  --sharing                        as above (default timeout 5000)\n"
+      "  --strategy, --timeout, --threads as above (default timeout 5000)\n"
       "  --limit N                        run only the first N tasks\n"
       "  --json PATH                      write a perf snapshot (per-task\n"
       "                                   solve times + candidate\n"
@@ -137,7 +136,7 @@ int usage(const char *Msg = nullptr) {
       "                                   unreachable shards fail back to\n"
       "                                   local solving (excludes --record)\n"
       "  --strategy, --timeout, --threads, --spec, --no-deduction,\n"
-      "  --sharing, --library             as for solve\n"
+      "  --library                        as for solve\n"
       "\n"
       "worker options:\n"
       "  --listen HOST:PORT               bind address (port 0 = ephemeral,\n"
@@ -227,26 +226,16 @@ bool ensureDir(const std::string &Path) {
   return ::mkdir(Path.c_str(), 0777) == 0;
 }
 
+/// A non-negative decimal int; nullopt on garbage, a negative value, or a
+/// value past INT_MAX (casting strtol's long would silently wrap it).
 std::optional<int> parseIntArg(const std::string &S) {
   char *End = nullptr;
+  errno = 0;
   long V = std::strtol(S.c_str(), &End, 10);
-  if (S.empty() || End != S.c_str() + S.size() || V < 0)
+  if (S.empty() || End != S.c_str() + S.size() || V < 0 || errno == ERANGE ||
+      V > INT_MAX)
     return std::nullopt;
   return int(V);
-}
-
-/// The one --sharing string-to-enum mapping (inverse of
-/// refutationSharingName); shared by solve/serve (engineArg) and bench.
-bool parseRefutationSharing(const std::string &V, RefutationSharing &Out) {
-  if (V == "off")
-    Out = RefutationSharing::Off;
-  else if (V == "per-solve")
-    Out = RefutationSharing::PerSolve;
-  else if (V == "process")
-    Out = RefutationSharing::ProcessWide;
-  else
-    return false;
-  return true;
 }
 
 /// The engine flags shared by `solve` and `serve` (--strategy, --timeout,
@@ -298,15 +287,6 @@ int engineArg(ArgReader &Args, const std::string &A, EngineOptions &Opts,
   }
   if (A == "--no-deduction") {
     Opts.deduction(false);
-    return 0;
-  }
-  if (A == "--sharing") {
-    if (!Args.value(A, V))
-      return 2;
-    RefutationSharing S;
-    if (!parseRefutationSharing(V, S))
-      return usage("unknown sharing mode (use off, per-solve or process)");
-    Opts.refutationSharing(S);
     return 0;
   }
   if (A == "--library") {
@@ -471,7 +451,6 @@ JsonValue benchSnapshot(const std::string &SuiteName,
 int runBench(ArgReader &Args) {
   std::string SuiteName = "morpheus", ConfigName = "spec2", JsonPath, StateDir;
   Strategy Strat = Strategy::Sequential;
-  RefutationSharing Sharing = RefutationSharing::PerSolve;
   int TimeoutMs = 5000;
   unsigned Threads = 0;
   size_t Limit = SIZE_MAX;
@@ -515,11 +494,6 @@ int runBench(ArgReader &Args) {
       if (!N)
         return usage("--threads expects a number");
       Threads = unsigned(*N);
-    } else if (A == "--sharing") {
-      if (!Args.value(A, V))
-        return 2;
-      if (!parseRefutationSharing(V, Sharing))
-        return usage("unknown sharing mode (use off, per-solve or process)");
     } else if (A == "--limit") {
       if (!Args.value(A, V))
         return 2;
@@ -554,7 +528,6 @@ int runBench(ArgReader &Args) {
                         : ConfigName == "nodeduction"
                             ? configNoDeduction(Timeout)
                             : configSpec2(Timeout);
-  Cfg.Sharing = Sharing;
 
   std::vector<BenchmarkTask> Suite =
       SuiteName == "sql" ? sqlSuite() : morpheusSuite();
@@ -574,11 +547,9 @@ int runBench(ArgReader &Args) {
     Cfg.Bus = Bus;
   }
 
-  std::printf("suite %s (%zu tasks), config %s, strategy %s, timeout %d ms, "
-              "sharing %s\n",
+  std::printf("suite %s (%zu tasks), config %s, strategy %s, timeout %d ms\n",
               SuiteName.c_str(), Suite.size(), ConfigName.c_str(),
-              std::string(strategyName(Strat)).c_str(), TimeoutMs,
-              std::string(refutationSharingName(Sharing)).c_str());
+              std::string(strategyName(Strat)).c_str(), TimeoutMs);
 
   std::vector<TaskResult> Results;
   std::optional<ServiceStats> SvcStats;
