@@ -25,10 +25,6 @@ namespace {
 /// the submission (the local service drains continuously; the retry is a
 /// poll, not a backoff ladder).
 constexpr int LocalRetryMs = 50;
-/// Period of the local-completion sweep, the backstop behind the bus
-/// pump. It only ever matters if a JobCompleted event is lost, which the
-/// Block-policy bus excludes — the sweep is insurance, so it can be slow.
-constexpr int SweepIntervalMs = 500;
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -165,12 +161,7 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
     : Lib(std::move(LibIn)), EOpts(std::move(EOptsIn)),
       COpts(std::move(COptsIn)),
       Ring(unsigned(COpts.Workers.size()), COpts.VirtualNodes) {
-  if (!EOpts.eventBus()) {
-    EventBus::Options BusOpts;
-    BusOpts.Policy = DropPolicy::Block; // the pump must not lose completions
-    EOpts.eventBus(EventBus::create(BusOpts));
-  }
-  Bus = EOpts.eventBus();
+  Bus = EOpts.eventBus().get();
   OptionsDigest = clusterOptionsDigest(EOpts);
   CompatKey = warmStateCompatKey(Lib, EOpts.config());
   Eng = std::make_unique<Engine>(Lib, EOpts);
@@ -178,32 +169,6 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
     MutexLock Lock(StatsM);
     Counters.PerWorkerForwarded.assign(COpts.Workers.size(), 0);
   }
-
-  // Subscribe before the local service exists: no completion can ever
-  // race the pump into existence (same discipline as WorkerNode).
-  Subscription S;
-  S.Name = "cluster-local-pump";
-  S.KindMask = eventKindBit(EventKind::JobCompleted);
-  S.OnBatch = [this](const std::vector<Event> &Batch) {
-    std::vector<uint64_t> Ids;
-    Ids.reserve(Batch.size());
-    for (const Event &E : Batch)
-      if (E.Kind == EventKind::JobCompleted)
-        Ids.push_back(E.A);
-    if (Ids.empty())
-      return;
-    Loop.post([this, Ids = std::move(Ids)] {
-      for (uint64_t Id : Ids) {
-        auto It = LocalToReq.find(Id);
-        if (It == LocalToReq.end())
-          continue; // not one of ours (or already answered)
-        auto JIt = Jobs.find(It->second);
-        if (JIt != Jobs.end())
-          completeFromLocal(*JIt->second);
-      }
-    });
-  };
-  SubId = Bus->subscribe(std::move(S));
 
   LocalSvc = std::make_unique<SynthService>(*Eng, SOpts);
 
@@ -218,7 +183,6 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
   Loop.post([this] {
     for (auto &L : Links)
       connectLink(*L);
-    armSweep();
   });
   LoopThread = std::thread([this] { Loop.run(); });
 }
@@ -250,9 +214,7 @@ ClusterClient::~ClusterClient() {
     Loop.stop();
   });
   LoopThread.join();
-  // The pump holds `this`; kill it before members die. The local service
-  // is then destroyed by the member order (LocalSvc before Eng/Bus).
-  Bus->unsubscribe(SubId);
+  LocalSvc.reset(); // its onDone hooks post into Loop: die before it
 }
 
 //===----------------------------------------------------------------------===//
@@ -387,7 +349,7 @@ void ClusterClient::sendSolve(Link &L, RJob &J) {
     ++Counters.Forwarded;
     ++Counters.PerWorkerForwarded[size_t(L.Index)];
   }
-  if (Bus->wants(EventKind::JobForwarded))
+  if (Bus && Bus->wants(EventKind::JobForwarded))
     Bus->publish(Event(EventKind::JobForwarded, J.Fp, J.ReqId, J.Fp,
                        uint64_t(L.Index), uint64_t(J.Attempts)));
 
@@ -424,6 +386,15 @@ void ClusterClient::submitLocal(RJob &J) {
     R.deadline(std::chrono::duration_cast<std::chrono::milliseconds>(
         *J.Deadline - Now));
   }
+  // The hook only posts, so it runs on the loop thread after LocalHandle
+  // is set below, even for a cache hit completed inside trySubmit.
+  R.onDone([this, Id = J.ReqId] {
+    Loop.post([this, Id] {
+      auto It = Jobs.find(Id);
+      if (It != Jobs.end())
+        completeFromLocal(*It->second);
+    });
+  });
   // trySubmit: a full queue must not block the loop thread. Retry on a
   // short timer — deadline shedding stays correct because the grace timer
   // (and the deadline re-check above) keeps running meanwhile.
@@ -444,17 +415,9 @@ void ClusterClient::submitLocal(RJob &J) {
     MutexLock Lock(StatsM);
     ++Counters.LocalSolves;
   }
-  LocalToReq[H->id()] = J.ReqId;
-  // Already done (cache hit completed during submit)? Its JobCompleted
-  // event may have been pumped before the LocalToReq entry existed —
-  // answer directly; completeFromLocal is idempotent via the Jobs erase.
-  if (H->status() == JobStatus::Done)
-    completeFromLocal(J);
 }
 
 void ClusterClient::completeFromLocal(RJob &J) {
-  if (!J.LocalHandle.valid() || J.LocalHandle.status() != JobStatus::Done)
-    return;
   Solution S = J.LocalHandle.get(); // Done: returns immediately
   std::string Source(resultSourceName(J.LocalHandle.source()));
   double QMs = J.LocalHandle.queueMs();
@@ -472,8 +435,6 @@ void ClusterClient::completeJob(RJob &J, Solution S, std::string Source,
     Loop.cancelTimer(J.LocalRetryTimer);
     J.LocalRetryTimer = 0;
   }
-  if (J.Local && J.LocalHandle.valid())
-    LocalToReq.erase(J.LocalHandle.id());
   detachFromLink(J);
   std::shared_ptr<ClusterJob::State> St = J.St;
   int Attempts = J.Attempts;
@@ -567,24 +528,6 @@ void ClusterClient::cancelReq(uint64_t ReqId) {
     ++Counters.Cancelled;
   }
   completeJob(*J, std::move(S), "cancelled", -1, -1, -1);
-}
-
-void ClusterClient::armSweep() {
-  SweepTimer = Loop.addTimer(SweepIntervalMs, [this] {
-    std::vector<uint64_t> DoneReqs;
-    for (auto &KV : Jobs) {
-      RJob &J = *KV.second;
-      if (J.Local && J.LocalHandle.valid() &&
-          J.LocalHandle.status() == JobStatus::Done)
-        DoneReqs.push_back(KV.first);
-    }
-    for (uint64_t R : DoneReqs) {
-      auto It = Jobs.find(R);
-      if (It != Jobs.end())
-        completeFromLocal(*It->second);
-    }
-    armSweep();
-  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -763,7 +706,7 @@ void ClusterClient::linkEstablished(Link &L) {
     ++Counters.WorkersUp;
   }
   StatsChanged.notify_all();
-  if (Bus->wants(EventKind::WorkerUp))
+  if (Bus && Bus->wants(EventKind::WorkerUp))
     Bus->publish(Event(EventKind::WorkerUp, 0, uint64_t(L.Index)));
   pumpBacklog(L);
 }
@@ -798,7 +741,7 @@ void ClusterClient::linkFailed(Link &L, const char *) {
   }
   if (WasUp) {
     StatsChanged.notify_all();
-    if (Bus->wants(EventKind::WorkerDown))
+    if (Bus && Bus->wants(EventKind::WorkerDown))
       Bus->publish(
           Event(EventKind::WorkerDown, 0, uint64_t(L.Index), InFlight));
   }

@@ -24,7 +24,8 @@
 ///    incremented) and schedules a reconnect with exponential backoff;
 ///    after MaxAttempts remote tries a job is solved locally;
 ///  - when every shard for a job is unavailable, the local service solves
-///    it (fail-back, never failure);
+///    it (fail-back, never failure); its job's JobRequest::onDone hook
+///    posts the completion back to the loop thread;
 ///  - deadlines propagate: the Solve frame carries the remaining budget,
 ///    the worker's own reaper enforces it, and a coordinator-side timer
 ///    at deadline+grace catches links that hang without dying.
@@ -122,10 +123,10 @@ class ClusterClient {
 public:
   /// The same (library, engine options, service options) a single-node
   /// server would use — the local fail-back service is built from them,
-  /// and the handshake digests are derived from them. When \p EOpts has
-  /// no event bus, a Block-policy bus is attached. Connections start
-  /// immediately; jobs may be submitted before any link is up (they ride
-  /// the backlog or solve locally per the routing rules above).
+  /// and the handshake digests are derived from them. \p EOpts' event
+  /// bus, if any, only observes. Connections start immediately; jobs may
+  /// be submitted before any link is up (they ride the backlog or solve
+  /// locally per the routing rules above).
   ClusterClient(ComponentLibrary Lib, EngineOptions EOpts,
                 ServiceOptions SOpts, ClusterOptions COpts);
   ~ClusterClient();
@@ -173,12 +174,10 @@ private:
   void cancelReq(uint64_t ReqId);
   /// Detaches \p J from whatever link holds it (outstanding or backlog).
   void detachFromLink(RJob &J);
-  /// Re-arms the periodic local-completion sweep (bus-pump backstop).
-  void armSweep();
 
   ComponentLibrary Lib; ///< for parsing remote program s-expressions
-  std::shared_ptr<EventBus> Bus;
-  uint64_t SubId = 0;
+  /// The caller's bus (EOpts owns it); null when none was given.
+  EventBus *Bus = nullptr;
   std::unique_ptr<Engine> Eng;
   std::unique_ptr<SynthService> LocalSvc;
   EngineOptions EOpts;
@@ -195,8 +194,6 @@ private:
   // Loop-thread-confined link and job tables.
   std::vector<std::unique_ptr<Link>> Links;
   std::unordered_map<uint64_t, std::shared_ptr<RJob>> Jobs; ///< by req id
-  std::unordered_map<uint64_t, uint64_t> LocalToReq; ///< local job id -> req
-  uint64_t SweepTimer = 0;
 
   mutable Mutex StatsM;
   mutable CondVar StatsChanged; ///< waitForWorkers sleeps here

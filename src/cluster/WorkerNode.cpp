@@ -6,7 +6,6 @@
 
 #include "cluster/WorkerNode.h"
 
-#include "bus/EventBus.h"
 #include "cluster/Handshake.h"
 #include "io/Json.h"
 #include "io/ProblemIO.h"
@@ -29,46 +28,15 @@ WorkerNode::WorkerNode(ComponentLibrary Lib, EngineOptions EOpts,
     : Opts(std::move(OptsIn)) {
   if (Opts.Listen.Host.empty())
     Opts.Listen.Host = "127.0.0.1";
-  if (!EOpts.eventBus()) {
-    EventBus::Options BusOpts;
-    BusOpts.Policy = DropPolicy::Block; // the pump must not lose completions
-    EOpts.eventBus(EventBus::create(BusOpts));
-  }
-  Bus = EOpts.eventBus();
   OptionsDigest = clusterOptionsDigest(EOpts);
   CompatKey = warmStateCompatKey(Lib, EOpts.config());
   Eng = std::make_unique<Engine>(std::move(Lib), EOpts);
-
-  // Subscribe before the service exists: no completion can ever race the
-  // pump into existence.
-  Subscription S;
-  S.Name = "worker-node-pump";
-  S.KindMask = eventKindBit(EventKind::JobCompleted);
-  S.OnBatch = [this](const std::vector<Event> &Batch) {
-    // Drain thread: ship the ids to the loop thread, which owns the
-    // request tables. Unknown ids (dead connections, local submitters
-    // sharing the bus) are dropped there.
-    std::vector<uint64_t> Ids;
-    Ids.reserve(Batch.size());
-    for (const Event &E : Batch)
-      if (E.Kind == EventKind::JobCompleted)
-        Ids.push_back(E.A);
-    if (Ids.empty())
-      return;
-    Loop.post([this, Ids = std::move(Ids)] {
-      for (uint64_t Id : Ids)
-        sendResultFor(Id);
-    });
-  };
-  SubId = Bus->subscribe(std::move(S));
-
   Svc = std::make_unique<SynthService>(*Eng, SOpts);
 }
 
 WorkerNode::~WorkerNode() {
   stop();
-  // The pump holds `this`; kill it before members die.
-  Bus->unsubscribe(SubId);
+  Svc.reset(); // its onDone hooks post into Loop: die before it
 }
 
 bool WorkerNode::start(std::string *Err) {
@@ -199,7 +167,7 @@ void WorkerNode::handlePayload(Conn &C, const std::string &Payload) {
     auto JIt = JobsById.find(It->second);
     if (JIt != JobsById.end())
       JIt->second.Handle.cancel(); // the Result (Cancelled) flows back
-                                   // through the completion pump
+                                   // through the handle's onDone
     return;
   }
   case MsgType::HelloAck:
@@ -266,6 +234,11 @@ void WorkerNode::handleSolve(Conn &C, const WireMessage &M) {
     R.deadline(std::chrono::milliseconds(
         std::min<uint64_t>(M.DeadlineMs, 86400000)));
 
+  // Keyed before submitting: a cache hit completes inside trySubmit. The
+  // hook only posts, so the key is registered below before it can run.
+  uint64_t Key = NextJobKey++;
+  R.onDone([this, Key] { Loop.post([this, Key] { sendResultFor(Key); }); });
+
   // trySubmit: a full queue must refuse, not block the loop thread.
   std::optional<JobHandle> H = Svc->trySubmit(std::move(*P), R);
   if (!H) {
@@ -276,22 +249,14 @@ void WorkerNode::handleSolve(Conn &C, const WireMessage &M) {
     MutexLock Lock(StatsM);
     ++Counters.JobsAccepted;
   }
-  uint64_t JobId = H->id();
-  C.ReqToJob[M.ReqId] = JobId;
-  JobsById[JobId] = PendingJob{C.Fd, M.ReqId, *H};
-  // Already done (cache hit completed during submit)? Its JobCompleted
-  // event was published before submit returned, and the pump's post may
-  // have run before this registration existed — answer directly; the
-  // posted id then finds nothing, which is fine (double-send is excluded
-  // by the erase inside sendResultFor).
-  if (H->status() == JobStatus::Done)
-    sendResultFor(JobId);
+  C.ReqToJob[M.ReqId] = Key;
+  JobsById[Key] = PendingJob{C.Fd, M.ReqId, *H};
 }
 
-void WorkerNode::sendResultFor(uint64_t JobId) {
-  auto It = JobsById.find(JobId);
+void WorkerNode::sendResultFor(uint64_t Key) {
+  auto It = JobsById.find(Key);
   if (It == JobsById.end())
-    return; // connection died, or a completion not meant for the wire
+    return; // its connection died first
   PendingJob P = std::move(It->second);
   JobsById.erase(It);
   auto CIt = Conns.find(P.Fd);

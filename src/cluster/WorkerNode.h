@@ -14,11 +14,11 @@
 ///  - one EventLoop thread owns every connection's state machine —
 ///    FrameDecoder, write buffer, handshake phase, request table — so
 ///    none of it needs locks;
-///  - the SynthService worker pool solves; completions come back through
-///    the engine's event bus (JobCompleted), whose drain thread post()s
-///    the job id to the loop. The service completes a handle *before*
-///    publishing its event, so a posted id always finds a finished
-///    handle; ids for connections that died meanwhile are ignored.
+///  - the SynthService worker pool solves; each job's JobRequest::onDone
+///    hook post()s its node-local key to the loop, which sends the
+///    Result. The hook runs after the handle turns Done, so a posted key
+///    always finds a finished handle; keys whose connection died
+///    meanwhile are ignored. The event bus only observes.
 ///  - submissions use trySubmit: a full queue answers an Error frame
 ///    ("queue full") instead of blocking the loop thread — backpressure
 ///    is the coordinator's job (per-worker in-flight caps).
@@ -64,9 +64,8 @@ public:
   };
 
   /// The engine (and its SynthService) are built inside, from the same
-  /// (library, options) a single-node server would use. When \p EOpts has
-  /// no event bus, a Block-policy bus is attached — the completion pump
-  /// requires lossless delivery.
+  /// (library, options) a single-node server would use. \p EOpts' event
+  /// bus, if any, only observes.
   WorkerNode(ComponentLibrary Lib, EngineOptions EOpts, ServiceOptions SOpts,
              Options Opts);
   WorkerNode(ComponentLibrary Lib, EngineOptions EOpts, ServiceOptions SOpts);
@@ -96,8 +95,7 @@ private:
     std::string OutBuf;   ///< bytes the kernel has not accepted yet
     bool Greeted = false; ///< HelloAck(accepted) sent; Solve legal now
     bool Closing = false; ///< drain OutBuf, then close
-    /// Requests in flight on this connection: request id -> service job
-    /// id (the JobsById key).
+    /// Requests in flight on this connection: request id -> JobsById key.
     std::unordered_map<uint64_t, uint64_t> ReqToJob;
   };
   struct PendingJob {
@@ -113,13 +111,11 @@ private:
   void handleHello(Conn &C, const WireMessage &M);
   void handleSolve(Conn &C, const WireMessage &M);
   void sendMsg(Conn &C, const WireMessage &M);
-  void sendResultFor(uint64_t JobId);
+  void sendResultFor(uint64_t Key);
   void flushConn(Conn &C);
   void closeConn(int Fd, bool Malformed);
   void updateInterest(Conn &C);
 
-  std::shared_ptr<EventBus> Bus; ///< the engine's bus (owned or caller's)
-  uint64_t SubId = 0;
   std::unique_ptr<Engine> Eng;
   std::unique_ptr<SynthService> Svc;
   Options Opts;
@@ -134,7 +130,8 @@ private:
 
   // Loop-thread-confined connection/request tables.
   std::unordered_map<int, std::unique_ptr<Conn>> Conns;
-  std::unordered_map<uint64_t, PendingJob> JobsById;
+  std::unordered_map<uint64_t, PendingJob> JobsById; ///< by node-local key
+  uint64_t NextJobKey = 1;
 
   mutable Mutex StatsM;
   WorkerNodeStats Counters GUARDED_BY(StatsM);

@@ -14,6 +14,9 @@
 //  - lock order is always M before a JobState mutex, never the reverse:
 //    JobHandle methods either take only the state mutex (status/get) or
 //    release it before calling into the service (cancel).
+//  - a job's onDone hook runs inside complete(): under M, after the
+//    JobState mutex is released. Hooks only hand off (the cluster tier
+//    posts to an EventLoop), so the lock they take is a leaf under M.
 //  - M is never held across Engine::solve; the only work done under it is
 //    O(queue) bookkeeping.
 //
@@ -78,11 +81,11 @@ struct JobHandle::JobState {
   std::optional<std::chrono::steady_clock::time_point> Deadline;
   SynthService *Svc = nullptr;
   std::shared_ptr<SynthService::Work> Job;
+  /// JobRequest::onDone, immutable after submit; run once by complete().
+  std::function<void()> OnDone;
 };
 
 uint64_t JobHandle::fingerprint() const { return State ? State->Fp : 0; }
-
-uint64_t JobHandle::id() const { return State ? State->Id : 0; }
 
 double JobHandle::queueMs() const {
   assert(State && "queueMs() on an invalid handle");
@@ -280,6 +283,7 @@ JobHandle SynthService::submitImpl(Problem P, const JobRequest &R,
   State->SubmitTime = SubmitTime;
   if (R.deadline().count() > 0)
     State->Deadline = SubmitTime + R.deadline();
+  State->OnDone = R.onDone();
 
   // Bus identity and the submission event, before the lock: the problem
   // snapshot copy is cheap (tables share columns), and the recorder sees
@@ -708,6 +712,8 @@ bool SynthService::complete(const std::shared_ptr<JobHandle::JobState> &State,
   }
   ++Counters.Completed;
   State->CV.notify_all();
+  if (State->OnDone)
+    State->OnDone();
   // Every handle completes through here exactly once (the Done check
   // above), so JobCompleted is the recorder's one outcome record per job.
   if (Bus && Bus->wants(EventKind::JobCompleted)) {

@@ -59,6 +59,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -101,13 +102,25 @@ public:
   /// needs (unclamped if any waiter has no deadline) — one handle's
   /// budget never truncates another handle's solve.
   JobRequest &deadline(std::chrono::milliseconds D) { Dl = D; return *this; }
+  /// Called once, right after the accepted handle turns Done, on the
+  /// completing thread — possibly under the service mutex, and possibly
+  /// inside submit()/trySubmit() itself (a cache hit, or a submission
+  /// during shutdown). Never called for a trySubmit() refusal. It must
+  /// only hand off (e.g. EventLoop::post): never block, never call back
+  /// into the service.
+  JobRequest &onDone(std::function<void()> Fn) {
+    Done = std::move(Fn);
+    return *this;
+  }
 
   int priority() const { return Prio; }
   std::chrono::milliseconds deadline() const { return Dl; }
+  const std::function<void()> &onDone() const { return Done; }
 
 private:
   int Prio = 0;
   std::chrono::milliseconds Dl{0};
+  std::function<void()> Done;
 };
 
 /// Service-wide configuration.
@@ -182,9 +195,6 @@ public:
 
   bool valid() const { return State != nullptr; }
   uint64_t fingerprint() const;
-  /// Bus job id (unique per submission, monotone in submit order); 0 when
-  /// the service has no event bus attached.
-  uint64_t id() const;
   JobStatus status() const;
   /// Meaningful once status() == Done.
   ResultSource source() const;
@@ -293,8 +303,8 @@ private:
   void cancelJob(const std::shared_ptr<JobHandle::JobState> &State)
       EXCLUDES(M);
   /// Completes \p State (the per-job lock is taken inside: lock order is
-  /// always the service M before a JobState mutex). False when it already
-  /// was Done.
+  /// always the service M before a JobState mutex), then runs its onDone
+  /// hook. False when it already was Done.
   bool complete(const std::shared_ptr<JobHandle::JobState> &State, Solution S,
                 std::optional<ResultSource> OverrideSource) REQUIRES(M);
 

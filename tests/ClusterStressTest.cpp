@@ -22,6 +22,7 @@
 
 #include "cluster/ClusterClient.h"
 
+#include "bus/EventBus.h"
 #include "cluster/WorkerNode.h"
 #include "interp/Components.h"
 #include "table/Table.h"
@@ -182,6 +183,50 @@ TEST(ClusterStress, SubmitRacingShutdownNeverHangsOrLeaks) {
     (void)J.get();
     EXPECT_FALSE(J.source().empty());
   }
+  W.stop();
+}
+
+TEST(ClusterStress, LossyCallerBusNeverLosesAnswers) {
+  // A caller-supplied bus is lossy by default (DropNewest): with a tiny
+  // ring and a stalled subscriber most events are dropped. Observability
+  // may lose events; the cluster must never lose an answer.
+  ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
+  std::atomic<bool> Open{false};
+  EventBus::Options BusOpts;
+  BusOpts.Capacity = 2;
+  BusOpts.Policy = DropPolicy::DropNewest;
+  std::shared_ptr<EventBus> Bus = EventBus::create(BusOpts);
+  Subscription Stalled;
+  Stalled.Name = "stalled";
+  Stalled.KindMask = eventKindBit(EventKind::JobSubmitted);
+  Stalled.OnBatch = [&Open](const std::vector<Event> &) {
+    while (!Open.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  Bus->subscribe(std::move(Stalled));
+
+  WorkerNode W(Lib, quickOptions().eventBus(Bus), ServiceOptions().workers(1));
+  std::string Err;
+  ASSERT_TRUE(W.start(&Err)) << Err;
+  ClusterOptions COpts;
+  COpts.Workers.push_back({"127.0.0.1", W.port()});
+  ClusterClient C(Lib, quickOptions(), ServiceOptions().workers(1), COpts);
+  ASSERT_TRUE(C.waitForWorkers(1, std::chrono::seconds(10)));
+
+  std::vector<ClusterJob> Jobs;
+  for (unsigned I = 0; I != 6; ++I)
+    Jobs.push_back(C.submit(idProblem(200 + I)));
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  Open.store(true, std::memory_order_release);
+
+  int Answered = 0;
+  for (const ClusterJob &J : Jobs) {
+    if (!J.waitFor(std::chrono::seconds(10)))
+      continue;
+    ++Answered;
+    EXPECT_TRUE(J.get());
+  }
+  EXPECT_EQ(Answered, 6) << "answers lost with the bus's dropped events";
   W.stop();
 }
 

@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <thread>
 
 using namespace morpheus;
@@ -733,6 +735,76 @@ TEST(SynthService, DestructionCancelsQueuedAndRunningJobs) {
   EXPECT_EQ(Running.get().Result, Outcome::Cancelled);
   EXPECT_EQ(Queued.get().Result, Outcome::Cancelled);
   EXPECT_EQ(Queued.source(), ResultSource::QueueCancelled);
+}
+
+/// JobRequest::onDone runs exactly once per accepted handle, whichever
+/// path completes it, and only once the handle is Done; a trySubmit
+/// refusal never runs it.
+TEST(SynthService, OnDoneRunsOncePerAcceptedHandle) {
+  std::array<std::atomic<int>, 9> Calls{};
+  auto Counted = [&Calls](size_t I) {
+    return JobRequest().onDone([&Calls, I] { Calls[I].fetch_add(1); });
+  };
+  // Worker completions run the hook just after waking get(): poll for it.
+  auto WaitCalled = [&Calls](size_t I) {
+    for (int T = 0; T != 20000 && Calls[I].load() == 0; ++T)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return Calls[I].load() == 1;
+  };
+  JobHandle Blocker, A, B, Hit, Expired, Cancelled, DRunning, DQueued;
+  {
+    SynthService Svc(longEngine(),
+                     ServiceOptions().workers(1).queueCapacity(2));
+    Blocker = Svc.submit(ghostProblem(30), Counted(0));
+    ASSERT_TRUE(waitUntilStatus(Blocker, JobStatus::Running));
+    A = Svc.submit(fastProblem(30), Counted(1));
+    B = Svc.submit(fastProblem(30), Counted(2)); // coalesces onto A
+    Expired = Svc.submit(ghostProblem(31),
+                         Counted(4).deadline(std::chrono::milliseconds(50)));
+    // The queue (A, Expired) is full: refused, and never called back.
+    EXPECT_FALSE(Svc.trySubmit(ghostProblem(32), Counted(6)).has_value());
+    ASSERT_TRUE(WaitCalled(4));
+    EXPECT_EQ(Expired.source(), ResultSource::QueueDeadline);
+
+    Cancelled = Svc.submit(fastProblem(31), Counted(5));
+    EXPECT_EQ(Calls[5].load(), 0);
+    Cancelled.cancel();
+    EXPECT_EQ(Calls[5].load(), 1);
+    EXPECT_EQ(Cancelled.source(), ResultSource::QueueCancelled);
+
+    Blocker.cancel();
+    ASSERT_TRUE(WaitCalled(0));
+    ASSERT_TRUE(WaitCalled(1));
+    ASSERT_TRUE(WaitCalled(2));
+    EXPECT_EQ(A.source(), ResultSource::Solve);
+    EXPECT_EQ(B.source(), ResultSource::Coalesced);
+
+    Hit = Svc.submit(fastProblem(30), Counted(3));
+    EXPECT_EQ(Calls[3].load(), 1); // ran inside submit
+    EXPECT_EQ(Hit.source(), ResultSource::CacheHit);
+  }
+  {
+    SynthService Svc(longEngine(), ServiceOptions().workers(1));
+    DRunning = Svc.submit(ghostProblem(33), Counted(7));
+    ASSERT_TRUE(waitUntilStatus(DRunning, JobStatus::Running));
+    DQueued = Svc.submit(ghostProblem(34), Counted(8));
+    EXPECT_EQ(Calls[7].load(), 0);
+    EXPECT_EQ(Calls[8].load(), 0);
+  } // destruction cancels both
+  EXPECT_EQ(DQueued.source(), ResultSource::QueueCancelled);
+
+  // Every pool has been joined: the counts are final.
+  const JobHandle *Handles[] = {&Blocker, &A,         &B,        &Hit,
+                                &Expired, &Cancelled, nullptr,   &DRunning,
+                                &DQueued};
+  for (size_t I = 0; I != Calls.size(); ++I) {
+    if (!Handles[I]) {
+      EXPECT_EQ(Calls[I].load(), 0) << "the refused trySubmit";
+      continue;
+    }
+    EXPECT_EQ(Calls[I].load(), 1) << "handle " << I;
+    EXPECT_EQ(Handles[I]->status(), JobStatus::Done) << "handle " << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -300,6 +300,57 @@ int engineArg(ArgReader &Args, const std::string &A, EngineOptions &Opts,
   return -1;
 }
 
+/// The service-shape flags shared by `serve`, `worker` and `replay`
+/// (--workers, --queue, --cache), plus --state-dir for the verbs that
+/// keep warm state (pass \p StateDirOpts; null leaves it unconsumed).
+/// Returns like engineArg.
+int serviceArg(ArgReader &Args, const std::string &A, ServiceOptions &SvcOpts,
+               EngineOptions *StateDirOpts) {
+  std::string V;
+  if (A == "--workers") {
+    if (!Args.value(A, V))
+      return 2;
+    std::optional<int> N = parseIntArg(V);
+    if (!N)
+      return usage("--workers expects a number");
+    SvcOpts.workers(unsigned(*N));
+    return 0;
+  }
+  if (A == "--queue") {
+    if (!Args.value(A, V))
+      return 2;
+    std::optional<int> N = parseIntArg(V);
+    if (!N || *N == 0)
+      return usage("--queue expects a positive number");
+    SvcOpts.queueCapacity(size_t(*N));
+    return 0;
+  }
+  if (A == "--cache") {
+    if (!Args.value(A, V))
+      return 2;
+    std::optional<int> N = parseIntArg(V);
+    if (!N)
+      return usage("--cache expects a number");
+    SvcOpts.cacheCapacity(size_t(*N));
+    return 0;
+  }
+  if (A == "--state-dir" && StateDirOpts) {
+    if (!Args.value(A, V))
+      return 2;
+    if (!ensureDir(V))
+      return usage(("cannot create state dir " + V).c_str());
+    StateDirOpts->stateDir(V);
+    return 0;
+  }
+  return -1;
+}
+
+/// The component library a --library value names ("sql", else tidy).
+ComponentLibrary libraryNamed(const std::string &Name) {
+  const StandardComponents &SC = StandardComponents::get();
+  return Name == "sql" ? SC.sqlRelevant() : SC.tidyDplyr();
+}
+
 int runSolve(ArgReader &Args) {
   std::string TaskPath, Emit = "r", LibraryName = "tidy";
   EngineOptions Opts;
@@ -338,7 +389,7 @@ int runSolve(ArgReader &Args) {
     return 2;
   }
 
-  Engine E = LibraryName == "sql" ? Engine::sql(Opts) : Engine::standard(Opts);
+  Engine E(libraryNamed(LibraryName), Opts);
   if (!Quiet) {
     std::printf("task %s: %zu input table(s), output %zux%zu, strategy %s\n",
                 P->Name.c_str(), P->Inputs.size(), P->Output.numRows(),
@@ -784,33 +835,9 @@ int runServe(ArgReader &Args) {
       if (!Args.value(A, V))
         return 2;
       ClusterSpec = V;
-    } else if (A == "--workers") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N)
-        return usage("--workers expects a number");
-      SvcOpts.workers(unsigned(*N));
-    } else if (A == "--queue") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N || *N == 0)
-        return usage("--queue expects a positive number");
-      SvcOpts.queueCapacity(size_t(*N));
-    } else if (A == "--cache") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N)
-        return usage("--cache expects a number");
-      SvcOpts.cacheCapacity(size_t(*N));
-    } else if (A == "--state-dir") {
-      if (!Args.value(A, V))
-        return 2;
-      if (!ensureDir(V))
-        return usage(("cannot create state dir " + V).c_str());
-      Opts.stateDir(V);
+    } else if (int E = serviceArg(Args, A, SvcOpts, &Opts); E >= 0) {
+      if (E > 0)
+        return E;
     } else if (int E = engineArg(Args, A, Opts, LibraryName); E >= 0) {
       if (E > 0)
         return E;
@@ -857,13 +884,10 @@ int runServe(ArgReader &Args) {
   std::unique_ptr<SynthService> Svc;
   std::unique_ptr<ClusterClient> Cluster;
   if (!ClusterWorkers.empty()) {
-    ComponentLibrary Lib = LibraryName == "sql"
-                               ? StandardComponents::get().sqlRelevant()
-                               : StandardComponents::get().tidyDplyr();
     ClusterOptions COpts;
     COpts.Workers = ClusterWorkers;
-    Cluster =
-        std::make_unique<ClusterClient>(std::move(Lib), Opts, SvcOpts, COpts);
+    Cluster = std::make_unique<ClusterClient>(libraryNamed(LibraryName), Opts,
+                                              SvcOpts, COpts);
     if (!Cluster->waitForWorkers(unsigned(ClusterWorkers.size()),
                                  std::chrono::milliseconds(5000))) {
       ClusterStats CS = Cluster->stats();
@@ -873,9 +897,8 @@ int runServe(ArgReader &Args) {
                    CS.WorkersUp, ClusterWorkers.size());
     }
   } else {
-    Engine E =
-        LibraryName == "sql" ? Engine::sql(Opts) : Engine::standard(Opts);
-    Svc = std::make_unique<SynthService>(E, SvcOpts);
+    Svc = std::make_unique<SynthService>(
+        Engine(libraryNamed(LibraryName), Opts), SvcOpts);
   }
 
   // Reader/flusher pair: the main thread parses and submits, the flusher
@@ -1002,33 +1025,9 @@ int runWorker(ArgReader &Args) {
       if (!Args.value(A, V))
         return 2;
       WOpts.Name = V;
-    } else if (A == "--workers") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N)
-        return usage("--workers expects a number");
-      SvcOpts.workers(unsigned(*N));
-    } else if (A == "--queue") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N || *N == 0)
-        return usage("--queue expects a positive number");
-      SvcOpts.queueCapacity(size_t(*N));
-    } else if (A == "--cache") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N)
-        return usage("--cache expects a number");
-      SvcOpts.cacheCapacity(size_t(*N));
-    } else if (A == "--state-dir") {
-      if (!Args.value(A, V))
-        return 2;
-      if (!ensureDir(V))
-        return usage(("cannot create state dir " + V).c_str());
-      Opts.stateDir(V);
+    } else if (int E = serviceArg(Args, A, SvcOpts, &Opts); E >= 0) {
+      if (E > 0)
+        return E;
     } else if (int E = engineArg(Args, A, Opts, LibraryName); E >= 0) {
       if (E > 0)
         return E;
@@ -1043,10 +1042,7 @@ int runWorker(ArgReader &Args) {
     return usage("--listen expects HOST:PORT");
   WOpts.Listen = *Listen;
 
-  ComponentLibrary Lib = LibraryName == "sql"
-                             ? StandardComponents::get().sqlRelevant()
-                             : StandardComponents::get().tidyDplyr();
-  WorkerNode Node(std::move(Lib), Opts, SvcOpts, WOpts);
+  WorkerNode Node(libraryNamed(LibraryName), Opts, SvcOpts, WOpts);
   std::string Err;
   if (!Node.start(&Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
@@ -1117,27 +1113,9 @@ int runReplay(ArgReader &Args) {
       ROpts.ApplyDeadlines = false;
     } else if (A == "--no-priorities") {
       ROpts.ApplyPriorities = false;
-    } else if (A == "--workers") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N)
-        return usage("--workers expects a number");
-      SvcOpts.workers(unsigned(*N));
-    } else if (A == "--queue") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N || *N == 0)
-        return usage("--queue expects a positive number");
-      SvcOpts.queueCapacity(size_t(*N));
-    } else if (A == "--cache") {
-      if (!Args.value(A, V))
-        return 2;
-      std::optional<int> N = parseIntArg(V);
-      if (!N)
-        return usage("--cache expects a number");
-      SvcOpts.cacheCapacity(size_t(*N));
+    } else if (int E = serviceArg(Args, A, SvcOpts, nullptr); E >= 0) {
+      if (E > 0)
+        return E;
     } else if (int E = engineArg(Args, A, Opts, LibraryName); E >= 0) {
       if (E > 0)
         return E;
@@ -1160,9 +1138,7 @@ int runReplay(ArgReader &Args) {
     return 2;
   }
 
-  Engine E =
-      LibraryName == "sql" ? Engine::sql(Opts) : Engine::standard(Opts);
-  SynthService Svc(E, SvcOpts);
+  SynthService Svc(Engine(libraryNamed(LibraryName), Opts), SvcOpts);
 
   std::printf("replaying %zu job(s) from %s (%s timing)\n", Records->size(),
               LogPath.c_str(),
@@ -1216,8 +1192,7 @@ int runAnalyze(ArgReader &Args) {
   }
 
   const StandardComponents &SC = StandardComponents::get();
-  ComponentLibrary Lib =
-      LibraryName == "sql" ? SC.sqlRelevant() : SC.tidyDplyr();
+  ComponentLibrary Lib = libraryNamed(LibraryName);
   if (LibraryName == "all")
     for (const TableTransformer *X : SC.all())
       if (!Lib.findTable(X->name()))
