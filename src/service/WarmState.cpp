@@ -27,7 +27,7 @@ uint64_t morpheus::warmStateCompatKey(const ComponentLibrary &Lib,
   using hashing::hashString;
 
   // Seed distinct from every other key family (see table/Hash.h users).
-  uint64_t H = 0x5761726d53743031ULL; // "WarmSt01"
+  uint64_t H = 0x5761726d53743032ULL; // "WarmSt02"
 
   // The component library: a change to any name, signature or spec
   // formula — at either level, whichever is configured — can change a
@@ -80,6 +80,7 @@ void encodeResult(ByteWriter &W, uint64_t Fp, const Solution &S) {
   W.putU64(St.PartialFillsPruned);
   W.putU64(St.PartialFillsTried);
   W.putU64(St.CandidatesChecked);
+  W.putU64(St.ReusedCompletions);
   W.putF64(St.ElapsedSeconds);
   W.putF64(St.WallSeconds);
   W.putU32(St.TimedOut ? 1 : 0);
@@ -98,6 +99,9 @@ void encodeResult(ByteWriter &W, uint64_t Fp, const Solution &S) {
   W.putU64(D.SolverPushes);
   W.putU64(D.SolverPops);
   W.putF64(D.SolverSeconds);
+  W.putF64(D.SignatureSeconds);
+  W.putF64(D.SessionSeconds);
+  W.putF64(D.CheckSeconds);
 }
 
 bool decodeResult(std::string_view Payload, const ComponentLibrary &Lib,
@@ -122,8 +126,8 @@ bool decodeResult(std::string_view Payload, const ComponentLibrary &Lib,
   if (!R.getU64(St.HypothesesExplored) || !R.getU64(St.SketchesGenerated) ||
       !R.getU64(St.SketchesRefuted) || !R.getU64(St.PartialFillsPruned) ||
       !R.getU64(St.PartialFillsTried) || !R.getU64(St.CandidatesChecked) ||
-      !R.getF64(St.ElapsedSeconds) || !R.getF64(St.WallSeconds) ||
-      !R.getU32(TimedOut32))
+      !R.getU64(St.ReusedCompletions) || !R.getF64(St.ElapsedSeconds) ||
+      !R.getF64(St.WallSeconds) || !R.getU32(TimedOut32))
     return false;
   St.TimedOut = TimedOut32 != 0;
   DeduceStats &D = St.Deduce;
@@ -133,7 +137,9 @@ bool decodeResult(std::string_view Payload, const ComponentLibrary &Lib,
       !R.getU64(D.TemplateHits) || !R.getU64(D.SessionBuilds) ||
       !R.getU64(D.SessionHits) || !R.getU64(D.StoreHits) ||
       !R.getU64(D.StoreInserts) || !R.getU64(D.SolverPushes) ||
-      !R.getU64(D.SolverPops) || !R.getF64(D.SolverSeconds))
+      !R.getU64(D.SolverPops) || !R.getF64(D.SolverSeconds) ||
+      !R.getF64(D.SignatureSeconds) || !R.getF64(D.SessionSeconds) ||
+      !R.getF64(D.CheckSeconds))
     return false;
   return R.atEnd();
 }

@@ -471,11 +471,13 @@ DeductionEngine::exampleContext() const {
 bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
                              bool UsePartialEval) {
   ++Stats.Calls;
-  auto Start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  auto Since = [](Clock::time_point T) {
+    return std::chrono::duration<double>(Clock::now() - T).count();
+  };
+  auto Start = Clock::now();
   auto Finish = [&](bool Result) {
-    Stats.SolverSeconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - Start)
-                               .count();
+    Stats.SolverSeconds += Since(Start);
     if (!Result)
       ++Stats.Rejections;
     return Result;
@@ -484,7 +486,9 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
   std::string Key;
   Key.reserve(256);
   Key += Level == SpecLevel::Spec1 ? '1' : '2';
-  if (!P->signature(H, UsePartialEval, Key)) {
+  bool Live = P->signature(H, UsePartialEval, Key);
+  Stats.SignatureSeconds += Since(Start);
+  if (!Live) {
     // A complete subtree failed to evaluate: a concrete rejection before
     // any Z3 work, like the interval fast path's.
     ++Stats.FastPathRejections;
@@ -518,7 +522,9 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     uint64_t SessionKey =
         mix64(H->shapeHash() ^
               (Level == SpecLevel::Spec1 ? 0x5370656331ULL : 0x5370656332ULL));
+    std::optional<Clock::time_point> RebuildStart;
     if (!P->SessionOpen || P->SessionKey != SessionKey) {
+      RebuildStart = Clock::now();
       if (P->SessionOpen) {
         S.pop();
         ++Stats.SolverPops;
@@ -542,6 +548,8 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
 
     S.push();
     ++Stats.SolverPushes;
+    if (RebuildStart)
+      Stats.SessionSeconds += Since(*RebuildStart);
     P->ConcreteIdx = 0;
     P->genConcrete(S, H, Level, UsePartialEval, FastPath, Dead,
                    Stats.FastPathRejections);
@@ -549,7 +557,9 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
       Result = false;
     } else {
       ++Stats.SolverChecks;
+      auto CheckStart = Clock::now();
       Result = S.check() != z3::unsat;
+      Stats.CheckSeconds += Since(CheckStart);
       if (Bus && Bus->wants(EventKind::SolverCheck))
         Bus->publish(Event(EventKind::SolverCheck, P->Ex->Fingerprint,
                            Result ? 1 : 0));

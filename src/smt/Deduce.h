@@ -76,7 +76,17 @@ struct DeduceStats {
   uint64_t StoreInserts = 0;     ///< refutations published to the store
   uint64_t SolverPushes = 0;     ///< Z3 push() calls (shape + query scopes)
   uint64_t SolverPops = 0;       ///< Z3 pop() calls
+  /// All of deduce(), every phase below included (perfbench reads it as
+  /// `smt.z3_s`, though most of it is not Z3).
   double SolverSeconds = 0;
+  /// signature(): partial evaluation of complete subtrees plus the
+  /// abstraction keys of their tables.
+  double SignatureSeconds = 0;
+  /// Shape-session rebuilds: from the old session's pop through the first
+  /// query-scope push after the rebuild, the push where Z3 internalizes
+  /// the freshly asserted shape scope.
+  double SessionSeconds = 0;
+  double CheckSeconds = 0; ///< Z3 check() itself
 
   DeduceStats &operator+=(const DeduceStats &O) {
     Calls += O.Calls;
@@ -93,6 +103,9 @@ struct DeduceStats {
     SolverPushes += O.SolverPushes;
     SolverPops += O.SolverPops;
     SolverSeconds += O.SolverSeconds;
+    SignatureSeconds += O.SignatureSeconds;
+    SessionSeconds += O.SessionSeconds;
+    CheckSeconds += O.CheckSeconds;
     return *this;
   }
 };

@@ -12,7 +12,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <queue>
+#include <unordered_map>
 
 using namespace morpheus;
 
@@ -47,7 +49,8 @@ struct HoleInfo {
   std::vector<size_t> Path;     ///< path to the hole itself
   std::vector<size_t> NodePath; ///< path to the owning Apply node
   ParamKind Kind;
-  bool LastOfNode; ///< filling it makes the owning subtree complete
+  size_t FirstOfNode; ///< index of the owning node's first value hole
+  bool LastOfNode;    ///< filling it makes the owning subtree complete
 };
 
 /// Collects value holes in post-order of their owning Apply nodes, so table
@@ -74,11 +77,41 @@ void collectHoles(const HypPtr &Node, std::vector<size_t> &Path,
     HI.Path = Path;
     HI.Path.push_back(I);
     HI.Kind = Children[I]->paramKind();
+    HI.FirstOfNode = FirstHole;
     HI.LastOfNode = false;
     Out.push_back(std::move(HI));
   }
   if (Out.size() > FirstHole)
     Out.back().LastOfNode = true;
+}
+
+/// Bit-for-bit table identity: schema, row count and order, grouping, and
+/// every cell (same type, same string id, same double bits). Stricter than
+/// equalsOrdered, whose numeric tolerance equates tables that a later
+/// mutate can tell apart.
+bool identicalTables(const Table &A, const Table &B) {
+  if (A.numRows() != B.numRows() || !(A.schema() == B.schema()) ||
+      A.groupCols() != B.groupCols())
+    return false;
+  for (size_t C = 0, E = A.numCols(); C != E; ++C) {
+    if (A.colHandle(C) == B.colHandle(C))
+      continue; // one aliased column
+    const ColumnData &CA = A.col(C), &CB = B.col(C);
+    for (size_t R = 0, N = CA.size(); R != N; ++R) {
+      const Value &X = CA[R], &Y = CB[R];
+      if (X.type() != Y.type())
+        return false;
+      if (X.isStr()) {
+        if (X.strId() != Y.strId())
+          return false;
+        continue;
+      }
+      double DX = X.num(), DY = Y.num();
+      if (std::memcmp(&DX, &DY, sizeof(double)) != 0)
+        return false;
+    }
+  }
+  return true;
 }
 
 /// One synthesis run; bundles the state Algorithm 1 threads through its
@@ -126,9 +159,12 @@ private:
       return false;
     if ((++SketchPoll & 0xF) != 0)
       return false;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         SketchStart)
-               .count() > Cfg.MaxSecondsPerSketch;
+    if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      SketchStart)
+            .count() <= Cfg.MaxSecondsPerSketch)
+      return false;
+    ++SliceCuts;
+    return true;
   }
 
   double costOf(const HypPtr &H) const {
@@ -203,10 +239,27 @@ private:
   bool TimedOut = false;
   uint64_t SketchWork = 0;
   unsigned SketchPoll = 0;
+  /// Time-slice cuts so far: a sub-search a cut may have truncated is
+  /// never recorded as explored.
+  uint64_t SliceCuts = 0;
   std::chrono::steady_clock::time_point SketchStart;
   SynthesisStats Stats;
   HypPtr Solution;
   EventBus *Bus = nullptr;
+
+  /// A table one completed node evaluated to under the current prefix,
+  /// with the sketch work the rest of the completion consumed after it.
+  /// The pointer is into the engine's eval cache, which is only cleared
+  /// once the sketch is done.
+  struct ExploredTable {
+    const Table *T;
+    uint64_t Work;
+  };
+  /// The observational-equivalence memo of sketch completion, one per
+  /// node, indexed by the node's first value hole and keyed on table
+  /// fingerprints. Cleared whenever the search enters that first hole,
+  /// i.e. whenever the prefix the node's completions depend on changes.
+  std::vector<std::unordered_multimap<uint64_t, ExploredTable>> NodeMemos;
 };
 
 std::optional<std::vector<Table>>
@@ -240,6 +293,10 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
   if (sketchBudgetSpent())
     return false;
   const HoleInfo &HI = Holes[Index];
+  // A new prefix for this node: nothing is explored under it yet. (An
+  // empty map skips clear(), which would zero its whole bucket array.)
+  if (HI.FirstOfNode == Index && !NodeMemos[Index].empty())
+    NodeMemos[Index].clear();
   const HypPtr &Node = nodeAt(Tree, HI.NodePath);
   std::optional<std::vector<Table>> Universe = universeFor(Node);
   if (!Universe)
@@ -262,7 +319,10 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
             Tree, HI.Path, 0, Hypothesis::filled(HI.Kind, std::move(T)));
         // The final hole's fill goes straight to the candidate check, which
         // subsumes deduction on a fully complete tree.
+        std::unordered_multimap<uint64_t, ExploredTable> *Memo = nullptr;
+        const Table *Completed = nullptr;
         if (HI.LastOfNode && Index + 1 != Holes.size()) {
+          const HypPtr &Done = nodeAt(NewTree, HI.NodePath);
           // The owning subtree is now complete: partial evaluation gives
           // deduction a concrete table to abstract (rule 1/3 of Fig. 14).
           if (Cfg.UseDeduction && Cfg.UsePartialEval) {
@@ -272,17 +332,39 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
               ++Stats.PartialFillsPruned;
               return true; // refuted; try the next candidate
             }
-          } else {
-            // Plain enumerative search still evaluates concretely.
-            if (!Engine.evaluateCached(nodeAt(NewTree, HI.NodePath)))
-              return true;
+          } else if (!Engine.evaluateCached(Done)) {
+            return true; // plain enumerative search still evaluates
+          }
+          // Holes fill in post-order, so the rest of the completion sees
+          // this node only through its table: a table already explored
+          // under this prefix repeats a sub-search that found nothing.
+          // Skip it, but charge the work it consumed the first time, so
+          // the sketch budget cuts exactly where it would have.
+          if (Cfg.UsePartialEval) {
+            // Deduction evaluated every complete subtree, or refuted.
+            assert(Engine.evaluateCached(Done) && "complete node unevaluated");
+            Completed = &*Engine.evaluateCached(Done);
+            Memo = &NodeMemos[HI.FirstOfNode];
+            auto Range = Memo->equal_range(Completed->fingerprint());
+            for (auto It = Range.first; It != Range.second; ++It) {
+              if (!identicalTables(*It->second.T, *Completed))
+                continue;
+              ++Stats.ReusedCompletions;
+              SketchWork += It->second.Work;
+              return !TimedOut && !sketchBudgetSpent();
+            }
           }
         }
+        uint64_t WorkBefore = SketchWork, CutsBefore = SliceCuts;
         if (fillHoles(Index + 1, NewTree, Holes)) {
           Found = true;
           return false;
         }
-        return !TimedOut && !sketchBudgetSpent();
+        bool More = !TimedOut && !sketchBudgetSpent();
+        if (Memo && More && SliceCuts == CutsBefore)
+          Memo->emplace(Completed->fingerprint(),
+                        ExploredTable{Completed, SketchWork - WorkBefore});
+        return More;
       });
   return Found;
 }
@@ -388,6 +470,8 @@ bool SearchContext::fillSketch(const HypPtr &Sketch) {
   std::vector<HoleInfo> Holes;
   std::vector<size_t> Path;
   collectHoles(Sketch, Path, Holes);
+  if (NodeMemos.size() < Holes.size())
+    NodeMemos.resize(Holes.size());
   // Hole fills and candidate checks run millions of times; the bus sees
   // them as ONE batched delta event per sketch completion.
   uint64_t TriedBefore = Stats.PartialFillsTried;
@@ -398,6 +482,10 @@ bool SearchContext::fillSketch(const HypPtr &Sketch) {
        Stats.PartialFillsPruned - PrunedBefore,
        Stats.CandidatesChecked - CheckedBefore);
   // Bound cache growth: entries only help within one sketch's completion.
+  // The memos point into the eval cache, so they go first.
+  for (auto &Memo : NodeMemos)
+    if (!Memo.empty())
+      Memo.clear();
   Engine.clearEvalCache();
   return Found;
 }

@@ -82,7 +82,9 @@ struct SynthesisConfig {
   /// Budget per sketch: candidate checks + partial fills before the
   /// completion engine abandons the sketch and lets the worklist advance.
   /// Bounds the damage of sketches whose (imprecise) specs survive
-  /// deduction but whose completion space is enormous; 0 disables.
+  /// deduction but whose completion space is enormous; 0 disables. A
+  /// completion skipped as a repeat (ReusedCompletions) is charged the
+  /// work its first pass consumed, so the cut does not move.
   uint64_t MaxWorkPerSketch = 100000;
   /// Wall-clock slice per sketch completion (seconds; 0 disables). Work
   /// units vary hugely in cost (intermediate tables can grow), so the
@@ -125,6 +127,9 @@ struct SynthesisStats {
                                      ///< sketch was fully completed
   uint64_t PartialFillsTried = 0;
   uint64_t CandidatesChecked = 0;    ///< complete programs run against E
+  /// Node completions whose table was already explored under the same
+  /// sketch prefix, so the rest of their completion was skipped.
+  uint64_t ReusedCompletions = 0;
   DeduceStats Deduce;
   /// Total engine seconds. Under `+=` this SUMS — across N portfolio
   /// members it reads as up to N× real time (CPU-seconds, not a clock).
@@ -144,6 +149,7 @@ struct SynthesisStats {
     PartialFillsPruned += O.PartialFillsPruned;
     PartialFillsTried += O.PartialFillsTried;
     CandidatesChecked += O.CandidatesChecked;
+    ReusedCompletions += O.ReusedCompletions;
     Deduce += O.Deduce;
     ElapsedSeconds += O.ElapsedSeconds;
     WallSeconds = std::max(WallSeconds, O.WallSeconds);

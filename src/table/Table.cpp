@@ -77,6 +77,19 @@ void Table::copyCachesFrom(const Table &Other) {
       std::memory_order_release);
 }
 
+void Table::stealCachesFrom(Table &Other) {
+  // A table being moved from is exclusively owned by the mover (a reader
+  // racing a move would race the column handles too), so plain loads and
+  // a shared_ptr move suffice; the atomic shared_ptr functions would cost
+  // two lock-pool mutex round trips per move.
+  bool Set = Other.FpState.load(std::memory_order_relaxed) != 0;
+  CachedFp.store(Set ? Other.CachedFp.load(std::memory_order_relaxed) : 0,
+                 std::memory_order_relaxed);
+  FpState.store(Set ? 1 : 0, std::memory_order_relaxed);
+  Other.FpState.store(0, std::memory_order_relaxed);
+  CachedPerm = std::move(Other.CachedPerm);
+}
+
 Table::Table(const Table &Other)
     : TableSchema(Other.TableSchema), Cols(Other.Cols), NRows(Other.NRows),
       GroupCols(Other.GroupCols) {
@@ -86,7 +99,7 @@ Table::Table(const Table &Other)
 Table::Table(Table &&Other) noexcept
     : TableSchema(std::move(Other.TableSchema)), Cols(std::move(Other.Cols)),
       NRows(Other.NRows), GroupCols(std::move(Other.GroupCols)) {
-  copyCachesFrom(Other);
+  stealCachesFrom(Other);
 }
 
 Table &Table::operator=(const Table &Other) {
@@ -107,7 +120,7 @@ Table &Table::operator=(Table &&Other) noexcept {
   Cols = std::move(Other.Cols);
   NRows = Other.NRows;
   GroupCols = std::move(Other.GroupCols);
-  copyCachesFrom(Other);
+  stealCachesFrom(Other);
   return *this;
 }
 

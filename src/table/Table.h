@@ -174,6 +174,7 @@ private:
   bool rowsEqualPermuted(const std::vector<uint32_t> &PA, const Table &Other,
                          const std::vector<uint32_t> &PB) const;
   void copyCachesFrom(const Table &Other);
+  void stealCachesFrom(Table &Other);
 
   Schema TableSchema;
   std::vector<ColumnPtr> Cols;
@@ -182,7 +183,8 @@ private:
 
   /// Lazy caches. Deterministic values, so racing initializations store the
   /// same result; FpState 0 = unset, 1 = set (the fingerprint itself may
-  /// legitimately be any value, including 0).
+  /// legitimately be any value, including 0). Copies read them atomically
+  /// (example tables are read concurrently); moves steal them.
   mutable std::atomic<uint64_t> CachedFp{0};
   mutable std::atomic<uint8_t> FpState{0};
   mutable std::shared_ptr<const std::vector<uint32_t>> CachedPerm;

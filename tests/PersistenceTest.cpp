@@ -377,6 +377,11 @@ TEST_F(PersistenceTest, WarmStateRoundTripsCacheAndRefutations) {
   Solved.Seconds = 1.25;
   Solved.Stats.HypothesesExplored = 77;
   Solved.Stats.Deduce.SolverChecks = 13;
+  Solved.Stats.ReusedCompletions = 29;
+  Solved.Stats.Deduce.SolverSeconds = 0.875;
+  Solved.Stats.Deduce.SignatureSeconds = 0.5;
+  Solved.Stats.Deduce.SessionSeconds = 0.25;
+  Solved.Stats.Deduce.CheckSeconds = 0.0625;
   Solution TimedOut;
   TimedOut.Result = Outcome::Timeout;
   TimedOut.Seconds = 1.0;
@@ -405,6 +410,11 @@ TEST_F(PersistenceTest, WarmStateRoundTripsCacheAndRefutations) {
   EXPECT_EQ(Back->Seconds, 1.25);
   EXPECT_EQ(Back->Stats.HypothesesExplored, 77u);
   EXPECT_EQ(Back->Stats.Deduce.SolverChecks, 13u);
+  EXPECT_EQ(Back->Stats.ReusedCompletions, 29u);
+  EXPECT_EQ(Back->Stats.Deduce.SolverSeconds, 0.875);
+  EXPECT_EQ(Back->Stats.Deduce.SignatureSeconds, 0.5);
+  EXPECT_EQ(Back->Stats.Deduce.SessionSeconds, 0.25);
+  EXPECT_EQ(Back->Stats.Deduce.CheckSeconds, 0.0625);
   ASSERT_TRUE(Back->Program);
   EXPECT_EQ(printSexp(Back->Program), printSexp(Solved.Program));
   Back = Cache2.lookup(222);

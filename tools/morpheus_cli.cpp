@@ -418,6 +418,14 @@ int runSolve(ArgReader &Args) {
   return 0;
 }
 
+/// The time deduce() spent in all, and in each of its measured phases.
+void setPhaseSeconds(JsonValue &D, const DeduceStats &DS) {
+  D.set("solver_seconds", JsonValue::number(DS.SolverSeconds));
+  D.set("signature_seconds", JsonValue::number(DS.SignatureSeconds));
+  D.set("session_seconds", JsonValue::number(DS.SessionSeconds));
+  D.set("check_seconds", JsonValue::number(DS.CheckSeconds));
+}
+
 /// Serializes suite results as the `bench --json` perf snapshot: per-task
 /// solve times and candidate-check throughput, plus suite-level
 /// aggregates.
@@ -431,7 +439,7 @@ JsonValue benchSnapshot(const std::string &SuiteName,
   Out.set("timeout_ms", JsonValue::number(double(TimeoutMs)));
 
   JsonValue Tasks = JsonValue::array();
-  uint64_t TotalCandidates = 0;
+  uint64_t TotalCandidates = 0, TotalReused = 0;
   double TotalSeconds = 0;
   DeduceStats TotalDeduce;
   for (const TaskResult &R : Results) {
@@ -448,6 +456,8 @@ JsonValue benchSnapshot(const std::string &SuiteName,
                                 ? double(R.Stats.CandidatesChecked) / R.Seconds
                                 : 0));
     T.set("wall_seconds", JsonValue::number(R.Stats.WallSeconds));
+    T.set("reused_completions",
+          JsonValue::number(double(R.Stats.ReusedCompletions)));
     JsonValue D = JsonValue::object();
     const DeduceStats &DS = R.Stats.Deduce;
     D.set("calls", JsonValue::number(double(DS.Calls)));
@@ -457,9 +467,11 @@ JsonValue benchSnapshot(const std::string &SuiteName,
     D.set("store_hits", JsonValue::number(double(DS.StoreHits)));
     D.set("pushes", JsonValue::number(double(DS.SolverPushes)));
     D.set("pops", JsonValue::number(double(DS.SolverPops)));
+    setPhaseSeconds(D, DS);
     T.set("deduce", std::move(D));
     Tasks.Arr.push_back(std::move(T));
     TotalCandidates += R.Stats.CandidatesChecked;
+    TotalReused += R.Stats.ReusedCompletions;
     TotalSeconds += R.Seconds;
     TotalDeduce += R.Stats.Deduce;
   }
@@ -473,6 +485,8 @@ JsonValue benchSnapshot(const std::string &SuiteName,
   Summary.set("total_seconds", JsonValue::number(TotalSeconds));
   Summary.set("total_candidates_checked",
               JsonValue::number(double(TotalCandidates)));
+  Summary.set("total_reused_completions",
+              JsonValue::number(double(TotalReused)));
   Summary.set("aggregate_candidates_per_sec",
               JsonValue::number(TotalSeconds > 0
                                     ? double(TotalCandidates) / TotalSeconds
@@ -494,6 +508,7 @@ JsonValue benchSnapshot(const std::string &SuiteName,
         JsonValue::number(double(TotalDeduce.StoreInserts)));
   D.set("pushes", JsonValue::number(double(TotalDeduce.SolverPushes)));
   D.set("pops", JsonValue::number(double(TotalDeduce.SolverPops)));
+  setPhaseSeconds(D, TotalDeduce);
   Summary.set("deduce", std::move(D));
   Out.set("summary", std::move(Summary));
   return Out;
@@ -672,6 +687,11 @@ int runBench(ArgReader &Args) {
               (unsigned long long)D.TemplateHits,
               (unsigned long long)D.SolverPushes,
               (unsigned long long)D.SolverPops);
+  std::printf("deduce seconds %.2f: signature %.2f, session %.2f, check "
+              "%.2f; %llu candidates, %llu reused completions\n",
+              D.SolverSeconds, D.SignatureSeconds, D.SessionSeconds,
+              D.CheckSeconds, (unsigned long long)Agg.CandidatesChecked,
+              (unsigned long long)Agg.ReusedCompletions);
 
   if (SvcStats) {
     // One greppable line for the CI warm-restart smoke: a second run over
