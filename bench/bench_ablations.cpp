@@ -5,12 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ablations called out in DESIGN.md §3 (E8), run on a stratified sample
-/// of the suite (every 4th task) to stay fast:
-///
-///  1. n-gram worklist ordering (Section 8) vs plain size ordering;
-///  2. the concrete fast path in deduction (direct spec evaluation before
-///     Z3) on vs off.
+/// The worklist-ordering ablation called out in DESIGN.md §3 (E8): the
+/// 2-gram cost model (Section 8) vs plain size ordering, run on a
+/// stratified sample of the suite (every 4th task) to stay fast.
 ///
 /// Usage: bench_ablations [timeout_ms]
 ///
@@ -42,29 +39,12 @@ int main(int argc, char **argv) {
   for (size_t I = 0; I < Suite.size(); I += 4)
     Sample.push_back(Suite[I]);
 
-  std::printf("Ablations on a %zu-task stratified sample "
-              "(timeout %d ms)\n\n",
+  std::printf("Worklist ordering on a %zu-task stratified sample "
+              "(timeout %d ms):\n",
               Sample.size(), TimeoutMs);
-
-  std::printf("worklist ordering:\n");
-  {
-    SynthesisConfig Cfg = configSpec2(Timeout);
-    report("2-gram + size (paper)", runSuite(Sample, Cfg));
-    Cfg.UseNGram = false;
-    report("size only", runSuite(Sample, Cfg));
-  }
-
-  std::printf("deduction fast path (direct spec evaluation before Z3):\n");
-  {
-    SynthesisConfig Cfg = configSpec2(Timeout);
-    report("fast path on (default)", runSuite(Sample, Cfg));
-    // The fast path is internal to the deduction engine; synthesis-level
-    // behaviour is identical, so compare SMT time instead.
-    std::vector<TaskResult> On = runSuite(Sample, Cfg);
-    double SmtOn = 0;
-    for (const TaskResult &R : On)
-      SmtOn += R.Stats.Deduce.SolverSeconds;
-    std::printf("  total deduction time: %.2fs across the sample\n", SmtOn);
-  }
+  SynthesisConfig Cfg = configSpec2(Timeout);
+  report("2-gram + size (paper)", runSuite(Sample, Cfg));
+  Cfg.UseNGram = false;
+  report("size only", runSuite(Sample, Cfg));
   return 0;
 }

@@ -130,7 +130,7 @@ BENCHMARK(BM_DeduceRefuted);
 void BM_InhabitationPred(benchmark::State &State) {
   Table In = wideTable(size_t(State.range(0)));
   ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
-  Inhabitation Inhab(Lib, InhabitationConfig{});
+  Inhabitation Inhab(Lib);
   for (auto _ : State) {
     size_t Count = 0;
     Inhab.enumerate(ParamKind::Pred, {In}, In, 0, [&](TermPtr) {
@@ -145,7 +145,7 @@ BENCHMARK(BM_InhabitationPred)->Arg(10)->Arg(100);
 void BM_InhabitationColsOrdered(benchmark::State &State) {
   Table In = wideTable(20);
   ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
-  Inhabitation Inhab(Lib, InhabitationConfig{});
+  Inhabitation Inhab(Lib);
   for (auto _ : State) {
     size_t Count = 0;
     Inhab.enumerate(ParamKind::ColsOrdered, {In}, In, 0, [&](TermPtr) {

@@ -169,7 +169,7 @@ class Linter {
 public:
   Linter(const ComponentLibrary &Lib, const LintOptions &Opts)
       : Lib(Lib), Opts(Opts), Solver(Ctx), Compiler(Ctx),
-        Inhab(Lib, InhabitationConfig{}) {}
+        Inhab(Lib) {}
 
   LintReport run() {
     for (const TableTransformer *X : Lib.TableTransformers) {
@@ -595,7 +595,7 @@ std::vector<AbsScenario>
 morpheus::enumerateAbsScenarios(const TableTransformer &X,
                                 const ComponentLibrary &Lib,
                                 const LintOptions &Opts) {
-  Inhabitation Inhab(Lib, InhabitationConfig{});
+  Inhabitation Inhab(Lib);
   std::vector<AbsScenario> Out;
   forEachAcceptedScenario(
       Inhab, X, Opts,

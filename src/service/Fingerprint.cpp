@@ -52,13 +52,10 @@ uint64_t morpheus::problemFingerprint(const Problem &P,
                    uint64_t(Cfg.Level == SpecLevel::Spec2) << 1 |
                    uint64_t(Cfg.UseDeduction) << 2 |
                    uint64_t(Cfg.UsePartialEval) << 3 |
-                   uint64_t(Cfg.UseNGram) << 4 |
-                   uint64_t(Cfg.FairSizeScheduling) << 5;
+                   uint64_t(Cfg.UseNGram) << 4;
   H = fold(H, Knobs);
   H = fold(H, uint64_t(Cfg.MaxComponents) << 32 | uint64_t(Cfg.MinComponents));
   H = fold(H, uint64_t(Cfg.Timeout.count()));
-  H = fold(H, uint64_t(Cfg.SizeWeight * 1024));
   H = fold(H, Cfg.MaxWorkPerSketch);
-  H = fold(H, uint64_t(Cfg.MaxSecondsPerSketch * 1024));
   return H;
 }

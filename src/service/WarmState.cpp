@@ -27,7 +27,7 @@ uint64_t morpheus::warmStateCompatKey(const ComponentLibrary &Lib,
   using hashing::hashString;
 
   // Seed distinct from every other key family (see table/Hash.h users).
-  uint64_t H = 0x5761726d53743032ULL; // "WarmSt02"
+  uint64_t H = 0x5761726d53743033ULL; // "WarmSt03"
 
   // The component library: a change to any name, signature or spec
   // formula — at either level, whichever is configured — can change a

@@ -383,8 +383,7 @@ struct DeductionEngine::Impl {
   /// node. Returns the node's concrete abstraction when known.
   std::optional<AttrValues> genConcrete(z3::solver &S, const HypPtr &H,
                                         SpecLevel Level, bool UsePartialEval,
-                                        bool FastPath, bool &Dead,
-                                        uint64_t &FastRejects) {
+                                        bool &Dead, uint64_t &FastRejects) {
     size_t MyIdx = ConcreteIdx++;
     switch (H->kind()) {
     case Hypothesis::Kind::Input:
@@ -396,8 +395,8 @@ struct DeductionEngine::Impl {
       for (const HypPtr &C : H->children()) {
         if (!C->isTableTyped())
           continue;
-        ArgConcrete.push_back(genConcrete(S, C, Level, UsePartialEval,
-                                          FastPath, Dead, FastRejects));
+        ArgConcrete.push_back(
+            genConcrete(S, C, Level, UsePartialEval, Dead, FastRejects));
         if (Dead)
           return std::nullopt;
       }
@@ -415,20 +414,18 @@ struct DeductionEngine::Impl {
       bindConcrete(S, Vars[MyIdx], A);
       // Concrete fast path: all table children concrete too -> check the
       // spec's non-group atoms directly before any Z3 work.
-      if (FastPath) {
-        bool AllArgs = true;
-        std::vector<AttrValues> Args;
-        for (const auto &AC : ArgConcrete) {
-          if (!AC)
-            AllArgs = false;
-          else
-            Args.push_back(*AC);
-        }
-        const SpecTemplate &Tpl = Compiler.get(H->component(), Level);
-        if (AllArgs && !evalSpec(Tpl.NonGroup, Args, A)) {
-          ++FastRejects;
-          Dead = true;
-        }
+      bool AllArgs = true;
+      std::vector<AttrValues> Args;
+      for (const auto &AC : ArgConcrete) {
+        if (!AC)
+          AllArgs = false;
+        else
+          Args.push_back(*AC);
+      }
+      const SpecTemplate &Tpl = Compiler.get(H->component(), Level);
+      if (AllArgs && !evalSpec(Tpl.NonGroup, Args, A)) {
+        ++FastRejects;
+        Dead = true;
       }
       return A;
     }
@@ -551,7 +548,7 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     if (RebuildStart)
       Stats.SessionSeconds += Since(*RebuildStart);
     P->ConcreteIdx = 0;
-    P->genConcrete(S, H, Level, UsePartialEval, FastPath, Dead,
+    P->genConcrete(S, H, Level, UsePartialEval, Dead,
                    Stats.FastPathRejections);
     if (Dead) {
       Result = false;

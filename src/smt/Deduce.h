@@ -144,12 +144,6 @@ public:
   /// Drops the evaluation cache (called between sketches to bound memory).
   void clearEvalCache();
 
-  /// Enables a concrete fast path: when a node and all of its table
-  /// children carry concrete abstractions (via partial evaluation), the
-  /// component spec is evaluated directly on integers before falling back
-  /// to Z3. Purely an optimization; used by the ablation benchmark.
-  void setIntervalFastPath(bool Enable) { FastPath = Enable; }
-
   /// Wires this engine to a shared refutation store: ⊥ verdicts of other
   /// engines over the SAME example short-circuit deduce here, and this
   /// engine's ⊥ verdicts are published back. The caller is responsible
@@ -172,7 +166,6 @@ private:
   std::unique_ptr<Impl> P;
   DeduceStats Stats;
   EventBus *Bus = nullptr;
-  bool FastPath = true;
 };
 
 } // namespace morpheus

@@ -16,6 +16,14 @@ using namespace morpheus;
 
 namespace {
 
+/// Maximum size of a column subset for `cols` holes.
+constexpr size_t MaxColsSubset = 6;
+/// Hard cap on enumerated candidates per hole.
+constexpr size_t MaxCandidatesPerHole = 50000;
+/// Orderings are enumerated for ColsOrdered subsets up to this size (k!
+/// variants per subset); larger subsets fall back to schema order.
+constexpr size_t MaxPermutedColsSubset = 3;
+
 /// Combined (name, type) column view over several tables, deduplicated by
 /// name in table/schema order.
 std::vector<Column> combinedColumns(const std::vector<Table> &Tables) {
@@ -45,14 +53,10 @@ std::vector<Value> combinedColumnValues(const std::vector<Table> &Tables,
 }
 
 /// Checks whether a value transformer is a comparison usable on \p CT
-/// operands given the configuration.
-bool comparisonAppliesTo(const ValueTransformer &Op, CellType CT,
-                         bool OrderedStrings) {
-  if (CT == CellType::Num)
-    return true;
-  if (Op.name() == "==" || Op.name() == "!=")
-    return true;
-  return OrderedStrings;
+/// operands. Strings compare with ==/!= only: R allows lexicographic <,
+/// but the evaluation tasks never need it and it doubles the space.
+bool comparisonAppliesTo(const ValueTransformer &Op, CellType CT) {
+  return CT == CellType::Num || Op.name() == "==" || Op.name() == "!=";
 }
 
 } // namespace
@@ -89,7 +93,7 @@ bool Inhabitation::enumCols(const std::vector<Table> &Tables, bool Ordered,
   std::vector<Column> Cols = combinedColumns(Tables);
   size_t N = Cols.size();
   size_t Emitted = 0;
-  size_t MaxSize = std::min(Cfg.MaxColsSubset, N);
+  size_t MaxSize = std::min(MaxColsSubset, N);
   std::vector<size_t> Pick;
   // Iterative enumeration of k-subsets in lexicographic order.
   for (size_t K = 1; K <= MaxSize; ++K) {
@@ -98,13 +102,13 @@ bool Inhabitation::enumCols(const std::vector<Table> &Tables, bool Ordered,
       Pick[I] = I;
     while (true) {
       std::vector<size_t> Perm = Pick;
-      bool Permute = Ordered && K <= Cfg.MaxPermutedColsSubset;
+      bool Permute = Ordered && K <= MaxPermutedColsSubset;
       do {
         std::vector<std::string> Names;
         Names.reserve(K);
         for (size_t I : Perm)
           Names.push_back(Cols[I].Name);
-        if (++Emitted > Cfg.MaxCandidatesPerHole)
+        if (++Emitted > MaxCandidatesPerHole)
           return true;
         if (!Visit(Term::colsLit(std::move(Names))))
           return false;
@@ -171,10 +175,10 @@ bool Inhabitation::enumPred(const std::vector<Table> &Tables,
   for (const Column &C : combinedColumns(Tables)) {
     std::vector<Value> Consts = combinedColumnValues(Tables, C.Name);
     for (const ValueTransformer *Op : Comparisons) {
-      if (!comparisonAppliesTo(*Op, C.Type, Cfg.OrderedStringCompare))
+      if (!comparisonAppliesTo(*Op, C.Type))
         continue;
       for (const Value &V : Consts) {
-        if (++Emitted > Cfg.MaxCandidatesPerHole)
+        if (++Emitted > MaxCandidatesPerHole)
           return true;
         TermPtr Pred = Term::app(
             Op, {Term::colRef(C.Name), Term::constant(V)});
@@ -244,7 +248,7 @@ bool Inhabitation::enumNumExpr(
       for (const TermPtr &R : Operands) {
         if (L == R && (Op->name() == "-" || Op->name() == "/"))
           continue; // x-x / x/x are never needed
-        if (++Emitted > Cfg.MaxCandidatesPerHole)
+        if (++Emitted > MaxCandidatesPerHole)
           return true;
         if (!Visit(Term::app(Op, {L, R})))
           return false;

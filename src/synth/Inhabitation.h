@@ -33,26 +33,11 @@
 
 namespace morpheus {
 
-/// Finitization bounds for enumeration.
-struct InhabitationConfig {
-  /// Maximum size of a column subset for `cols` holes.
-  size_t MaxColsSubset = 6;
-  /// Hard cap on enumerated candidates per hole.
-  size_t MaxCandidatesPerHole = 50000;
-  /// Orderings are enumerated for ColsOrdered subsets up to this size
-  /// (k! variants per subset); larger subsets fall back to schema order.
-  size_t MaxPermutedColsSubset = 3;
-  /// Restrict string comparisons to ==/!= (R allows lexicographic <, but
-  /// the evaluation tasks never need it and it doubles the space).
-  bool OrderedStringCompare = false;
-};
-
-/// Enumerates inhabitants of value-hole kinds. Stateless apart from the
-/// library and bounds.
+/// Enumerates inhabitants of value-hole kinds, under fixed finitization
+/// bounds. Stateless apart from the library.
 class Inhabitation {
 public:
-  Inhabitation(const ComponentLibrary &Lib, InhabitationConfig Cfg)
-      : Lib(Lib), Cfg(Cfg) {}
+  explicit Inhabitation(const ComponentLibrary &Lib) : Lib(Lib) {}
 
   /// Calls \p Visit for each inhabitant of \p PK with respect to the
   /// concrete \p ChildTables of the hole's node and the example's
@@ -78,7 +63,6 @@ private:
                    const std::function<bool(TermPtr)> &Visit) const;
 
   const ComponentLibrary &Lib;
-  InhabitationConfig Cfg;
 };
 
 } // namespace morpheus

@@ -27,9 +27,6 @@ PortfolioSynthesizer::PortfolioSynthesizer(ComponentLibrary Lib,
 
 std::vector<SynthesisConfig>
 PortfolioSynthesizer::sizeClassVariants(SynthesisConfig Base) {
-  // FairSizeScheduling is the sequential analog of exactly this portfolio;
-  // inside a single-size member it has nothing to schedule.
-  Base.FairSizeScheduling = false;
   std::vector<SynthesisConfig> Out;
   for (unsigned K = 1; K <= Base.MaxComponents; ++K) {
     SynthesisConfig Cfg = Base;

@@ -8,10 +8,9 @@
 
 #include "bus/EventBus.h"
 #include "support/Arena.h"
+#include "synth/Inhabitation.h"
 #include "table/BatchCheck.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <queue>
 #include <unordered_map>
@@ -19,6 +18,10 @@
 using namespace morpheus;
 
 namespace {
+
+/// Weight of program size in the worklist cost: the Occam's-razor tie to
+/// the n-gram score.
+constexpr double CostPerComponent = 4.0;
 
 /// Returns the node of \p Tree at \p Path (child indices from the root).
 const HypPtr &nodeAt(const HypPtr &Tree, const std::vector<size_t> &Path) {
@@ -121,7 +124,7 @@ public:
   SearchContext(const ComponentLibrary &Lib, const SynthesisConfig &Cfg,
                 std::shared_ptr<const ExampleContext> ExIn)
       : Lib(Lib), Cfg(Cfg), Ex(std::move(ExIn)), Inputs(Ex->Inputs),
-        Output(Ex->Output), Engine(Ex), Inhab(Lib, Cfg.Inhab),
+        Output(Ex->Output), Engine(Ex), Inhab(Lib),
         Deadline(std::chrono::steady_clock::now() + Cfg.Timeout) {
     if (Cfg.Deadline && *Cfg.Deadline < Deadline)
       Deadline = *Cfg.Deadline;
@@ -152,19 +155,8 @@ private:
   }
 
   /// True when the current sketch used up its completion budget.
-  bool sketchBudgetSpent() {
-    if (Cfg.MaxWorkPerSketch != 0 && SketchWork > Cfg.MaxWorkPerSketch)
-      return true;
-    if (Cfg.MaxSecondsPerSketch <= 0)
-      return false;
-    if ((++SketchPoll & 0xF) != 0)
-      return false;
-    if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      SketchStart)
-            .count() <= Cfg.MaxSecondsPerSketch)
-      return false;
-    ++SliceCuts;
-    return true;
+  bool sketchBudgetSpent() const {
+    return Cfg.MaxWorkPerSketch != 0 && SketchWork > Cfg.MaxWorkPerSketch;
   }
 
   double costOf(const HypPtr &H) const {
@@ -173,7 +165,7 @@ private:
       return Size;
     std::vector<std::string> Names;
     H->collectComponentNames(Names);
-    return NGramModel::standard().score(Names) + Cfg.SizeWeight * Size;
+    return NGramModel::standard().score(Names) + CostPerComponent * Size;
   }
 
   bool deduce(const HypPtr &H) {
@@ -238,11 +230,6 @@ private:
   unsigned ExpiryPoll = 0;
   bool TimedOut = false;
   uint64_t SketchWork = 0;
-  unsigned SketchPoll = 0;
-  /// Time-slice cuts so far: a sub-search a cut may have truncated is
-  /// never recorded as explored.
-  uint64_t SliceCuts = 0;
-  std::chrono::steady_clock::time_point SketchStart;
   SynthesisStats Stats;
   HypPtr Solution;
   EventBus *Bus = nullptr;
@@ -306,8 +293,7 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
   // the batched sibling-fill path evaluates their shared prefix once and
   // sweeps their output fingerprints in batches. Ordered-compare tasks
   // stay on the per-candidate check (see BatchCheck.h).
-  if (Cfg.UseBatchedCheck && !Cfg.OrderedCompare &&
-      Index + 1 == Holes.size())
+  if (!Cfg.OrderedCompare && Index + 1 == Holes.size())
     return fillLastHoleBatched(Tree, HI, *Universe, unsigned(Index));
 
   bool Found = false;
@@ -355,13 +341,13 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
             }
           }
         }
-        uint64_t WorkBefore = SketchWork, CutsBefore = SliceCuts;
+        uint64_t WorkBefore = SketchWork;
         if (fillHoles(Index + 1, NewTree, Holes)) {
           Found = true;
           return false;
         }
         bool More = !TimedOut && !sketchBudgetSpent();
-        if (Memo && More && SliceCuts == CutsBefore)
+        if (Memo && More)
           Memo->emplace(Completed->fingerprint(),
                         ExploredTable{Completed, SketchWork - WorkBefore});
         return More;
@@ -465,8 +451,6 @@ bool SearchContext::fillSketch(const HypPtr &Sketch) {
   // completion performs zero temporary heap allocations in the kernels.
   ArenaScope Scratch(threadArena());
   SketchWork = 0;
-  SketchPoll = 0;
-  SketchStart = std::chrono::steady_clock::now();
   std::vector<HoleInfo> Holes;
   std::vector<size_t> Path;
   collectHoles(Sketch, Path, Holes);
@@ -493,14 +477,11 @@ bool SearchContext::fillSketch(const HypPtr &Sketch) {
 SynthesisResult SearchContext::run() {
   auto Start = std::chrono::steady_clock::now();
 
-  // Section 8: the paper searches for solutions of different sizes in
-  // parallel threads and stops when any thread succeeds. The sequential
-  // analog is one cost-ordered worklist per program size with *time-fair*
-  // scheduling: each iteration services the non-empty size class that has
-  // consumed the least wall-clock so far. Small-program classes (cheap,
-  // numerous sketches) get many turns while a deep class grinding through
-  // expensive completions cannot starve them — the behaviour of the
-  // paper's per-size threads on one core.
+  // One cost-ordered worklist per program size; each iteration services
+  // the class whose cheapest hypothesis costs least, ties going to the
+  // smaller size, which fixes the order equal-cost hypotheses are tried
+  // in. Size fairness in the sense of the paper's per-size threads
+  // (Section 8) is the portfolio's job, not this loop's.
   using QueueItem = std::pair<double, HypPtr>;
   auto Cmp = [](const QueueItem &A, const QueueItem &B) {
     return A.first > B.first;
@@ -508,32 +489,20 @@ SynthesisResult SearchContext::run() {
   using Queue =
       std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(Cmp)>;
   std::vector<Queue> Worklists(size_t(Cfg.MaxComponents) + 1, Queue(Cmp));
-  std::vector<double> SpentSeconds(Worklists.size(), 0.0);
   Worklists[0].emplace(0.0, Hypothesis::tblHole());
 
   auto PickClass = [&]() -> int {
     int Best = -1;
-    for (size_t K = 0; K != Worklists.size(); ++K) {
-      if (Worklists[K].empty())
-        continue;
-      if (Best < 0) {
+    for (size_t K = 0; K != Worklists.size(); ++K)
+      if (!Worklists[K].empty() &&
+          (Best < 0 ||
+           Worklists[K].top().first < Worklists[size_t(Best)].top().first))
         Best = int(K);
-        continue;
-      }
-      bool Better =
-          Cfg.FairSizeScheduling
-              ? SpentSeconds[K] < SpentSeconds[size_t(Best)]
-              : Worklists[K].top().first <
-                    Worklists[size_t(Best)].top().first;
-      if (Better)
-        Best = int(K);
-    }
     return Best;
   };
 
   for (int Class = PickClass(); Class >= 0 && !expired();
        Class = PickClass()) {
-    auto ClassStart = std::chrono::steady_clock::now();
     HypPtr H = Worklists[size_t(Class)].top().second;
     Worklists[size_t(Class)].pop();
     ++Stats.HypothesesExplored;
@@ -558,19 +527,7 @@ SynthesisResult SearchContext::run() {
           emit(EventKind::SketchRefuted, S->numApplies());
           continue;
         }
-        uint64_t CandBefore = Stats.CandidatesChecked;
-        auto SketchStart = std::chrono::steady_clock::now();
-        bool Found = fillSketch(S);
-        if (std::getenv("MORPHEUS_DEBUG")) {
-          std::fprintf(stderr, "[morpheus] sketch %-60s cand=%llu %.2fs\n",
-                       S->toString().c_str(),
-                       (unsigned long long)(Stats.CandidatesChecked -
-                                            CandBefore),
-                       std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - SketchStart)
-                           .count());
-        }
-        if (Found) {
+        if (fillSketch(S)) {
           Stats.ElapsedSeconds =
               std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - Start)
@@ -598,10 +555,6 @@ SynthesisResult SearchContext::run() {
           Worklists[Size].emplace(costOf(Refined), std::move(Refined));
       }
     }
-    SpentSeconds[size_t(Class)] += std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() -
-                                       ClassStart)
-                                       .count();
   }
 
   Stats.TimedOut = TimedOut;

@@ -24,7 +24,6 @@
 #include "lang/Hypothesis.h"
 #include "ngram/NGramModel.h"
 #include "smt/Deduce.h"
-#include "synth/Inhabitation.h"
 
 #include <algorithm>
 #include <chrono>
@@ -63,22 +62,9 @@ struct SynthesisConfig {
   /// service layer uses it so a job dequeued late still honours the
   /// caller's submit-relative deadline instead of restarting its budget.
   std::optional<std::chrono::steady_clock::time_point> Deadline;
-  /// Weight of program size in the worklist cost (Occam's razor tie to the
-  /// n-gram score).
-  double SizeWeight = 4.0;
   /// Compare candidate output to the expected table including row order
   /// (set for tasks whose ground truth ends in `arrange`).
   bool OrderedCompare = false;
-  /// Batched sibling-candidate checking on a sketch's final value hole:
-  /// the N completions of the last hole share their evaluated prefix, and
-  /// their outputs accumulate into fingerprint batches swept with one
-  /// kernel call (table/BatchCheck.h) instead of being compared one at a
-  /// time. Accept/reject semantics are identical to the scalar path (the
-  /// parity suite runs both); ordered-compare tasks always take the
-  /// scalar path because equalsOrdered is not fingerprint-gated. Excluded
-  /// from the service problem fingerprint: it changes solve speed, never
-  /// which program is found.
-  bool UseBatchedCheck = true;
   /// Budget per sketch: candidate checks + partial fills before the
   /// completion engine abandons the sketch and lets the worklist advance.
   /// Bounds the damage of sketches whose (imprecise) specs survive
@@ -86,15 +72,6 @@ struct SynthesisConfig {
   /// completion skipped as a repeat (ReusedCompletions) is charged the
   /// work its first pass consumed, so the cut does not move.
   uint64_t MaxWorkPerSketch = 100000;
-  /// Wall-clock slice per sketch completion (seconds; 0 disables). Work
-  /// units vary hugely in cost (intermediate tables can grow), so the
-  /// work cap alone does not bound a sketch's damage.
-  double MaxSecondsPerSketch = 8.0;
-  /// Time-fair scheduling across program-size classes — the sequential
-  /// analog of the paper's per-size search threads (Section 8). Helps
-  /// deep programs (5 components) at the cost of noisy times on small
-  /// ones; the default is the classic single cost-ordered worklist.
-  bool FairSizeScheduling = false;
   /// External cancellation (Section 8 portfolio, Engine::solve): the search
   /// polls the token and aborts — reported as a timeout — once a stop is
   /// requested. The default-constructed token is inert (never cancels); the
@@ -115,7 +92,6 @@ struct SynthesisConfig {
   /// service problem fingerprint: observability never changes which
   /// problems are solvable or which program is found.
   std::shared_ptr<EventBus> Bus;
-  InhabitationConfig Inhab;
 };
 
 /// Counters reported by the evaluation harness.

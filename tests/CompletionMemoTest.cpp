@@ -39,12 +39,11 @@ ComponentLibrary libraryOf(std::initializer_list<const char *> Names) {
   return Lib;
 }
 
-/// Two-component programs only, no wall-clock cut inside a sketch.
+/// Two-component programs only.
 SynthesisConfig twoComponents() {
   SynthesisConfig Cfg;
   Cfg.MinComponents = 2;
   Cfg.MaxComponents = 2;
-  Cfg.MaxSecondsPerSketch = 0;
   Cfg.Timeout = std::chrono::seconds(60);
   return Cfg;
 }
