@@ -8,7 +8,7 @@
 // hot path, on a slice of the morpheus suite:
 //
 //  1. sequential baseline: Z3 invocations per task and how many deduce
-//     calls the verdict cache / shape sessions / compiled templates
+//     calls the verdict cache / warm example scope / compiled templates
 //     absorb;
 //  2. the refutation store, cold then warm: a fresh store per task is
 //     handed to the solve (as the SynthService hands in its per-example
@@ -117,7 +117,7 @@ int main(int argc, char **argv) {
   {
     const DeduceStats &D = Base.Deduce;
     std::printf("    %.1f%% of %llu deduce calls never reached a Z3 "
-                "check; %llu scope rebuilds for %llu calls "
+                "check; %llu example-scope opens for %llu calls "
                 "(%llu push/pop)\n\n",
                 D.Calls ? 100.0 * double(D.Calls - D.SolverChecks) /
                               double(D.Calls)

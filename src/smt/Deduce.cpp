@@ -4,30 +4,39 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// ψ is generated in two layers that map onto two Z3 scopes:
+// ψ lives in three Z3 scopes, so that a query asserts almost nothing new:
 //
-//   scope 1 ("shape"): everything determined by the sketch shape alone —
-//     Φ(H) instantiated from compiled spec templates, the per-node domain
-//     axioms, the input bindings α(Ti), the hole disjunction ϕin, and the
-//     output binding α(Tout) on the root. Keyed on
-//     (Hypothesis::shapeHash, spec level); kept pushed across deduce
-//     calls and only rebuilt when the shape changes. During sketch
-//     completion every partial fill shares one shape, so the whole
-//     skeleton is asserted once per sketch instead of once per fill.
+//   base scope (the leased core; depends on no example): per tree
+//     position, five attribute variables and their domain axioms, and per
+//     (position, component specId(), spec level) one guarded spec
+//     instance  a ⇒ φc(x_children, x_p).  A position is named by a code:
+//     the root is 1, and table child k of position p is 4p + k + 1. The
+//     first time a (position, level) misses, the instances of every
+//     library component are asserted there in one base visit, so a solve
+//     visits the base a few times at most, and a warm core not at all.
 //
-//   scope 2 ("query"): the concrete abstractions partial evaluation
-//     conjoins for subtrees that are complete under the current fill,
-//     plus the interval fast path. Pushed and popped per call.
+//   example scope (one per engine, pushed above base): α(Tout) on the
+//     root and, per leaf position p the engine's queries have named and
+//     per input i, the guarded bindings
+//       in[p, i] ⇒ x_p = α(Ti) ∧ g_p = 1      hole[p] ⇒ ϕin(x_p).
+//     A new leaf position joins the open scope; the scope is popped and
+//     replayed only when a base visit needs the base scope.
 //
-// Node attribute variables are allocated in pre-order over table-typed
-// nodes; the allocation order is itself shape-determined, so the concrete
-// walk of scope 2 indexes the variables created by scope 1 positionally.
+//   query scope: the concrete abstractions partial evaluation conjoins
+//     for subtrees complete under the current fill. Pushed and popped per
+//     call, and only when there is one.
 //
-// Neither scope survives its engine. What does is the *core* the engine
-// leased: the Z3 context, the persistent solver at base scope and the
-// compiled spec templates, none of which depend on the example. Cores
-// live on one process-wide free list, so a solve on any thread picks up
-// a core some earlier solve warmed.
+// deduce(H) checks under H's literals: a[p, c, level] for every component
+// node, in[p, i] for every input leaf and hole[p] for every table hole. A
+// literal that is not assumed is free, so the constraint it guards can be
+// switched off: the query is Algorithm 2's ψ for H plus constraints on
+// other variables that are satisfiable on their own, and every verdict is
+// the one a fresh solver would give. What Z3 saves is the re-encoding and
+// re-internalization of Φ(H) for every hypothesis: a warm core has every
+// instance internalized already.
+//
+// Cores live on one process-wide free list, so a solve on any thread
+// picks up a core, and its instances, some earlier solve warmed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,16 +60,128 @@ using hashing::mix64;
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point T) {
+  return std::chrono::duration<double>(Clock::now() - T).count();
+}
+
+constexpr uint64_t RootPosition = 1;
+
+/// Position codes give every node four child slots.
+constexpr unsigned MaxTableArgs = 4;
+
+/// The position code of table child \p K of position \p P.
+uint64_t childPosition(uint64_t P, unsigned K) { return 4 * P + K + 1; }
+
+/// Whether the children of a node at \p P taking \p NumTableArgs tables
+/// have position codes: at most four of them, and deep enough trees
+/// (about 30 levels) overflow the code.
+bool encodable(uint64_t P, unsigned NumTableArgs) {
+  return NumTableArgs <= MaxTableArgs &&
+         P <= (UINT64_MAX - MaxTableArgs) / 4;
+}
+
+/// One tree position of a core: its attribute variables, and the literals
+/// an example scope guards the position's input and hole bindings with.
+struct Position {
+  NodeVars X;
+  z3::expr Hole;            ///< hole[p]
+  std::vector<z3::expr> In; ///< in[p, i], grown to the widest example
+};
+
+/// Names one guarded spec instance of a core.
+struct InstanceKey {
+  uint64_t Pos;
+  uint64_t SpecId;
+  SpecLevel Level;
+
+  bool operator==(const InstanceKey &O) const {
+    return Pos == O.Pos && SpecId == O.SpecId && Level == O.Level;
+  }
+};
+
+struct InstanceKeyHash {
+  size_t operator()(const InstanceKey &K) const {
+    return size_t(mix64(mix64(K.Pos) ^ (K.SpecId << 1) ^
+                        uint64_t(K.Level == SpecLevel::Spec2)));
+  }
+};
+
 /// The example-independent Z3 state of deduction. Building one costs
 /// about 5 ms (context, solver, and ~17 template compiles for a typical
-/// library), which used to be about half of an easy solve.
+/// library), which used to be about half of an easy solve; its guarded
+/// instances save every later solve the encoding of Φ(H).
 struct Core {
   z3::context Ctx;
-  /// Persistent solver; every assertion lives in a push scope, so at
-  /// base scope it is empty and any example can use it.
+  /// Persistent solver. Its base scope holds only example-independent
+  /// assertions (positions and guarded instances), so any example can
+  /// use it.
   z3::solver Solver{Ctx};
   SpecCompiler Compiler{Ctx};
   unsigned Leases = 0;
+  /// Every position with variables, by code. Elements stay in place as
+  /// the map grows.
+  std::unordered_map<uint64_t, Position> Positions;
+  /// The guard literal of every asserted instance; none when the spec has
+  /// no atoms.
+  std::unordered_map<InstanceKey, std::optional<z3::expr>, InstanceKeyHash>
+      Guards;
+
+  /// Switches off the arithmetic solver's bound and equality propagation.
+  /// Both walk the simplex rows of every instance the core has asserted,
+  /// not only the ones a query assumes, so on a warm core they cost each
+  /// check more than they save: over eight mid-size suite tasks, deduce
+  /// time fell 1.14 -> 0.70 s (medians of 4 runs). Z3 decides the same
+  /// formulas either way, so no verdict changes.
+  Core() {
+    z3::params Params(Ctx);
+    Params.set("arith.propagation_mode", 0u);
+    Params.set("arith.propagate_eqs", false);
+    Solver.set(Params);
+  }
+
+  bool hasInstance(uint64_t P, const TableTransformer *X,
+                   SpecLevel Level) const {
+    return Guards.count({P, X->specId(), Level}) != 0;
+  }
+
+  /// Position \p P, created with its domain axioms on first use. Base
+  /// scope only.
+  Position &position(uint64_t P) {
+    auto It = Positions.find(P);
+    if (It != Positions.end())
+      return It->second;
+    std::string Code = std::to_string(P);
+    auto Var = [&](const char *Attr) {
+      return Ctx.int_const((Attr + Code).c_str());
+    };
+    NodeVars X{Var("r"), Var("c"), Var("g"), Var("nc"), Var("nv")};
+    Solver.add(Compiler.axiomsFor(X));
+    z3::expr Hole = Ctx.bool_const(("h" + Code).c_str());
+    return Positions.emplace(P, Position{X, Hole, {}}).first->second;
+  }
+
+  /// Asserts a[P, X, Level] ⇒ φX(x_children, x_P) unless already there.
+  /// Base scope only.
+  void addInstance(uint64_t P, const TableTransformer *X, SpecLevel Level) {
+    if (hasInstance(P, X, Level))
+      return;
+    std::vector<NodeVars> Args;
+    for (unsigned K = 0; K != X->numTableArgs(); ++K)
+      Args.push_back(position(childPosition(P, K)).X);
+    const NodeVars &Result = position(P).X; // stays in place, see above
+    const SpecTemplate &T = Compiler.get(X, Level);
+    std::optional<z3::expr> Guard;
+    if (!T.Trivial) {
+      std::string Name = "a" + std::to_string(P) + "." +
+                         std::to_string(X->specId()) +
+                         (Level == SpecLevel::Spec1 ? ".1" : ".2");
+      Guard = Ctx.bool_const(Name.c_str());
+      Solver.add(z3::implies(*Guard, T.instantiate(Args, Result)));
+    }
+    Guards.emplace(InstanceKey{P, X->specId(), Level}, std::move(Guard));
+  }
 };
 
 /// A core is retired after this many leases, because its context keeps
@@ -102,7 +223,7 @@ public:
   }
 
   /// Takes back \p C, whose solver must be at base scope and whose
-  /// context no live expr may reference.
+  /// context no live expr outside the core may reference.
   void giveBack(std::unique_ptr<Core> C) {
     if (C->Leases < MaxLeasesPerCore) {
       MutexLock Lock(M);
@@ -134,7 +255,7 @@ public:
   CoreLease(const CoreLease &) = delete;
   CoreLease &operator=(const CoreLease &) = delete;
 
-  Core *operator->() const { return C.get(); }
+  Core &operator*() const { return *C; }
 
 private:
   std::unique_ptr<Core> C;
@@ -146,31 +267,36 @@ struct DeductionEngine::Impl {
   /// Declared first so it is destroyed last: every z3::expr below must be
   /// gone before the core's context can pass to another thread.
   CoreLease Lease;
-  z3::context &Ctx = Lease->Ctx;
-  z3::solver &Solver = Lease->Solver;
-  SpecCompiler &Compiler = Lease->Compiler;
+  Core &Warm = *Lease;
+  z3::solver &Solver = Warm.Solver;
+  SpecCompiler &Compiler = Warm.Compiler;
   /// The compiler's cumulative counters when leased; stats report the
   /// difference, so they count this engine's work only.
   const uint64_t CompilesAtLease = Compiler.compilations();
   const uint64_t HitsAtLease = Compiler.hits();
   std::shared_ptr<const ExampleContext> Ex;
   std::shared_ptr<RefutationStore> Store;
-  unsigned NextVar = 0;
+  /// The search's table components, whose instances a base visit asserts
+  /// at every position it visits.
+  std::vector<const TableTransformer *> Library;
+  /// Whether this engine's example scope is pushed.
+  bool ExampleOpen = false;
+  /// The leaf positions the example scope binds, in binding order: those
+  /// this engine's queries have named so far.
+  std::vector<uint64_t> Bound;
 
-  /// The open shape session: scope 1 holds the skeleton of SessionKey's
-  /// sketch shape, and Vars are its per-node attribute variables in
-  /// pre-order. Invalidated (popped and rebuilt) when a different shape
-  /// arrives.
-  bool SessionOpen = false;
-  uint64_t SessionKey = 0;
-  std::vector<NodeVars> Vars;
-  size_t ConcreteIdx = 0; ///< pre-order cursor of the scope-2 walk
-
-  /// ϕin compiled once per engine (it depends on the example): the
-  /// hole-must-be-an-input disjunction over a placeholder node,
-  /// instantiated per TblHole by substitution.
-  z3::expr HoleTemplate;
-  z3::expr_vector HoleParams;
+  /// The current query, gathered by genConcrete: H's nodes by position,
+  /// and the concrete abstractions partial evaluation binds.
+  struct ComponentNode {
+    uint64_t Pos;
+    const TableTransformer *X;
+  };
+  std::vector<ComponentNode> Components;
+  std::vector<std::pair<uint64_t, unsigned>> InputLeaves;
+  std::vector<uint64_t> Holes;
+  std::vector<std::pair<uint64_t, AttrValues>> Bindings;
+  /// The query names a position no code exists for.
+  bool Unencodable = false;
 
   /// Memoized partial evaluation, keyed on node identity (trees are
   /// immutable and structurally shared, so a node pointer determines the
@@ -286,117 +412,51 @@ struct DeductionEngine::Impl {
     return EvalCache.emplace(H.get(), std::move(Result)).first->second;
   }
 
-  /// Pops any open scope so the core goes back at base scope; the member
-  /// exprs are destroyed after this body and the lease last of all.
+  /// Pops the example scope so the core goes back at base scope; the
+  /// member exprs are destroyed after this body and the lease last of all.
   ~Impl() {
-    if (unsigned Open = Z3_solver_get_num_scopes(Ctx, Solver))
+    if (unsigned Open = Z3_solver_get_num_scopes(Solver.ctx(), Solver))
       Solver.pop(Open);
   }
 
   explicit Impl(std::shared_ptr<const ExampleContext> ExIn)
-      : Ex(std::move(ExIn)), HoleTemplate(Ctx), HoleParams(Ctx) {
-    // Compile ϕin once: a hole must be instantiated with one of the
-    // inputs, i.e. carry some input's concrete (row, col) and the input
-    // defaults group = 1, newCols = newVals = 0.
-    auto Var = [&](const char *Name) { return Ctx.int_const(Name); };
-    NodeVars Hole{Var("$h_r"), Var("$h_c"), Var("$h_g"), Var("$h_nc"),
-                  Var("$h_nv")};
-    z3::expr_vector Disj(Ctx);
-    for (const AttrValues &A : Ex->InputAbs) {
-      Disj.push_back(Hole.Row == Ctx.int_val(int64_t(A.Row)) &&
-                     Hole.Col == Ctx.int_val(int64_t(A.Col)) &&
-                     Hole.NewCols == 0 && Hole.NewVals == 0 &&
-                     Hole.Group == 1);
-    }
-    HoleTemplate = z3::mk_or(Disj);
-    for (TableAttr A : {TableAttr::Row, TableAttr::Col, TableAttr::Group,
-                        TableAttr::NewCols, TableAttr::NewVals})
-      HoleParams.push_back(Hole.get(A));
-  }
-
-  z3::expr freshVar(const char *Prefix) {
-    std::string Name = std::string(Prefix) + std::to_string(NextVar++);
-    return Ctx.int_const(Name.c_str());
-  }
-
-  NodeVars freshNode() {
-    return {freshVar("r"), freshVar("c"), freshVar("g"), freshVar("nc"),
-            freshVar("nv")};
-  }
+      : Ex(std::move(ExIn)) {}
 
   /// Binds the concrete (non-group) attributes of \p N to \p A.
-  void bindConcrete(z3::solver &S, const NodeVars &N, const AttrValues &A) {
-    S.add(N.Row == Ctx.int_val(int64_t(A.Row)));
-    S.add(N.Col == Ctx.int_val(int64_t(A.Col)));
-    S.add(N.NewCols == Ctx.int_val(int64_t(A.NewCols)));
-    S.add(N.NewVals == Ctx.int_val(int64_t(A.NewVals)));
+  void bindConcrete(const NodeVars &N, const AttrValues &A) {
+    Solver.add(N.Row == Warm.Ctx.int_val(int64_t(A.Row)));
+    Solver.add(N.Col == Warm.Ctx.int_val(int64_t(A.Col)));
+    Solver.add(N.NewCols == Warm.Ctx.int_val(int64_t(A.NewCols)));
+    Solver.add(N.NewVals == Warm.Ctx.int_val(int64_t(A.NewVals)));
   }
 
-  /// Scope-1 generation: asserts the shape-determined skeleton of \p H
-  /// (axioms, ϕin, input bindings, instantiated spec templates) and
-  /// appends the node's variables to Vars in pre-order. Returns the
-  /// node's index into Vars.
-  size_t genShape(z3::solver &S, const HypPtr &H, SpecLevel Level,
-                  DeduceStats &Stats) {
-    size_t MyIdx = Vars.size();
-    Vars.push_back(freshNode());
-    NodeVars N = Vars[MyIdx]; // Vars may reallocate during recursion
-    S.add(Compiler.axiomsFor(N));
-    switch (H->kind()) {
-    case Hypothesis::Kind::Input: {
-      bindConcrete(S, N, Ex->InputAbs[H->inputIndex()]);
-      S.add(N.Group == 1);
-      return MyIdx;
-    }
-    case Hypothesis::Kind::TblHole: {
-      z3::expr_vector Dst(Ctx);
-      for (TableAttr A : {TableAttr::Row, TableAttr::Col, TableAttr::Group,
-                          TableAttr::NewCols, TableAttr::NewVals})
-        Dst.push_back(N.get(A));
-      S.add(HoleTemplate.substitute(HoleParams, Dst));
-      return MyIdx;
-    }
-    case Hypothesis::Kind::Apply: {
-      std::vector<NodeVars> ArgVars;
-      for (const HypPtr &C : H->children()) {
-        if (!C->isTableTyped())
-          continue;
-        ArgVars.push_back(Vars[genShape(S, C, Level, Stats)]);
-      }
-      const SpecTemplate &T = Compiler.get(H->component(), Level);
-      if (!T.Trivial)
-        S.add(T.instantiate(ArgVars, Vars[MyIdx]));
-      return MyIdx;
-    }
-    case Hypothesis::Kind::ValueHole:
-    case Hypothesis::Kind::Filled:
-      break;
-    }
-    assert(false && "table-typed node expected");
-    return MyIdx;
-  }
-
-  /// Scope-2 generation: walks \p H in the same pre-order as genShape,
-  /// binding the concrete abstraction of every subtree partial evaluation
-  /// can evaluate, and running the interval fast path. Sets \p Dead when
-  /// a complete subtree fails to evaluate or the fast path refutes a
-  /// node. Returns the node's concrete abstraction when known.
-  std::optional<AttrValues> genConcrete(z3::solver &S, const HypPtr &H,
+  /// Gathers the query for \p H at position \p Pos: walks \p H in
+  /// pre-order, recording each node's position, the concrete abstraction
+  /// of every subtree partial evaluation can evaluate, and running the
+  /// interval fast path. Sets \p Dead when a complete subtree fails to
+  /// evaluate or the fast path refutes a node. Returns the node's
+  /// concrete abstraction when known.
+  std::optional<AttrValues> genConcrete(const HypPtr &H, uint64_t Pos,
                                         SpecLevel Level, bool UsePartialEval,
                                         bool &Dead, uint64_t &FastRejects) {
-    size_t MyIdx = ConcreteIdx++;
     switch (H->kind()) {
     case Hypothesis::Kind::Input:
+      InputLeaves.emplace_back(Pos, H->inputIndex());
       return Ex->InputAbs[H->inputIndex()];
     case Hypothesis::Kind::TblHole:
+      Holes.push_back(Pos);
       return std::nullopt;
     case Hypothesis::Kind::Apply: {
+      Components.push_back({Pos, H->component()});
+      Unencodable =
+          Unencodable || !encodable(Pos, H->component()->numTableArgs());
       std::vector<std::optional<AttrValues>> ArgConcrete;
+      unsigned K = 0;
       for (const HypPtr &C : H->children()) {
         if (!C->isTableTyped())
           continue;
-        ArgConcrete.push_back(
-            genConcrete(S, C, Level, UsePartialEval, Dead, FastRejects));
+        ArgConcrete.push_back(genConcrete(C, childPosition(Pos, K++), Level,
+                                          UsePartialEval, Dead, FastRejects));
         if (Dead)
           return std::nullopt;
       }
@@ -411,7 +471,7 @@ struct DeductionEngine::Impl {
       if (!T)
         return std::nullopt;
       const AttrValues &A = absCached(*T);
-      bindConcrete(S, Vars[MyIdx], A);
+      Bindings.emplace_back(Pos, A);
       // Concrete fast path: all table children concrete too -> check the
       // spec's non-group atoms directly before any Z3 work.
       bool AllArgs = true;
@@ -436,6 +496,100 @@ struct DeductionEngine::Impl {
     assert(false && "table-typed node expected");
     return std::nullopt;
   }
+
+  /// Makes the core hold every position and instance the gathered query
+  /// names, and the example scope be open and bind every leaf position.
+  void openScopes(SpecLevel Level, DeduceStats &Stats) {
+    Clock::time_point Start = Clock::now();
+    bool Missing = false;
+    for (const ComponentNode &N : Components)
+      Missing = Missing || !Warm.hasInstance(N.Pos, N.X, Level);
+    if (Missing) {
+      if (ExampleOpen) {
+        Solver.pop();
+        ++Stats.SolverPops;
+        ExampleOpen = false;
+      }
+      // One base visit: every library component at each position that
+      // misses, so later hypotheses find their instances there.
+      for (const ComponentNode &N : Components) {
+        if (Warm.hasInstance(N.Pos, N.X, Level))
+          continue;
+        for (const TableTransformer *X : Library)
+          Warm.addInstance(N.Pos, X, Level);
+        Warm.addInstance(N.Pos, N.X, Level);
+      }
+    }
+    if (ExampleOpen) {
+      ++Stats.SessionHits;
+    } else {
+      Solver.push();
+      ++Stats.SolverPushes;
+      ++Stats.SessionBuilds;
+      ExampleOpen = true;
+      // ϕout ∧ α(Tout)[y/x]: the root must match the output table; its
+      // group is a fresh positive variable (Appendix A).
+      bindConcrete(Warm.Positions.at(RootPosition).X, Ex->OutputAbs);
+      for (uint64_t Pos : Bound)
+        bindLeaf(Pos);
+    }
+    // Leaf positions new to this engine join the open example scope.
+    auto Join = [&](uint64_t Pos) {
+      if (std::find(Bound.begin(), Bound.end(), Pos) == Bound.end()) {
+        Bound.push_back(Pos);
+        bindLeaf(Pos);
+      }
+    };
+    for (const auto &L : InputLeaves)
+      Join(L.first);
+    for (uint64_t Pos : Holes)
+      Join(Pos);
+    Stats.SessionSeconds += secondsSince(Start);
+  }
+
+  /// Asserts the example bindings of leaf position \p Code in the example
+  /// scope: in[p, i] ⇒ x_p = α(Ti) ∧ g_p = 1 for every input i, and
+  /// hole[p] ⇒ ϕin(x_p), where ϕin says a hole must be instantiated with
+  /// one of the inputs, i.e. carry some input's concrete (row, col) and
+  /// the input defaults group = 1, newCols = newVals = 0.
+  void bindLeaf(uint64_t Code) {
+    Position &P = Warm.Positions.at(Code);
+    z3::expr_vector SomeInput(Warm.Ctx);
+    for (const AttrValues &A : Ex->InputAbs)
+      SomeInput.push_back(P.X.Row == Warm.Ctx.int_val(int64_t(A.Row)) &&
+                          P.X.Col == Warm.Ctx.int_val(int64_t(A.Col)) &&
+                          P.X.NewCols == 0 && P.X.NewVals == 0 &&
+                          P.X.Group == 1);
+    Solver.add(z3::implies(P.Hole, z3::mk_or(SomeInput)));
+    for (size_t I = 0; I != Ex->InputAbs.size(); ++I) {
+      if (I == P.In.size()) {
+        std::string Name =
+            "i" + std::to_string(Code) + "." + std::to_string(I);
+        P.In.push_back(Warm.Ctx.bool_const(Name.c_str()));
+      }
+      const AttrValues &A = Ex->InputAbs[I];
+      Solver.add(z3::implies(
+          P.In[I], P.X.Row == Warm.Ctx.int_val(int64_t(A.Row)) &&
+                       P.X.Col == Warm.Ctx.int_val(int64_t(A.Col)) &&
+                       P.X.NewCols == Warm.Ctx.int_val(int64_t(A.NewCols)) &&
+                       P.X.NewVals == Warm.Ctx.int_val(int64_t(A.NewVals)) &&
+                       P.X.Group == 1));
+    }
+  }
+
+  /// The literals that switch on the gathered query's constraints.
+  z3::expr_vector assumptions(SpecLevel Level) const {
+    z3::expr_vector Lits(Warm.Ctx);
+    for (const ComponentNode &N : Components)
+      if (const std::optional<z3::expr> &Guard =
+              Warm.Guards.at({N.Pos, N.X->specId(), Level}))
+        Lits.push_back(*Guard);
+    for (const auto &L : InputLeaves)
+      Lits.push_back(Warm.Positions.at(L.first).In[L.second]);
+    for (uint64_t Pos : Holes)
+      Lits.push_back(Warm.Positions.at(Pos).Hole);
+    return Lits;
+  }
 };
 
 DeductionEngine::DeductionEngine(std::shared_ptr<const ExampleContext> Ex)
@@ -456,6 +610,11 @@ void DeductionEngine::clearEvalCache() {
   P->KeepAlive.clear();
 }
 
+void DeductionEngine::setLibrary(
+    std::vector<const TableTransformer *> Components) {
+  P->Library = std::move(Components);
+}
+
 void DeductionEngine::setRefutationStore(std::shared_ptr<RefutationStore> S) {
   P->Store = std::move(S);
 }
@@ -468,13 +627,9 @@ DeductionEngine::exampleContext() const {
 bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
                              bool UsePartialEval) {
   ++Stats.Calls;
-  using Clock = std::chrono::steady_clock;
-  auto Since = [](Clock::time_point T) {
-    return std::chrono::duration<double>(Clock::now() - T).count();
-  };
-  auto Start = Clock::now();
+  Clock::time_point Start = Clock::now();
   auto Finish = [&](bool Result) {
-    Stats.SolverSeconds += Since(Start);
+    Stats.SolverSeconds += secondsSince(Start);
     if (!Result)
       ++Stats.Rejections;
     return Result;
@@ -484,7 +639,7 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
   Key.reserve(256);
   Key += Level == SpecLevel::Spec1 ? '1' : '2';
   bool Live = P->signature(H, UsePartialEval, Key);
-  Stats.SignatureSeconds += Since(Start);
+  Stats.SignatureSeconds += secondsSince(Start);
   if (!Live) {
     // A complete subtree failed to evaluate: a concrete rejection before
     // any Z3 work, like the interval fast path's.
@@ -512,57 +667,39 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     }
   }
 
+  P->Components.clear();
+  P->InputLeaves.clear();
+  P->Holes.clear();
+  P->Bindings.clear();
+  P->Unencodable = false;
   bool Dead = false;
-  bool Result = true;
-  {
+  P->genConcrete(H, RootPosition, Level, UsePartialEval, Dead,
+                 Stats.FastPathRejections);
+  // A tree past the reach of position codes is left unrefuted: deduction
+  // may always answer "not refuted", never a wrong ⊥.
+  bool Result = !Dead && P->Unencodable;
+  if (!Dead && !P->Unencodable) {
     z3::solver &S = P->Solver;
-    uint64_t SessionKey =
-        mix64(H->shapeHash() ^
-              (Level == SpecLevel::Spec1 ? 0x5370656331ULL : 0x5370656332ULL));
-    std::optional<Clock::time_point> RebuildStart;
-    if (!P->SessionOpen || P->SessionKey != SessionKey) {
-      RebuildStart = Clock::now();
-      if (P->SessionOpen) {
-        S.pop();
-        ++Stats.SolverPops;
-      }
-      // Re-using variable names across sessions lets the context cache
-      // the symbol and AST objects instead of growing without bound.
-      P->NextVar = 0;
-      P->Vars.clear();
+    P->openScopes(Level, Stats);
+    z3::expr_vector Assumptions = P->assumptions(Level);
+    Clock::time_point CheckStart = Clock::now();
+    bool Bound = !P->Bindings.empty();
+    if (Bound) {
       S.push();
       ++Stats.SolverPushes;
-      size_t Root = P->genShape(S, H, Level, Stats);
-      // ϕout ∧ α(Tout)[y/x]: the root must match the output table; its
-      // group is a fresh positive variable (Appendix A).
-      P->bindConcrete(S, P->Vars[Root], P->Ex->OutputAbs);
-      P->SessionOpen = true;
-      P->SessionKey = SessionKey;
-      ++Stats.SessionBuilds;
-    } else {
-      ++Stats.SessionHits;
+      for (const auto &B : P->Bindings)
+        P->bindConcrete(P->Warm.Positions.at(B.first).X, B.second);
     }
-
-    S.push();
-    ++Stats.SolverPushes;
-    if (RebuildStart)
-      Stats.SessionSeconds += Since(*RebuildStart);
-    P->ConcreteIdx = 0;
-    P->genConcrete(S, H, Level, UsePartialEval, Dead,
-                   Stats.FastPathRejections);
-    if (Dead) {
-      Result = false;
-    } else {
-      ++Stats.SolverChecks;
-      auto CheckStart = Clock::now();
-      Result = S.check() != z3::unsat;
-      Stats.CheckSeconds += Since(CheckStart);
-      if (Bus && Bus->wants(EventKind::SolverCheck))
-        Bus->publish(Event(EventKind::SolverCheck, P->Ex->Fingerprint,
-                           Result ? 1 : 0));
+    ++Stats.SolverChecks;
+    Result = S.check(Assumptions) != z3::unsat;
+    if (Bound) {
+      S.pop();
+      ++Stats.SolverPops;
     }
-    S.pop();
-    ++Stats.SolverPops;
+    Stats.CheckSeconds += secondsSince(CheckStart);
+    if (Bus && Bus->wants(EventKind::SolverCheck))
+      Bus->publish(Event(EventKind::SolverCheck, P->Ex->Fingerprint,
+                         Result ? 1 : 0));
   }
   if (!Result && P->Store) {
     P->Store->recordRefuted(QueryHash);

@@ -22,19 +22,24 @@
 /// partially filled sketch of Example 12 without filling the remaining
 /// holes.
 ///
-/// The engine is a thin *session* over the three-tier deduction substrate:
+/// The engine is a thin layer over the three-tier deduction substrate:
 ///  - tier 1, compiled spec templates (smt/SpecCompiler.h): each
 ///    component's SpecFormula is encoded to Z3 once per core and
 ///    instantiated by substitution. A core — the Z3 context, the
 ///    persistent solver and the template compiler — depends on no
 ///    example, so engines lease one from a process-wide pool at
 ///    construction and hand it back, at base scope, when destroyed;
-///  - tier 2, incremental shape sessions: ψ splits into a shape-determined
-///    part (Φ(H), axioms, ϕin, ϕout — identical for every partial fill of
-///    one sketch) kept in an outer push/pop scope keyed on
-///    Hypothesis::shapeHash, and a per-call part (the concrete
-///    abstractions partial evaluation conjoins) asserted in an inner
-///    scope, so sibling fills of one sketch reuse the solver state;
+///  - tier 2, warm guarded instances: the core's base scope is not
+///    empty. It holds, per tree position (named by the path from the
+///    root), the node's attribute variables with their domain axioms,
+///    and per (position, component, spec level) the spec instance behind
+///    a guard literal. They depend on no example and stay in the core
+///    across solves. Each engine pushes one example scope above them
+///    (α(Tout) on the root, and each leaf position's input and hole
+///    bindings behind literals of their own), and deduce(H) asserts only
+///    partial evaluation's concrete abstractions, then checks under H's
+///    literals (Eén & Sörensson's incremental interface). A literal not
+///    assumed is free, so each query is exactly Algorithm 2's ψ for H;
 ///  - tier 3, the example-scoped RefutationStore (smt/RefutationStore.h):
 ///    when the owner of the example's scope (the SynthService) hands the
 ///    engine a store, ⊥ verdicts are consulted before and published after
@@ -70,11 +75,15 @@ struct DeduceStats {
   /// core an earlier engine already warmed.
   uint64_t TemplateCompiles = 0;
   uint64_t TemplateHits = 0;     ///< template instantiations from cache
-  uint64_t SessionBuilds = 0;    ///< shape scopes built from scratch
-  uint64_t SessionHits = 0;      ///< calls that reused the open shape scope
+  /// Example scopes pushed: one per engine, plus one reopening after
+  /// each base visit. Depends on how warm the leased core was.
+  uint64_t SessionBuilds = 0;
+  /// Solver calls that found their instances in the core and the example
+  /// scope open.
+  uint64_t SessionHits = 0;
   uint64_t StoreHits = 0;        ///< refutations served by the shared store
   uint64_t StoreInserts = 0;     ///< refutations published to the store
-  uint64_t SolverPushes = 0;     ///< Z3 push() calls (shape + query scopes)
+  uint64_t SolverPushes = 0;     ///< Z3 push() calls (example + query scopes)
   uint64_t SolverPops = 0;       ///< Z3 pop() calls
   /// All of deduce(), every phase below included (perfbench reads it as
   /// `smt.z3_s`, though most of it is not Z3).
@@ -82,11 +91,12 @@ struct DeduceStats {
   /// signature(): partial evaluation of complete subtrees plus the
   /// abstraction keys of their tables.
   double SignatureSeconds = 0;
-  /// Shape-session rebuilds: from the old session's pop through the first
-  /// query-scope push after the rebuild, the push where Z3 internalizes
-  /// the freshly asserted shape scope.
+  /// Base visits (the example scope's pop and the instances asserted at
+  /// base) plus example-scope pushes and their bindings.
   double SessionSeconds = 0;
-  double CheckSeconds = 0; ///< Z3 check() itself
+  /// The query scope and Z3 check(). Z3 internalizes an example scope's
+  /// bindings at the next push or check, so that cost lands here.
+  double CheckSeconds = 0;
 
   DeduceStats &operator+=(const DeduceStats &O) {
     Calls += O.Calls;
@@ -140,6 +150,14 @@ public:
   /// immutable and shared — and also serves the sketch-completion engine's
   /// candidate-universe computation.
   const std::optional<Table> &evaluateCached(const HypPtr &H);
+
+  /// Hands the engine the search's table components. The first time a
+  /// tree position lacks a component's instance at some spec level, the
+  /// instances of all of them are asserted there at once, so the core is
+  /// rarely revisited at base scope (each visit pops and replays the
+  /// example scope). Without a library, only the missing instance is
+  /// asserted.
+  void setLibrary(std::vector<const TableTransformer *> Components);
 
   /// Drops the evaluation cache (called between sketches to bound memory).
   void clearEvalCache();

@@ -66,7 +66,7 @@ struct NodeVars {
 
 /// A compiled constraint over placeholder variables, instantiated by
 /// substitution. Placeholders use a '$' prefix so they can never collide
-/// with the engine's per-node variables (r0, c0, ...).
+/// with the engine's per-position variables (r1, c5, ...).
 struct SpecTemplate {
   /// The conjunction of the formula's atoms over the placeholders
   /// ($a0_r, ..., $y_nv); `true` when the spec has no atoms.

@@ -128,6 +128,7 @@ public:
         Deadline(std::chrono::steady_clock::now() + Cfg.Timeout) {
     if (Cfg.Deadline && *Cfg.Deadline < Deadline)
       Deadline = *Cfg.Deadline;
+    Engine.setLibrary(Lib.TableTransformers);
     if (Cfg.UseDeduction && Cfg.Refutations)
       Engine.setRefutationStore(Cfg.Refutations);
     // Raw pointer on the hot path; Cfg (alive for the whole run) keeps

@@ -17,8 +17,10 @@
 #include "smt/Deduce.h"
 #include "suite/Task.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
 #include <new>
+#include <thread>
 
 using namespace morpheus;
 using namespace morpheus::pb;
@@ -221,9 +223,26 @@ TEST(ShapeHash, FillInvariantAndStructureSensitive) {
             filter(in(0), "GPA", ">", num(3))->shapeHash());
 }
 
-/// Incremental sessions: two fills of one sketch shape reuse the pushed
-/// shape scope (SessionHits), and spec templates compile once per
-/// component/level and core, not once per call or per engine.
+/// A component whose only spec is supplied by the test. apply() is never
+/// reached: the value hole keeps every hypothesis incomplete.
+class SpecOnlyComponent final : public TableTransformer {
+public:
+  explicit SpecOnlyComponent(SpecFormula F)
+      : TableTransformer("spec_only", 1, {ParamKind::ColName}) {
+    setSpec(SpecLevel::Spec1, F);
+    setSpec(SpecLevel::Spec2, std::move(F));
+  }
+  std::optional<Table> apply(const std::vector<Table> &,
+                             const std::vector<TermPtr> &) const override {
+    return std::nullopt;
+  }
+};
+
+/// Scope reuse: one engine pushes one example scope and every later query
+/// of the same positions reuses it; a query that needs an instance the
+/// core lacks costs one base visit, which pops and reopens the example
+/// scope. Spec templates compile once per component/level and core, not
+/// once per call or per engine.
 TEST(DeduceSubstrate, SessionAndTemplateReuse) {
   Table In = makeTable({{"id", CellType::Num},
                         {"name", CellType::Str},
@@ -237,10 +256,11 @@ TEST(DeduceSubstrate, SessionAndTemplateReuse) {
   const TableTransformer *Select = StandardComponents::get().find("select");
 
   auto Run = [&](DeductionEngine &E) {
-    // Same sketch shape, three predicate fills with distinct intermediate
-    // row counts (3, 2, 1 rows; a keep-all cut would be rejected by the
-    // filter kernel as a spec-excluded no-op) -> distinct queries sharing
-    // one shape: one session build, two session reuses.
+    // Three predicate fills with distinct intermediate row counts (3, 2, 1
+    // rows; a keep-all cut would be rejected by the filter kernel as a
+    // spec-excluded no-op): three distinct queries over the same
+    // positions. The first opens the example scope, after a base visit
+    // when the core lacks the instances; the other two reuse it.
     for (double Cut : {6.0, 10.0, 15.0}) {
       HypPtr Sigma = filter(in(0), "age", ">", num(Cut));
       HypPtr Pi = Hypothesis::apply(
@@ -248,11 +268,14 @@ TEST(DeduceSubstrate, SessionAndTemplateReuse) {
       E.deduce(Pi, SpecLevel::Spec2, true);
     }
     const DeduceStats &S = E.stats();
+    EXPECT_EQ(S.SolverChecks, 3u);
     EXPECT_EQ(S.SessionBuilds, 1u);
     EXPECT_EQ(S.SessionHits, 2u);
     EXPECT_GT(S.TemplateHits, 0u);
-    // Scopes balance: every push has its pop except the still-open session.
-    EXPECT_EQ(S.SolverPushes, S.SolverPops + 1);
+    // Each query pushes one scope for filter's concrete abstraction and
+    // pops it; the example scope stays open.
+    EXPECT_EQ(S.SolverPushes, 4u);
+    EXPECT_EQ(S.SolverPops, 3u);
     return S.TemplateCompiles;
   };
 
@@ -267,13 +290,26 @@ TEST(DeduceSubstrate, SessionAndTemplateReuse) {
   // already compiled.
   DeductionEngine E({In}, Out);
   EXPECT_EQ(Run(E), 0u);
+
+  // A component no core has seen misses at the root: one base visit pops
+  // the example scope, asserts the instance and reopens the scope.
+  using namespace morpheus::specdsl;
+  SpecOnlyComponent Fresh({{outA(TableAttr::Row) <= inA(0, TableAttr::Row)}});
+  EXPECT_TRUE(E.deduce(
+      Hypothesis::apply(&Fresh, {Hypothesis::input(0),
+                                 Hypothesis::valueHole(ParamKind::ColName)}),
+      SpecLevel::Spec2, true));
+  EXPECT_EQ(E.stats().SessionBuilds, 2u);
+  EXPECT_EQ(E.stats().SessionHits, 2u);
+  EXPECT_EQ(E.stats().SolverPushes, 5u);
+  EXPECT_EQ(E.stats().SolverPops, 4u);
 }
 
-/// Leased cores carry nothing from one engine to the next: an engine
-/// destroyed with its shape session still open (the refuting Example 13
+/// Leased cores carry no example from one engine to the next: an engine
+/// destroyed with its example scope still open (the refuting Example 13
 /// spread) must not change the verdict of the same hypothesis over an
-/// example where it is satisfiable, nor the other way round, and the next
-/// engine's scopes balance exactly as the first one's did.
+/// example where it is satisfiable, nor the other way round. Each engine
+/// pushes its own example scope and leaves it open.
 TEST(DeduceSubstrate, NoStateLeaksBetweenLeases) {
   Table RefutedIn = paperExample1Input();
   Table RefutedOut = paperExample1Output();
@@ -291,38 +327,135 @@ TEST(DeduceSubstrate, NoStateLeaksBetweenLeases) {
       StandardComponents::get().find("spread"),
       {Hypothesis::input(0), Hypothesis::valueHole(ParamKind::ColName),
        Hypothesis::valueHole(ParamKind::ColName)});
-  DeduceStats First;
+  // No subtree evaluates, so no query scope: the one push is the example
+  // scope's, and nothing is popped before the engine goes.
+  auto ExampleScopeOnly = [](const DeduceStats &S) {
+    EXPECT_EQ(S.SessionBuilds, 1u);
+    EXPECT_EQ(S.SolverPushes, 1u);
+    EXPECT_EQ(S.SolverPops, 0u);
+  };
   {
     DeductionEngine E({RefutedIn}, RefutedOut);
     EXPECT_FALSE(E.deduce(H, SpecLevel::Spec2, true));
-    First = E.stats();
-  } // destroyed with the shape session open
+    ExampleScopeOnly(E.stats());
+  } // destroyed with the example scope open
   {
     DeductionEngine E({SatIn}, SatOut);
     EXPECT_TRUE(E.deduce(H, SpecLevel::Spec2, true));
-    EXPECT_EQ(E.stats().SessionBuilds, 1u);
-    EXPECT_EQ(First.SolverPushes, First.SolverPops + 1);
-    EXPECT_EQ(E.stats().SolverPushes, E.stats().SolverPops + 1);
+    ExampleScopeOnly(E.stats());
   }
   DeductionEngine E({RefutedIn}, RefutedOut);
   EXPECT_FALSE(E.deduce(H, SpecLevel::Spec2, true));
   EXPECT_EQ(E.stats().SolverChecks, 1u);
+  ExampleScopeOnly(E.stats());
 }
 
-/// A component whose only spec is supplied by the test. apply() is never
-/// reached: the value hole keeps every hypothesis incomplete.
-class SpecOnlyComponent final : public TableTransformer {
-public:
-  explicit SpecOnlyComponent(SpecFormula F)
-      : TableTransformer("spec_only", 1, {ParamKind::ColName}) {
-    setSpec(SpecLevel::Spec1, F);
-    setSpec(SpecLevel::Spec2, std::move(F));
+/// Guarded instances stay in a core across solves, and a base visit
+/// asserts every library component at a position, so a core carries many
+/// instances no query switches on. None of them may change a verdict: the
+/// one- and two-component hypotheses of the tidy library and their
+/// sketches, deduced at both levels over two examples, get the same
+/// verdicts on cold cores, on a core the SQL library warmed first, and on
+/// a cold core that runs everything in reverse order.
+TEST(DeduceSubstrate, VerdictsIndependentOfCoreWarmth) {
+  const StandardComponents &Std = StandardComponents::get();
+  ComponentLibrary Tidy = Std.tidyDplyr(), Sql = Std.sqlRelevant();
+  auto Hypotheses = [](const ComponentLibrary &Lib) {
+    std::vector<HypPtr> Hyps;
+    for (const TableTransformer *X : Lib.TableTransformers) {
+      HypPtr One = Hypothesis::applyWithHoles(X);
+      Hyps.push_back(One);
+      for (const TableTransformer *Y : Lib.TableTransformers)
+        Hyps.push_back(
+            One->replaceLeftmostTblHole(Hypothesis::applyWithHoles(Y)));
+    }
+    for (size_t I = 0, N = Hyps.size(); I != N; ++I)
+      for (HypPtr &S : Hyps[I]->sketches(1))
+        Hyps.push_back(std::move(S));
+    return Hyps;
+  };
+  std::vector<HypPtr> TidyHyps = Hypotheses(Tidy), SqlHyps = Hypotheses(Sql);
+
+  // Example 1 (long to wide, refutes spread under Spec 2) and a wide to
+  // long example.
+  std::shared_ptr<const ExampleContext> Wide =
+      ExampleContext::make({paperExample1Input()}, paperExample1Output());
+  std::shared_ptr<const ExampleContext> Long = ExampleContext::make(
+      {paperExample1Input()},
+      *gather(in(0), "key", "val", {"A", "B"})->evaluate(
+          {paperExample1Input()}));
+
+  using Verdicts = std::vector<bool>;
+  // One engine over \p Ex deducing \p Hyps in the given order; verdicts
+  // come back in \p Hyps order, Spec 1 then Spec 2 for each.
+  auto Deduce = [](DeductionEngine &E, const std::vector<HypPtr> &Hyps,
+                   bool Reverse) {
+    Verdicts V(2 * Hyps.size());
+    for (size_t K = 0; K != Hyps.size(); ++K) {
+      size_t I = Reverse ? Hyps.size() - 1 - K : K;
+      V[2 * I] = E.deduce(Hyps[I], SpecLevel::Spec1, true);
+      V[2 * I + 1] = E.deduce(Hyps[I], SpecLevel::Spec2, true);
+    }
+    return V;
+  };
+  auto Run = [&](const std::shared_ptr<const ExampleContext> &Ex,
+                 const ComponentLibrary &Lib,
+                 const std::vector<HypPtr> &Hyps, bool Reverse) {
+    DeductionEngine E(Ex);
+    E.setLibrary(Lib.TableTransformers);
+    return Deduce(E, Hyps, Reverse);
+  };
+
+  // Hold one engine per idle core the pool may keep, so that no idle core
+  // is left: every engine created while the list is empty leases a cold
+  // core, and an engine created after one was handed back leases that.
+  std::vector<std::unique_ptr<DeductionEngine>> Held;
+  for (unsigned I = 0; I < std::max(1u, std::thread::hardware_concurrency());
+       ++I)
+    Held.push_back(std::make_unique<DeductionEngine>(Wide));
+  auto ColdEngine = [&](const std::shared_ptr<const ExampleContext> &Ex) {
+    auto E = std::make_unique<DeductionEngine>(Ex);
+    E->setLibrary(Tidy.TableTransformers);
+    return E;
+  };
+
+  // Cold: each example on a core of its own.
+  Verdicts WideCold, LongCold;
+  {
+    std::unique_ptr<DeductionEngine> A = ColdEngine(Wide);
+    std::unique_ptr<DeductionEngine> B = ColdEngine(Long);
+    WideCold = Deduce(*A, TidyHyps, false);
+    LongCold = Deduce(*B, TidyHyps, false);
+    EXPECT_GT(A->stats().TemplateCompiles, 0u);
+    EXPECT_GT(B->stats().TemplateCompiles, 0u);
+    Held.push_back(std::move(A)); // keep both cores out of the pool
+    Held.push_back(std::move(B));
   }
-  std::optional<Table> apply(const std::vector<Table> &,
-                             const std::vector<TermPtr> &) const override {
-    return std::nullopt;
-  }
-};
+  // The verdicts discriminate: both examples refute and admit something,
+  // and not the same hypotheses.
+  EXPECT_NE(std::count(WideCold.begin(), WideCold.end(), false), 0);
+  EXPECT_NE(std::count(WideCold.begin(), WideCold.end(), true), 0);
+  EXPECT_NE(WideCold, LongCold);
+
+  // Warmed by the SQL library first, on another thread, then both
+  // examples on that core: it reaches this thread through the pool with
+  // its base scope full.
+  Verdicts SqlFirst;
+  std::thread([&] {
+    std::unique_ptr<DeductionEngine> S = ColdEngine(Wide);
+    S->setLibrary(Sql.TableTransformers);
+    SqlFirst = Deduce(*S, SqlHyps, false);
+  }).join(); // its core is now the only idle one; every Run below leases it
+  EXPECT_EQ(Run(Wide, Tidy, TidyHyps, false), WideCold);
+  EXPECT_EQ(Run(Long, Tidy, TidyHyps, false), LongCold);
+
+  // In reverse: a cold core, the examples and hypotheses in reverse
+  // order, the SQL library last.
+  Held.push_back(std::make_unique<DeductionEngine>(Wide)); // takes it back
+  EXPECT_EQ(Run(Long, Tidy, TidyHyps, true), LongCold);
+  EXPECT_EQ(Run(Wide, Tidy, TidyHyps, true), WideCold);
+  EXPECT_EQ(Run(Wide, Sql, SqlHyps, true), SqlFirst);
+}
 
 /// Compiled templates outlive the engine that compiled them, so they must
 /// not be keyed on the component's address: a component built where a

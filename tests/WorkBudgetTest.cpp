@@ -38,8 +38,10 @@ using namespace morpheus;
 namespace {
 
 /// The counters of one solve that depend on nothing but the search: no
-/// timers, and no template counters, which depend on how warm the leased
-/// Z3 core already was.
+/// timers, no template counters and no session builds. Those depend on
+/// how warm the leased Z3 core already was: a solve reopens its example
+/// scope after each base visit, and a core that earlier solves filled
+/// with guarded spec instances needs fewer visits.
 std::string searchCounters(const SynthesisStats &S) {
   std::ostringstream O;
   O << "hypotheses " << S.HypothesesExplored << " sketches "
@@ -48,8 +50,7 @@ std::string searchCounters(const SynthesisStats &S) {
     << S.PartialFillsPruned << " candidates " << S.CandidatesChecked
     << " reused " << S.ReusedCompletions << " deduce-calls "
     << S.Deduce.Calls << " solver-checks " << S.Deduce.SolverChecks
-    << " cache-hits " << S.Deduce.CacheHits << " session-builds "
-    << S.Deduce.SessionBuilds << " fastpath-rejections "
+    << " cache-hits " << S.Deduce.CacheHits << " fastpath-rejections "
     << S.Deduce.FastPathRejections;
   return O.str();
 }
