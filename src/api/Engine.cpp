@@ -6,13 +6,10 @@
 
 #include "api/Engine.h"
 
-#include "bus/EventBus.h"
 #include "interp/Components.h"
-#include "io/ProgramIO.h"
 #include "service/SynthService.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace morpheus;
 
@@ -130,23 +127,6 @@ Engine::solve(const Problem &P, CancellationToken Cancel,
   else
     Out.Result = Outcome::Exhausted;
 
-  // Both strategies converge here, so this is the one place a per-solve
-  // summary event can carry the final outcome, the full stats snapshot and
-  // the program — the telemetry sink derives its per-task numbers from
-  // this snapshot, which makes parity with Solution.Stats exact by
-  // construction rather than by re-aggregation.
-  if (EventBus *Bus = Opts.config().Bus.get()) {
-    if (Bus->wants(EventKind::SolveFinished)) {
-      Event E(EventKind::SolveFinished,
-              exampleFingerprint(P.Inputs, P.Output), uint64_t(Out.Result));
-      static_assert(sizeof(Out.Seconds) == sizeof(E.B), "double fits B");
-      std::memcpy(&E.B, &Out.Seconds, sizeof(E.B));
-      E.Stats = std::make_shared<const SynthesisStats>(Out.Stats);
-      if (Out.Program)
-        E.Text = std::make_shared<const std::string>(printSexp(Out.Program));
-      Bus->publish(std::move(E));
-    }
-  }
   return Out;
 }
 

@@ -102,11 +102,11 @@ public:
     Cfg.MaxComponents = N;
     return *this;
   }
-  /// Attaches a synthesis event bus (bus/EventBus.h): the search engines,
-  /// the deduction substrate and any SynthService built over this engine
-  /// publish typed events to it. Null (default) disables publishing
-  /// entirely; with a bus attached but no subscriber for a kind, each
-  /// publish site costs one relaxed atomic load.
+  /// Attaches a synthesis event bus (bus/EventBus.h): the search engines
+  /// and any SynthService built over this engine publish typed events to
+  /// it. Null (default) disables publishing entirely; with a bus attached
+  /// but no subscriber for a kind, each publish site costs one relaxed
+  /// atomic load.
   EngineOptions &eventBus(std::shared_ptr<EventBus> B) {
     Cfg.Bus = std::move(B);
     return *this;

@@ -6,23 +6,22 @@
 ///
 /// \file
 /// The event taxonomy of the synthesis event bus (bus/EventBus.h): one
-/// small value type covering everything the engine, the deduction
-/// substrate and the serving layer can report off the hot path. Events are
-/// cheap to construct and copy — five scalars plus three usually-null
-/// shared_ptr payload slots — so hot paths publish them by value and the
-/// drain thread fans them out to subscribers in batches.
+/// small value type covering everything the search engine and the serving
+/// layer can report off the hot path. Events are cheap to construct and
+/// copy — five scalars plus three usually-null shared_ptr payload slots —
+/// so hot paths publish them by value and the drain thread fans them out
+/// to subscribers in batches.
 ///
 /// Frequency classes (what keeps the bus off the hot path):
 ///  - per-occurrence events are only published at sites that fire at most
-///    a few thousand times per solve (sketches, Z3 checks, store hits,
-///    job/cache traffic);
+///    a few thousand times per solve (sketches, job/cache traffic);
 ///  - the truly hot sites — hole fills and candidate checks, which run
 ///    millions of times — are BATCHED: one HoleFillBatch event per sketch
-///    completion carries the tried/pruned/checked deltas;
-///  - per-run aggregates (EngineFinished, SolveFinished) carry a full
-///    SynthesisStats snapshot, so a subscriber can derive exactly the
-///    numbers the in-band Solution reports (tests/StatsParityTest.cpp
-///    holds the two accountings to golden parity).
+///    completion;
+///  - deduction publishes nothing;
+///  - the per-run aggregate (EngineFinished) carries the engine run's
+///    SynthesisStats snapshot, the same counters the in-band Solution
+///    reports for a sequential solve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,21 +44,12 @@ enum class EventKind : uint8_t {
   // --- search engine (one per occurrence) ---
   SketchGenerated,    ///< A = sketch size (number of components)
   SketchRefuted,      ///< A = sketch size; deduction proved it dead
-  SolutionFound,      ///< A = program size; the winning candidate matched
   // --- search engine (batched: millions of fills collapse to one) ---
-  HoleFillBatch,      ///< per completed sketch: A = partial fills tried,
-                      ///< B = fills pruned by deduction, C = complete
-                      ///< candidates checked against the example
-  // --- deduction substrate ---
-  SolverCheck,        ///< one real Z3 check(); A = 1 viable / 0 refuted
-  RefutationStoreHit, ///< the shared store short-circuited a solver call
-  // --- per-run aggregates ---
+  HoleFillBatch,      ///< one completed sketch: closes the span its
+                      ///< SketchGenerated opened
+  // --- per-run aggregate ---
   EngineFinished,     ///< one engine run ended; Stats = its full counters,
                       ///< A = 1 when it found a program
-  SolveFinished,      ///< one Engine::solve returned; Stats = the final
-                      ///< (portfolio-aggregated) counters, A = Outcome,
-                      ///< B = seconds as double bits, Text = program sexp
-                      ///< when solved
   // --- result cache ---
   CacheHit,           ///< A = job id, B = problem fingerprint
   CacheEvict,         ///< B = evicted problem fingerprint
@@ -117,7 +107,7 @@ struct Event {
   uint64_t A = 0, B = 0, C = 0, D = 0; ///< kind-specific (see EventKind)
   /// Heavy payloads ride shared_ptrs so publishing stays allocation-free
   /// for the common scalar-only kinds.
-  std::shared_ptr<const SynthesisStats> Stats; ///< Engine/SolveFinished
+  std::shared_ptr<const SynthesisStats> Stats; ///< EngineFinished
   std::shared_ptr<const Problem> Prob;         ///< JobSubmitted
   std::shared_ptr<const std::string> Text;     ///< program s-expression
 

@@ -17,18 +17,10 @@ std::string_view morpheus::eventKindName(EventKind K) {
     return "sketch-generated";
   case EventKind::SketchRefuted:
     return "sketch-refuted";
-  case EventKind::SolutionFound:
-    return "solution-found";
   case EventKind::HoleFillBatch:
     return "hole-fill-batch";
-  case EventKind::SolverCheck:
-    return "solver-check";
-  case EventKind::RefutationStoreHit:
-    return "refutation-store-hit";
   case EventKind::EngineFinished:
     return "engine-finished";
-  case EventKind::SolveFinished:
-    return "solve-finished";
   case EventKind::CacheHit:
     return "cache-hit";
   case EventKind::CacheEvict:

@@ -42,7 +42,6 @@
 
 #include "smt/Deduce.h"
 
-#include "bus/EventBus.h"
 #include "smt/SpecCompiler.h"
 #include "support/Sync.h"
 #include "table/Hash.h"
@@ -660,8 +659,6 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     QueryHash = mix64(H->shapeHash() ^ hashString(Key));
     if (P->Store->isRefuted(QueryHash)) {
       ++Stats.StoreHits;
-      if (Bus && Bus->wants(EventKind::RefutationStoreHit))
-        Bus->publish(Event(EventKind::RefutationStoreHit, P->Ex->Fingerprint));
       P->VerdictCache.emplace(std::move(Key), false);
       return Finish(false);
     }
@@ -697,9 +694,6 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
       ++Stats.SolverPops;
     }
     Stats.CheckSeconds += secondsSince(CheckStart);
-    if (Bus && Bus->wants(EventKind::SolverCheck))
-      Bus->publish(Event(EventKind::SolverCheck, P->Ex->Fingerprint,
-                         Result ? 1 : 0));
   }
   if (!Result && P->Store) {
     P->Store->recordRefuted(QueryHash);

@@ -59,8 +59,6 @@
 
 namespace morpheus {
 
-class EventBus; // bus/EventBus.h
-
 /// Aggregate counters the evaluation harness reports (Section 9 discusses
 /// deduction time and prune rates).
 struct DeduceStats {
@@ -168,13 +166,6 @@ public:
   /// for scoping: a store must never be shared across different examples.
   void setRefutationStore(std::shared_ptr<RefutationStore> S);
 
-  /// Attaches the synthesis event bus (bus/EventBus.h): deduce publishes
-  /// SolverCheck after every real Z3 check and RefutationStoreHit when the
-  /// shared store short-circuits one. Raw pointer — the owning search
-  /// keeps the bus alive for the engine's lifetime. Null disables
-  /// publishing (the default).
-  void setEventBus(EventBus *B) { Bus = B; }
-
   const std::shared_ptr<const ExampleContext> &exampleContext() const;
 
   const DeduceStats &stats() const { return Stats; }
@@ -183,7 +174,6 @@ private:
   struct Impl;
   std::unique_ptr<Impl> P;
   DeduceStats Stats;
-  EventBus *Bus = nullptr;
 };
 
 } // namespace morpheus

@@ -134,8 +134,6 @@ public:
     // Raw pointer on the hot path; Cfg (alive for the whole run) keeps
     // the shared ownership.
     Bus = Cfg.Bus.get();
-    if (Bus)
-      Engine.setEventBus(Bus);
     // Warm the example's comparison caches once per search: every candidate
     // check reuses the output's fingerprint and canonical row permutation.
     OutputFingerprint = Output.fingerprint();
@@ -214,9 +212,9 @@ private:
   /// Publishes a scalar event when a bus is attached and some subscriber
   /// wants the kind; otherwise one pointer test (no bus) or one relaxed
   /// load (bus, no subscriber).
-  void emit(EventKind K, uint64_t A = 0, uint64_t B = 0, uint64_t C = 0) {
+  void emit(EventKind K, uint64_t A = 0) {
     if (Bus && Bus->wants(K))
-      Bus->publish(Event(K, Ex->Fingerprint, A, B, C));
+      Bus->publish(Event(K, Ex->Fingerprint, A));
   }
 
   const ComponentLibrary &Lib;
@@ -458,14 +456,9 @@ bool SearchContext::fillSketch(const HypPtr &Sketch) {
   if (NodeMemos.size() < Holes.size())
     NodeMemos.resize(Holes.size());
   // Hole fills and candidate checks run millions of times; the bus sees
-  // them as ONE batched delta event per sketch completion.
-  uint64_t TriedBefore = Stats.PartialFillsTried;
-  uint64_t PrunedBefore = Stats.PartialFillsPruned;
-  uint64_t CheckedBefore = Stats.CandidatesChecked;
+  // ONE event per sketch completion, closing its SketchGenerated span.
   bool Found = fillHoles(0, Sketch, Holes);
-  emit(EventKind::HoleFillBatch, Stats.PartialFillsTried - TriedBefore,
-       Stats.PartialFillsPruned - PrunedBefore,
-       Stats.CandidatesChecked - CheckedBefore);
+  emit(EventKind::HoleFillBatch);
   // Bound cache growth: entries only help within one sketch's completion.
   // The memos point into the eval cache, so they go first.
   for (auto &Memo : NodeMemos)
@@ -535,7 +528,6 @@ SynthesisResult SearchContext::run() {
                   .count();
           Stats.WallSeconds = Stats.ElapsedSeconds;
           Stats.Deduce = Engine.stats();
-          emit(EventKind::SolutionFound, Solution->numApplies());
           if (Bus && Bus->wants(EventKind::EngineFinished)) {
             Event E(EventKind::EngineFinished, Ex->Fingerprint, 1);
             E.Stats = std::make_shared<const SynthesisStats>(Stats);

@@ -84,13 +84,13 @@ struct SynthesisConfig {
   /// Must be scoped to the example being solved (see RefutationStore).
   std::shared_ptr<RefutationStore> Refutations;
   /// Optional synthesis event bus (bus/EventBus.h). When set, the search
-  /// and the deduction engine publish typed events (sketch generated /
-  /// refuted, batched hole fills, Z3 checks, store hits, per-run stats
-  /// snapshots) for off-hot-path subscribers. Null — the default — keeps
-  /// the hot path byte-identical to a bus-free build: not a single
-  /// branch beyond one pointer test per publish site. Excluded from the
-  /// service problem fingerprint: observability never changes which
-  /// problems are solvable or which program is found.
+  /// publishes typed events (sketch generated / refuted, one hole-fill
+  /// batch per completed sketch, a per-run stats snapshot) for
+  /// off-hot-path subscribers; deduction publishes nothing. Null — the
+  /// default — keeps the hot path byte-identical to a bus-free build: not
+  /// a single branch beyond one pointer test per publish site. Excluded
+  /// from the service problem fingerprint: observability never changes
+  /// which problems are solvable or which program is found.
   std::shared_ptr<EventBus> Bus;
 };
 

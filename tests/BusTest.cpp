@@ -9,14 +9,14 @@
 /// no-subscriber fast path, kind-mask and per-event predicate filtering,
 /// batching boundaries, both drop policies with exact accounting, acked
 /// flush and destructor draining, and concurrent publish stress tests
-/// that CI also runs under ThreadSanitizer (ctest -L tsan). What the bus
-/// *carries* is covered elsewhere: StatsParityTest holds event-derived
-/// statistics to the in-band counters, ReplayRegressionTest drives the
-/// recorder/replay subscribers end to end.
+/// that CI also runs under ThreadSanitizer (ctest -L tsan). One test holds
+/// what the search publishes to the contract perfbench's tracer reads;
+/// ReplayRegressionTest drives the recorder/replay subscribers end to end.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bus/EventBus.h"
+#include "suite/Runner.h"
 
 #include <gtest/gtest.h>
 
@@ -129,7 +129,7 @@ TEST(EventBusTest, BatchesRespectMaxBatchAndLoseNothing) {
 
   constexpr size_t N = 100;
   for (size_t I = 0; I != N; ++I)
-    EXPECT_TRUE(Bus->publish(Event(EventKind::SolverCheck, 1, I)));
+    EXPECT_TRUE(Bus->publish(Event(EventKind::CacheHit, 1, I)));
   Bus->flush();
 
   ASSERT_EQ(C.Events.size(), N);
@@ -281,7 +281,7 @@ TEST(EventBusTest, ConcurrentBlockingPublishIsLosslessAndPerProducerOrdered) {
   for (unsigned P = 0; P != Producers; ++P)
     Threads.emplace_back([&, P] {
       for (uint64_t I = 1; I <= PerProducer; ++I)
-        EXPECT_TRUE(Bus->publish(Event(EventKind::SolverCheck, P, P, I)));
+        EXPECT_TRUE(Bus->publish(Event(EventKind::CacheHit, P, P, I)));
     });
   for (std::thread &T : Threads)
     T.join();
@@ -332,6 +332,111 @@ TEST(EventBusTest, SubscriptionChurnUnderTraffic) {
   // or the ring was empty at shutdown; skipped events never entered it.
   EXPECT_EQ(St.Dropped, 0u);
   EXPECT_LE(Seen.load(), St.Published);
+}
+
+/// What the search publishes, on easy tasks solved one after another
+/// over a lossless bus: one EngineFinished per solve whose snapshot is the
+/// solve's Solution.Stats (perfbench builds its smt.* and synth.* layers
+/// from these snapshots), one SketchGenerated per counted sketch, and
+/// each sketch span closed by exactly one SketchRefuted or HoleFillBatch
+/// for the same example before the next sketch opens (perfbench's tracer
+/// relies on this).
+TEST(SearchEvents, SnapshotsAndSketchSpansMatchTheSolve) {
+  EventBus::Options Opts;
+  Opts.Policy = DropPolicy::Block;
+  std::shared_ptr<EventBus> Bus = EventBus::create(Opts);
+  Capture C;
+  Bus->subscribe(C.subscription(
+      "search", eventKindBit(EventKind::SketchGenerated) |
+                    eventKindBit(EventKind::SketchRefuted) |
+                    eventKindBit(EventKind::HoleFillBatch) |
+                    eventKindBit(EventKind::EngineFinished)));
+  EngineOptions EOpts;
+  EOpts.config(configSpec2(std::chrono::milliseconds(5000))).eventBus(Bus);
+
+  // Easy tasks on which deduction refutes sketches, so both ways of
+  // closing a sketch span occur.
+  std::vector<BenchmarkTask> Tasks;
+  for (const std::vector<BenchmarkTask> &Suite : {morpheusSuite(), sqlSuite()})
+    for (const BenchmarkTask &T : Suite)
+      for (const char *Id : {"C2-07", "C3-27", "C6-01", "SQL-08", "SQL-17"})
+        if (T.Id == Id)
+          Tasks.push_back(T);
+  ASSERT_EQ(Tasks.size(), 5u);
+  uint64_t AllRefuted = 0;
+  for (const BenchmarkTask &T : Tasks) {
+    Problem P = toProblem(T);
+    Solution S = Engine(libraryForTask(T), EOpts).solve(P);
+    Bus->flush();
+    uint64_t Fp = exampleFingerprint(P.Inputs, P.Output);
+
+    std::vector<const Event *> Finished;
+    uint64_t Sketches = 0, Refuted = 0;
+    bool Open = false;
+    for (const Event &E : C.Events) {
+      EXPECT_EQ(E.ExampleFp, Fp) << T.Id;
+      switch (E.Kind) {
+      case EventKind::SketchGenerated:
+        EXPECT_FALSE(Open) << T.Id << ": sketch opened inside a sketch";
+        Open = true;
+        ++Sketches;
+        break;
+      case EventKind::SketchRefuted:
+        ++Refuted;
+        [[fallthrough]];
+      case EventKind::HoleFillBatch:
+        EXPECT_TRUE(Open) << T.Id << ": close without an open sketch";
+        Open = false;
+        break;
+      default:
+        EXPECT_FALSE(Open) << T.Id << ": engine finished inside a sketch";
+        Finished.push_back(&E);
+      }
+    }
+    EXPECT_FALSE(Open) << T.Id;
+    EXPECT_EQ(Sketches, S.Stats.SketchesGenerated) << T.Id;
+    EXPECT_EQ(Refuted, S.Stats.SketchesRefuted) << T.Id;
+    AllRefuted += Refuted;
+    ASSERT_EQ(Finished.size(), 1u) << T.Id;
+    EXPECT_EQ(Finished[0]->A, S.Program ? 1u : 0u) << T.Id;
+    ASSERT_TRUE(Finished[0]->Stats) << T.Id;
+    const SynthesisStats &Ev = *Finished[0]->Stats;
+    const SynthesisStats &In = S.Stats;
+    EXPECT_EQ(Ev.HypothesesExplored, In.HypothesesExplored) << T.Id;
+    EXPECT_EQ(Ev.SketchesGenerated, In.SketchesGenerated) << T.Id;
+    EXPECT_EQ(Ev.SketchesRefuted, In.SketchesRefuted) << T.Id;
+    EXPECT_EQ(Ev.PartialFillsTried, In.PartialFillsTried) << T.Id;
+    EXPECT_EQ(Ev.PartialFillsPruned, In.PartialFillsPruned) << T.Id;
+    EXPECT_EQ(Ev.CandidatesChecked, In.CandidatesChecked) << T.Id;
+    EXPECT_EQ(Ev.ReusedCompletions, In.ReusedCompletions) << T.Id;
+    EXPECT_EQ(Ev.Deduce.Calls, In.Deduce.Calls) << T.Id;
+    EXPECT_EQ(Ev.Deduce.Rejections, In.Deduce.Rejections) << T.Id;
+    EXPECT_EQ(Ev.Deduce.FastPathRejections, In.Deduce.FastPathRejections)
+        << T.Id;
+    EXPECT_EQ(Ev.Deduce.CacheHits, In.Deduce.CacheHits) << T.Id;
+    EXPECT_EQ(Ev.Deduce.SolverChecks, In.Deduce.SolverChecks) << T.Id;
+    EXPECT_EQ(Ev.Deduce.TemplateCompiles, In.Deduce.TemplateCompiles) << T.Id;
+    EXPECT_EQ(Ev.Deduce.TemplateHits, In.Deduce.TemplateHits) << T.Id;
+    EXPECT_EQ(Ev.Deduce.SessionBuilds, In.Deduce.SessionBuilds) << T.Id;
+    EXPECT_EQ(Ev.Deduce.SessionHits, In.Deduce.SessionHits) << T.Id;
+    EXPECT_EQ(Ev.Deduce.StoreHits, In.Deduce.StoreHits) << T.Id;
+    EXPECT_EQ(Ev.Deduce.StoreInserts, In.Deduce.StoreInserts) << T.Id;
+    EXPECT_EQ(Ev.Deduce.SolverPushes, In.Deduce.SolverPushes) << T.Id;
+    EXPECT_EQ(Ev.Deduce.SolverPops, In.Deduce.SolverPops) << T.Id;
+    EXPECT_DOUBLE_EQ(Ev.Deduce.SolverSeconds, In.Deduce.SolverSeconds)
+        << T.Id;
+    EXPECT_DOUBLE_EQ(Ev.Deduce.SignatureSeconds, In.Deduce.SignatureSeconds)
+        << T.Id;
+    EXPECT_DOUBLE_EQ(Ev.Deduce.SessionSeconds, In.Deduce.SessionSeconds)
+        << T.Id;
+    EXPECT_DOUBLE_EQ(Ev.Deduce.CheckSeconds, In.Deduce.CheckSeconds) << T.Id;
+    EXPECT_DOUBLE_EQ(Ev.ElapsedSeconds, In.ElapsedSeconds) << T.Id;
+    EXPECT_DOUBLE_EQ(Ev.WallSeconds, In.WallSeconds) << T.Id;
+    EXPECT_EQ(Ev.TimedOut, In.TimedOut) << T.Id;
+    C.Events.clear();
+  }
+  EXPECT_GT(AllRefuted, 0u);
+  EXPECT_EQ(Bus->stats().Dropped, 0u);
 }
 
 } // namespace

@@ -33,7 +33,6 @@
 #include "api/Engine.h"
 #include "bus/EventBus.h"
 #include "bus/Replay.h"
-#include "bus/StatsSink.h"
 #include "bus/TrafficRecorder.h"
 #include "cluster/ClusterClient.h"
 #include "cluster/WorkerNode.h"
@@ -110,10 +109,6 @@ int usage(const char *Msg = nullptr) {
       "  --json PATH                      write a perf snapshot (per-task\n"
       "                                   solve times + candidate\n"
       "                                   throughput)\n"
-      "  --bus                            attach a lossless event bus and\n"
-      "                                   cross-check event-derived stats\n"
-      "                                   against the in-band counters\n"
-      "                                   (exit 1 on divergence)\n"
       "  --state-dir DIR                  run the suite through a service\n"
       "                                   with durable warm state in DIR\n"
       "                                   (created if missing); a second\n"
@@ -418,8 +413,21 @@ int runSolve(ArgReader &Args) {
   return 0;
 }
 
-/// The time deduce() spent in all, and in each of its measured phases.
-void setPhaseSeconds(JsonValue &D, const DeduceStats &DS) {
+/// The deduce() counters a task and the summary both report, then the
+/// time deduce() spent in all and in each of its measured phases.
+void setDeduceStats(JsonValue &D, const DeduceStats &DS) {
+  D.set("calls", JsonValue::number(double(DS.Calls)));
+  D.set("rejections", JsonValue::number(double(DS.Rejections)));
+  D.set("fastpath_rejections",
+        JsonValue::number(double(DS.FastPathRejections)));
+  D.set("cache_hits", JsonValue::number(double(DS.CacheHits)));
+  D.set("solver_checks", JsonValue::number(double(DS.SolverChecks)));
+  D.set("template_hits", JsonValue::number(double(DS.TemplateHits)));
+  D.set("session_builds", JsonValue::number(double(DS.SessionBuilds)));
+  D.set("session_hits", JsonValue::number(double(DS.SessionHits)));
+  D.set("store_hits", JsonValue::number(double(DS.StoreHits)));
+  D.set("pushes", JsonValue::number(double(DS.SolverPushes)));
+  D.set("pops", JsonValue::number(double(DS.SolverPops)));
   D.set("solver_seconds", JsonValue::number(DS.SolverSeconds));
   D.set("signature_seconds", JsonValue::number(DS.SignatureSeconds));
   D.set("session_seconds", JsonValue::number(DS.SessionSeconds));
@@ -459,15 +467,7 @@ JsonValue benchSnapshot(const std::string &SuiteName,
     T.set("reused_completions",
           JsonValue::number(double(R.Stats.ReusedCompletions)));
     JsonValue D = JsonValue::object();
-    const DeduceStats &DS = R.Stats.Deduce;
-    D.set("calls", JsonValue::number(double(DS.Calls)));
-    D.set("solver_checks", JsonValue::number(double(DS.SolverChecks)));
-    D.set("template_hits", JsonValue::number(double(DS.TemplateHits)));
-    D.set("session_hits", JsonValue::number(double(DS.SessionHits)));
-    D.set("store_hits", JsonValue::number(double(DS.StoreHits)));
-    D.set("pushes", JsonValue::number(double(DS.SolverPushes)));
-    D.set("pops", JsonValue::number(double(DS.SolverPops)));
-    setPhaseSeconds(D, DS);
+    setDeduceStats(D, R.Stats.Deduce);
     T.set("deduce", std::move(D));
     Tasks.Arr.push_back(std::move(T));
     TotalCandidates += R.Stats.CandidatesChecked;
@@ -492,23 +492,13 @@ JsonValue benchSnapshot(const std::string &SuiteName,
                                     ? double(TotalCandidates) / TotalSeconds
                                     : 0));
   JsonValue D = JsonValue::object();
-  D.set("calls", JsonValue::number(double(TotalDeduce.Calls)));
-  D.set("solver_checks",
-        JsonValue::number(double(TotalDeduce.SolverChecks)));
-  D.set("cache_hits", JsonValue::number(double(TotalDeduce.CacheHits)));
+  setDeduceStats(D, TotalDeduce);
+  // Template compiles depend on how warm the process's Z3 cores are, so
+  // only the summary reports them.
   D.set("template_compiles",
         JsonValue::number(double(TotalDeduce.TemplateCompiles)));
-  D.set("template_hits",
-        JsonValue::number(double(TotalDeduce.TemplateHits)));
-  D.set("session_builds",
-        JsonValue::number(double(TotalDeduce.SessionBuilds)));
-  D.set("session_hits", JsonValue::number(double(TotalDeduce.SessionHits)));
-  D.set("store_hits", JsonValue::number(double(TotalDeduce.StoreHits)));
   D.set("store_inserts",
         JsonValue::number(double(TotalDeduce.StoreInserts)));
-  D.set("pushes", JsonValue::number(double(TotalDeduce.SolverPushes)));
-  D.set("pops", JsonValue::number(double(TotalDeduce.SolverPops)));
-  setPhaseSeconds(D, TotalDeduce);
   Summary.set("deduce", std::move(D));
   Out.set("summary", std::move(Summary));
   return Out;
@@ -520,7 +510,6 @@ int runBench(ArgReader &Args) {
   int TimeoutMs = 5000;
   unsigned Threads = 0;
   size_t Limit = SIZE_MAX;
-  bool UseBus = false;
 
   while (!Args.done()) {
     std::string A = Args.next();
@@ -571,8 +560,6 @@ int runBench(ArgReader &Args) {
       if (!Args.value(A, V))
         return 2;
       JsonPath = V;
-    } else if (A == "--bus") {
-      UseBus = true;
     } else if (A == "--state-dir") {
       if (!Args.value(A, V))
         return 2;
@@ -581,11 +568,6 @@ int runBench(ArgReader &Args) {
       return usage(("unknown option " + A).c_str());
     }
   }
-  // The --bus parity check compares SolveFinished events against in-band
-  // per-solve counters; warm cache hits never run Engine::solve, so the
-  // two accountings legitimately diverge under a state dir.
-  if (UseBus && !StateDir.empty())
-    return usage("--bus cannot be combined with --state-dir");
   if (!StateDir.empty() && !ensureDir(StateDir))
     return usage(("cannot create state dir " + StateDir).c_str());
 
@@ -599,19 +581,6 @@ int runBench(ArgReader &Args) {
       SuiteName == "sql" ? sqlSuite() : morpheusSuite();
   if (Suite.size() > Limit)
     Suite.resize(Limit);
-
-  // --bus: the whole suite publishes to a lossless bus and the sink's
-  // event-derived numbers are held to the in-band counters afterwards —
-  // the runtime analog of tests/StatsParityTest.cpp.
-  std::shared_ptr<EventBus> Bus;
-  std::unique_ptr<StatsSink> Sink;
-  if (UseBus) {
-    EventBus::Options BusOpts;
-    BusOpts.Policy = DropPolicy::Block;
-    Bus = EventBus::create(BusOpts);
-    Sink = std::make_unique<StatsSink>(Bus);
-    Cfg.Bus = Bus;
-  }
 
   std::printf("suite %s (%zu tasks), config %s, strategy %s, timeout %d ms\n",
               SuiteName.c_str(), Suite.size(), ConfigName.c_str(),
@@ -723,47 +692,6 @@ int runBench(ArgReader &Args) {
     std::printf("wrote %s\n", JsonPath.c_str());
   }
 
-  if (Sink) {
-    Bus->flush();
-    SynthesisStats EvAgg = Sink->aggregate();
-    size_t EvSolves = Sink->solves().size();
-    bool Ok = EvSolves == Results.size() &&
-              EvAgg.HypothesesExplored == Agg.HypothesesExplored &&
-              EvAgg.SketchesGenerated == Agg.SketchesGenerated &&
-              EvAgg.SketchesRefuted == Agg.SketchesRefuted &&
-              EvAgg.PartialFillsTried == Agg.PartialFillsTried &&
-              EvAgg.PartialFillsPruned == Agg.PartialFillsPruned &&
-              EvAgg.CandidatesChecked == Agg.CandidatesChecked &&
-              EvAgg.Deduce.SolverChecks == Agg.Deduce.SolverChecks &&
-              EvAgg.Deduce.StoreHits == Agg.Deduce.StoreHits;
-    // One engine run IS the solve under the sequential strategy, so the
-    // per-occurrence events must re-sum to the same totals too. (The
-    // portfolio's losers are cancelled mid-flight; their event streams
-    // are real work the in-band per-solve numbers also include, but
-    // delivery interleaving makes per-kind equality the only meaningful
-    // sequential check.)
-    if (Strat == Strategy::Sequential) {
-      EventTallies T = Sink->tallies();
-      Ok = Ok && T.SketchesGenerated == Agg.SketchesGenerated &&
-           T.SketchesRefuted == Agg.SketchesRefuted &&
-           T.PartialFillsTried == Agg.PartialFillsTried &&
-           T.PartialFillsPruned == Agg.PartialFillsPruned &&
-           T.CandidatesChecked == Agg.CandidatesChecked &&
-           T.SolverChecks == Agg.Deduce.SolverChecks &&
-           T.StoreHits == Agg.Deduce.StoreHits;
-    }
-    BusStats BS = Bus->stats();
-    std::printf("bus: %llu published, %llu delivered, %llu dropped, "
-                "max batch %llu — event-derived stats %s\n",
-                (unsigned long long)BS.Published,
-                (unsigned long long)BS.Delivered,
-                (unsigned long long)BS.Dropped,
-                (unsigned long long)BS.MaxBatch,
-                Ok ? "match in-band counters" : "DIVERGE from in-band "
-                                               "counters");
-    if (!Ok)
-      return 1;
-  }
   return 0;
 }
 
