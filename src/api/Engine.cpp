@@ -81,18 +81,9 @@ Solution
 Engine::solve(const Problem &P, CancellationToken Cancel,
               std::optional<std::chrono::steady_clock::time_point> Deadline)
     const {
-  return solve(P, std::move(Cancel), Deadline, nullptr);
-}
-
-Solution
-Engine::solve(const Problem &P, CancellationToken Cancel,
-              std::optional<std::chrono::steady_clock::time_point> Deadline,
-              std::shared_ptr<RefutationStore> Refutations) const {
   SynthesisConfig Cfg = Opts.config();
   if (Deadline && (!Cfg.Deadline || *Deadline < *Cfg.Deadline))
     Cfg.Deadline = Deadline;
-  if (Refutations)
-    Cfg.Refutations = std::move(Refutations);
   Cfg.OrderedCompare = P.OrderedCompare;
   // Honour a token the caller embedded in the raw config (the
   // EngineOptions::config escape hatch) alongside the solve-call token:

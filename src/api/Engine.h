@@ -112,13 +112,13 @@ public:
     return *this;
   }
   /// Directory for durable warm state (service/WarmState.h). When set, a
-  /// SynthService built over this engine restores its ResultCache and
-  /// refutation stores from `<dir>/results.mstate` /
-  /// `<dir>/refutations.mstate` at construction and checkpoints them in
-  /// the background, so a restarted process keeps its accumulated warm
-  /// state. The directory must exist. Empty (default) disables
-  /// persistence. Deliberately NOT part of SynthesisConfig: where state
-  /// lives on disk can never affect a problem's fingerprint or verdicts.
+  /// SynthService built over this engine restores its ResultCache from
+  /// `<dir>/results.mstate` at construction and checkpoints it in the
+  /// background, so a restarted process answers the problems it already
+  /// solved without solving them again. The directory must exist. Empty
+  /// (default) disables persistence. Deliberately NOT part of
+  /// SynthesisConfig: where state lives on disk can never affect a
+  /// problem's fingerprint or verdicts.
   EngineOptions &stateDir(std::string Dir) {
     StateDir = std::move(Dir);
     return *this;
@@ -188,16 +188,6 @@ public:
   Solution
   solve(const Problem &P, CancellationToken Cancel,
         std::optional<std::chrono::steady_clock::time_point> Deadline) const;
-
-  /// As above, additionally handing \p Refutations to the search. Null
-  /// keeps the configured SynthesisConfig::Refutations, which is itself
-  /// null — no store — unless set through config(). The service uses this
-  /// to hand every worker the store scoped to the problem's example; the
-  /// store MUST be scoped to \p P's example (inputs+output).
-  Solution
-  solve(const Problem &P, CancellationToken Cancel,
-        std::optional<std::chrono::steady_clock::time_point> Deadline,
-        std::shared_ptr<RefutationStore> Refutations) const;
 
   /// Solves a batch of problems through a transient SynthService over this
   /// engine: all problems are scheduled on a worker pool and identical

@@ -66,13 +66,12 @@ enum class EventKind : uint8_t {
                       ///< (queue wait ended). Cache hits never fire this.
   // --- durable warm state (service/WarmState.h) ---
   WarmStateLoaded,    ///< a state dir was restored at service start;
-                      ///< A = cache entries loaded, B = refutation keys
-                      ///< loaded, C = torn-tail records dropped, D = 1
-                      ///< when any file was rejected (version/compat)
+                      ///< A = cache entries loaded, B = torn-tail
+                      ///< records dropped, C = 1 when the file was
+                      ///< rejected (version/compat)
   CheckpointSaved,    ///< a background checkpoint published; A = cache
-                      ///< entries written, B = refutation keys written,
-                      ///< C = bytes written, D = 1 final (shutdown) / 0
-                      ///< periodic
+                      ///< entries written, B = bytes written, C = 1
+                      ///< final (shutdown) / 0 periodic
   // --- cluster tier (cluster/Cluster.h) ---
   JobForwarded,       ///< the coordinator shipped a job to a shard;
                       ///< A = request id, B = problem fp, C = worker

@@ -10,8 +10,8 @@
 /// (cluster/WorkerNode.h, spoken to over net/Wire.h), and falls back to a
 /// local SynthService when no shard can take a job. Because placement is
 /// by fingerprint, every repeated or sibling problem lands on the worker
-/// that already holds its ResultCache entry, refutation scope and durable
-/// warm state — the per-process caches become one cluster-wide tier.
+/// that already holds its ResultCache entry and durable warm state — the
+/// per-process caches become one cluster-wide tier.
 ///
 /// Scheduling/fault model (all decisions on one EventLoop thread):
 ///  - routing walks the hash ring from the fingerprint's owner: the first

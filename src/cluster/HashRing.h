@@ -10,11 +10,11 @@
 /// worker owns VirtualNodes points on the ring (hashes of its index), so
 /// load spreads evenly and adding/removing one worker remaps only ~1/N of
 /// the fingerprint space — repeated and sibling problems keep landing on
-/// the node that already holds their ResultCache entries, refutation
-/// scopes and durable warm state (the affinity the whole tier exists
-/// for). walk() yields the failover order: the owner first, then each
-/// next distinct worker clockwise, so the coordinator can skip shards
-/// that are down while keeping the assignment deterministic.
+/// the node that already holds their ResultCache entries and durable warm
+/// state (the affinity the whole tier exists for). walk() yields the
+/// failover order: the owner first, then each next distinct worker
+/// clockwise, so the coordinator can skip shards that are down while
+/// keeping the assignment deterministic.
 ///
 /// Placement is pure arithmetic over (index, VirtualNodes) — coordinator
 /// restarts and every coordinator replica agree on the map for free.

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// One shard of the cluster tier: a TCP server that exposes an existing
-/// SynthService (worker pool, ResultCache, refutation scopes, durable
-/// warm state via EngineOptions::stateDir) over the binary wire protocol
+/// SynthService (worker pool, ResultCache, durable warm state via
+/// EngineOptions::stateDir) over the binary wire protocol
 /// (net/Wire.h). This is what `morpheus worker --listen HOST:PORT` runs.
 ///
 /// Threading shape (the FOP/FOM discipline, not thread-per-connection):

@@ -100,9 +100,9 @@ public:
   /// instances), input-leaf indices, and hole positions. Value-typed
   /// children hash by their parameter kind only — a ValueHole and the
   /// term later filled into it share one shape, which is the point: every
-  /// partial fill of a sketch maps to the sketch's shape, so the deduction
-  /// substrate can key incremental solver sessions and the cross-engine
-  /// refutation store on it. Memoized (trees are immutable and shared).
+  /// partial fill of a sketch maps to the sketch's shape, so a cache over
+  /// sketches (hash-consing, per-sketch lemmas) can key on it. Memoized
+  /// (trees are immutable and shared).
   uint64_t shapeHash() const;
 
   /// Replaces the *leftmost* TblHole with \p Replacement; asserts one

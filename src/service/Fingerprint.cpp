@@ -44,10 +44,9 @@ uint64_t morpheus::problemFingerprint(const Problem &P,
     H = fold(H, orderedRowsHash(P.Output));
 
   const SynthesisConfig &Cfg = Opts.config();
-  // The refutation store is deliberately excluded, like the thread count:
-  // a warm store changes how fast a verdict is reached, never which
-  // verdict (WarmRestartTest asserts this), so a solve with or without
-  // one answers the same problem.
+  // The thread count is deliberately excluded: it changes how fast a
+  // verdict is reached, never which verdict, so a solve on any pool size
+  // answers the same problem.
   uint64_t Knobs = uint64_t(Opts.strategy() == Strategy::Portfolio) |
                    uint64_t(Cfg.Level == SpecLevel::Spec2) << 1 |
                    uint64_t(Cfg.UseDeduction) << 2 |

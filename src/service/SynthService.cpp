@@ -202,8 +202,8 @@ std::optional<std::chrono::steady_clock::time_point> SynthService::neededDeadlin
 SynthService::SynthService(Engine Eng, ServiceOptions Opts)
     : Eng(std::move(Eng)), Opts(Opts),
       Bus(this->Eng.options().config().Bus.get()), Cache(Opts.cacheCapacity()) {
-  // Restore before any worker exists: the warm stores must be fully
-  // populated before the first submission can probe them.
+  // Restore before any worker exists: the ResultCache must be fully
+  // populated before the first submission can probe it.
   if (!this->Eng.options().stateDir().empty()) {
     Warm = std::make_unique<WarmState>(
         this->Eng.options().stateDir(),
@@ -254,7 +254,7 @@ SynthService::~SynthService() {
   if (Checkpointer.joinable())
     Checkpointer.join();
   // Final checkpoint after every thread is gone: it captures the true
-  // final state, and nothing can mutate the stores underneath it.
+  // final state, and nothing can mutate the cache underneath it.
   if (Warm)
     checkpointNow(/*Final=*/true);
 }
@@ -500,9 +500,8 @@ void SynthService::workerLoop() {
     // running work's Deadline, but the clamp that actually applied is
     // what the cache-soundness check below must reason about).
     auto SolveClamp = W->Deadline;
-    std::shared_ptr<RefutationStore> Refs = refutationScopeFor(W->Prob);
     Lock.unlock();
-    Solution S = Eng.solve(W->Prob, W->Token, SolveClamp, std::move(Refs));
+    Solution S = Eng.solve(W->Prob, W->Token, SolveClamp);
     Lock.lock();
 
     unregisterInflight(W);
@@ -544,41 +543,16 @@ void SynthService::workerLoop() {
 
 void SynthService::loadWarmState() {
   Warm->loadResults(Cache, Eng.library());
-  if (Eng.options().config().UseDeduction) {
-    // Pre-populate the same scope map refutationScopeFor consults, bounded
-    // by the same cap so a preloaded scope is never the one that triggers
-    // the epoch flush.
-    size_t Cap = std::max<size_t>(Opts.cacheCapacity(), 64);
-    Warm->loadRefutations([&](uint64_t Fp, std::vector<uint64_t> &&Keys) {
-      MutexLock Lock(M);
-      auto It = RefScopes.find(Fp); // found: a later chunk of a scope
-      if (It == RefScopes.end()) {
-        if (RefScopes.size() >= Cap)
-          return false; // scope budget spent; keep what we have
-        It = RefScopes.emplace(Fp, std::make_shared<RefutationStore>()).first;
-      }
-      It->second->restoreKeys(Keys);
-      return true;
-    });
-  }
   if (Bus && Bus->wants(EventKind::WarmStateLoaded)) {
     WarmStateStats W = Warm->stats();
     Bus->publish(Event(EventKind::WarmStateLoaded, 0, W.ResultsLoaded,
-                       W.RefutationKeysLoaded, W.TornTails,
-                       W.FilesRejected ? 1 : 0));
+                       W.TornTails, W.FilesRejected ? 1 : 0));
   }
 }
 
-uint64_t SynthService::warmActivitySignal() {
+uint64_t SynthService::warmActivitySignal() const {
   CacheStats CS = Cache.stats();
-  uint64_t Sig = CS.Insertions + CS.WarmLoaded;
-  MutexLock Lock(M);
-  Sig += RefScopes.size(); // a new empty scope alone is worth persisting
-  for (const auto &KV : RefScopes) {
-    RefutationStore::Stats SS = KV.second->stats();
-    Sig += SS.Inserts + SS.Restored;
-  }
-  return Sig;
+  return CS.Insertions + CS.WarmLoaded;
 }
 
 void SynthService::checkpointLoop() {
@@ -598,53 +572,16 @@ void SynthService::checkpointLoop() {
 }
 
 void SynthService::checkpointNow(bool Final) {
-  // The signal is read before the snapshots: activity landing between the
+  // The signal is read before the snapshot: activity landing between the
   // two is re-captured by the next interval's signal comparison.
   uint64_t Signal = warmActivitySignal();
   std::vector<std::pair<uint64_t, Solution>> Results = Cache.snapshot();
-  std::vector<std::pair<uint64_t, std::shared_ptr<RefutationStore>>> Stores;
-  {
-    MutexLock Lock(M);
-    Stores.reserve(RefScopes.size());
-    for (const auto &KV : RefScopes)
-      Stores.push_back(KV);
-  }
-  // Deterministic file layout: scopes sorted by fingerprint (keys() is
-  // already sorted), so identical state checkpoints byte-identically.
-  std::sort(Stores.begin(), Stores.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> Scopes;
-  Scopes.reserve(Stores.size());
-  uint64_t TotalKeys = 0;
-  for (const auto &KV : Stores) {
-    Scopes.emplace_back(KV.first, KV.second->keys());
-    TotalKeys += Scopes.back().second.size();
-  }
-  if (Warm->checkpoint(Results, Scopes)) {
+  if (Warm->checkpoint(Results)) {
     LastCheckpointSignal = Signal;
     if (Bus && Bus->wants(EventKind::CheckpointSaved))
       Bus->publish(Event(EventKind::CheckpointSaved, 0, Results.size(),
-                         TotalKeys, Warm->stats().LastCheckpointBytes,
-                         Final ? 1 : 0));
+                         Warm->stats().LastCheckpointBytes, Final ? 1 : 0));
   }
-}
-
-std::shared_ptr<RefutationStore>
-SynthService::refutationScopeFor(const Problem &Prob) {
-  if (!Eng.options().config().UseDeduction)
-    return nullptr;
-  // Cheap under M: table fingerprints are cached inside the tables and
-  // were forced by problemFingerprint at submit.
-  uint64_t Fp = exampleFingerprint(Prob.Inputs, Prob.Output);
-  auto It = RefScopes.find(Fp);
-  if (It != RefScopes.end())
-    return It->second;
-  // Bound alongside the result cache; epoch flush past it (see header).
-  size_t Cap = std::max<size_t>(Opts.cacheCapacity(), 64);
-  if (RefScopes.size() >= Cap)
-    RefScopes.clear();
-  return RefScopes.emplace(Fp, std::make_shared<RefutationStore>())
-      .first->second;
 }
 
 void SynthService::cancelJob(const std::shared_ptr<JobHandle::JobState> &State) {
@@ -845,7 +782,6 @@ ServiceStats SynthService::stats() const {
   S.Cache = Cache.stats();
   if (Warm)
     S.Warm = Warm->stats();
-  S.RefutationScopes = RefScopes.size();
   S.QueueDepth = Queue.size();
   return S;
 }

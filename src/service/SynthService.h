@@ -141,7 +141,7 @@ public:
   /// ResultCache entries; 0 disables result caching (single-flight
   /// coalescing still applies).
   ServiceOptions &cacheCapacity(size_t N) { CacheCap = N; return *this; }
-  /// How often the background checkpointer persists the warm stores when
+  /// How often the background checkpointer persists the ResultCache when
   /// the engine has a state dir (EngineOptions::stateDir). Only fires
   /// when something changed since the last checkpoint; a final
   /// checkpoint always runs at service destruction regardless. Zero
@@ -171,7 +171,10 @@ struct ServiceStats {
   CacheStats Cache;
   /// Persistence counters; all zero when no state dir is configured.
   WarmStateStats Warm;
-  size_t RefutationScopes = 0;  ///< example-scoped refutation stores held
+  /// Always 0: kept only because perfbench reads it as
+  /// `service.refutation_scopes`; ROADMAP item 1's [benchmark] PR drops
+  /// the metric and this field.
+  size_t RefutationScopes = 0;
   uint64_t Submitted = 0;       ///< submit + trySubmit accepted
   uint64_t Rejected = 0;        ///< trySubmit refused: queue full
   uint64_t SolvesRun = 0;       ///< engine solves actually started
@@ -279,27 +282,20 @@ private:
   /// Removes \p W's Inflight entry if it is still the registered one (a
   /// doomed work may have been replaced by a fresh identical submission).
   void unregisterInflight(const std::shared_ptr<Work> &W) REQUIRES(M);
-  /// The refutation store scoped to \p Prob's example, created on first
-  /// use — the deduction analog of the ResultCache: a job whose result
-  /// was evicted (or whose budget differs, so its problem fingerprint
-  /// misses) still reuses every refutation earlier jobs over the same
-  /// example derived. Null when the engine runs without deduction.
-  std::shared_ptr<RefutationStore> refutationScopeFor(const Problem &Prob)
-      REQUIRES(M);
-  /// Restores the warm stores from the engine's state dir (constructor
-  /// only, before any worker exists — no locks needed) and publishes the
-  /// WarmStateLoaded event.
+  /// Restores the ResultCache from the engine's state dir (constructor
+  /// only, before any worker exists) and publishes the WarmStateLoaded
+  /// event.
   void loadWarmState();
   /// Periodic persistence (ServiceOptions::checkpointInterval); exits at
   /// shutdown — the destructor runs the final checkpoint itself, after
   /// the pool has drained, so it captures the true final state.
   void checkpointLoop();
-  /// Snapshots both stores and writes one checkpoint. \p Final marks the
-  /// shutdown checkpoint in the CheckpointSaved event.
+  /// Snapshots the ResultCache and writes one checkpoint. \p Final marks
+  /// the shutdown checkpoint in the CheckpointSaved event.
   void checkpointNow(bool Final) EXCLUDES(M);
-  /// Cheap change signal: cache insertions + per-scope store inserts. The
-  /// periodic checkpointer skips when it hasn't moved.
-  uint64_t warmActivitySignal() EXCLUDES(M);
+  /// Cheap change signal: cache insertions and restores. The periodic
+  /// checkpointer skips when it hasn't moved.
+  uint64_t warmActivitySignal() const;
   void cancelJob(const std::shared_ptr<JobHandle::JobState> &State)
       EXCLUDES(M);
   /// Completes \p State (the per-job lock is taken inside: lock order is
@@ -326,11 +322,6 @@ private:
   CondVar SpaceAvailable;  ///< blocking submit + drain wait here
   CondVar DeadlineChanged; ///< wakes the reaper
   CondVar CheckpointWake;  ///< wakes the checkpointer (shutdown)
-  /// Example-fingerprint-scoped refutation stores (see refutationScopeFor);
-  /// bounded by epoch flush (in-flight solves keep their shared_ptrs, so a
-  /// flush only forgets facts, it never breaks them).
-  std::unordered_map<uint64_t, std::shared_ptr<RefutationStore>> RefScopes
-      GUARDED_BY(M);
   std::deque<std::shared_ptr<Work>> Queue
       GUARDED_BY(M); ///< kept heap-ordered (see .cpp)
   /// Dedup index: the work a new identical submission may join. Usually

@@ -12,7 +12,6 @@
 #include "synth/Synthesizer.h"
 #include "table/Hash.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace morpheus;
@@ -27,7 +26,7 @@ uint64_t morpheus::warmStateCompatKey(const ComponentLibrary &Lib,
   using hashing::hashString;
 
   // Seed distinct from every other key family (see table/Hash.h users).
-  uint64_t H = 0x5761726d53743033ULL; // "WarmSt03"
+  uint64_t H = 0x5761726d53743034ULL; // "WarmSt04"
 
   // The component library: a change to any name, signature or spec
   // formula — at either level, whichever is configured — can change a
@@ -64,10 +63,6 @@ uint64_t morpheus::warmStateCompatKey(const ComponentLibrary &Lib,
 
 namespace {
 
-/// Keys per refutations.mstate record: bounds a record (and the reader's
-/// allocation) at ~512KB even for a scope holding the full 1M-key cap.
-constexpr size_t RefutationChunkKeys = 1 << 16;
-
 void encodeResult(ByteWriter &W, uint64_t Fp, const Solution &S) {
   W.putU64(Fp);
   W.putU32(uint32_t(S.Result));
@@ -94,8 +89,6 @@ void encodeResult(ByteWriter &W, uint64_t Fp, const Solution &S) {
   W.putU64(D.TemplateHits);
   W.putU64(D.SessionBuilds);
   W.putU64(D.SessionHits);
-  W.putU64(D.StoreHits);
-  W.putU64(D.StoreInserts);
   W.putU64(D.SolverPushes);
   W.putU64(D.SolverPops);
   W.putF64(D.SolverSeconds);
@@ -135,8 +128,7 @@ bool decodeResult(std::string_view Payload, const ComponentLibrary &Lib,
       !R.getU64(D.FastPathRejections) || !R.getU64(D.CacheHits) ||
       !R.getU64(D.SolverChecks) || !R.getU64(D.TemplateCompiles) ||
       !R.getU64(D.TemplateHits) || !R.getU64(D.SessionBuilds) ||
-      !R.getU64(D.SessionHits) || !R.getU64(D.StoreHits) ||
-      !R.getU64(D.StoreInserts) || !R.getU64(D.SolverPushes) ||
+      !R.getU64(D.SessionHits) || !R.getU64(D.SolverPushes) ||
       !R.getU64(D.SolverPops) || !R.getF64(D.SolverSeconds) ||
       !R.getF64(D.SignatureSeconds) || !R.getF64(D.SessionSeconds) ||
       !R.getF64(D.CheckSeconds))
@@ -182,132 +174,29 @@ void WarmState::loadResults(ResultCache &Cache, const ComponentLibrary &Lib) {
     ++Counters.TornTails;
 }
 
-void WarmState::loadRefutations(
-    const std::function<bool(uint64_t, std::vector<uint64_t> &&)> &Sink) {
-  RecordReader R;
-  RecordLogStatus St = R.open(refutationsPath(), CompatKey);
-  if (St != RecordLogStatus::Ok) {
-    if (St != RecordLogStatus::Missing) {
-      MutexLock Lock(M);
-      ++Counters.FilesRejected;
-    }
-    return;
-  }
-  uint64_t KeysLoaded = 0;
-  uint64_t LastFp = 0;
-  bool AnyScope = false;
-  uint64_t Scopes = 0;
-  std::string Payload;
-  bool Stopped = false;
-  while (!Stopped && R.next(Payload)) {
-    ByteReader B(Payload);
-    uint64_t Fp;
-    uint32_t Count;
-    if (!B.getU64(Fp) || !B.getU32(Count))
-      continue; // malformed payload: drop this record alone
-    std::vector<uint64_t> Keys;
-    Keys.reserve(Count);
-    bool Bad = false;
-    for (uint32_t I = 0; I != Count; ++I) {
-      uint64_t K;
-      if (!B.getU64(K)) {
-        Bad = true;
-        break;
-      }
-      Keys.push_back(K);
-    }
-    if (Bad || !B.atEnd())
-      continue;
-    if (!AnyScope || Fp != LastFp) {
-      ++Scopes;
-      AnyScope = true;
-      LastFp = Fp;
-    }
-    KeysLoaded += Keys.size();
-    if (!Sink(Fp, std::move(Keys)))
-      Stopped = true;
-  }
-  MutexLock Lock(M);
-  Counters.RefutationKeysLoaded += KeysLoaded;
-  Counters.RefutationScopesLoaded += Scopes;
-  if (R.tornTail())
-    ++Counters.TornTails;
-}
-
 bool WarmState::checkpoint(
-    const std::vector<std::pair<uint64_t, Solution>> &Results,
-    const std::vector<std::pair<uint64_t, std::vector<uint64_t>>> &Scopes) {
-  uint64_t Bytes = 0;
-  bool Ok = true;
-
-  // Results file first; either file failing abandons its tmp and keeps
-  // the previous published file (the two files are independently sound:
-  // each is keyed and checksummed on its own).
-  {
-    RecordWriter W;
-    std::string Tmp = resultsPath() + ".tmp";
-    if (W.open(Tmp, CompatKey)) {
-      for (const auto &Entry : Results) {
-        ByteWriter B;
-        encodeResult(B, Entry.first, Entry.second);
-        if (!W.append(B.bytes()))
-          break;
-      }
-      uint64_t Written = W.bytesWritten();
-      if (W.close() && publishFile(Tmp, resultsPath()))
-        Bytes += Written;
-      else
-        Ok = false;
-    } else {
-      Ok = false;
+    const std::vector<std::pair<uint64_t, Solution>> &Results) {
+  RecordWriter W;
+  std::string Tmp = resultsPath() + ".tmp";
+  bool Ok = W.open(Tmp, CompatKey);
+  uint64_t Written = 0;
+  if (Ok) {
+    for (const auto &Entry : Results) {
+      ByteWriter B;
+      encodeResult(B, Entry.first, Entry.second);
+      if (!W.append(B.bytes()))
+        break;
     }
-    if (!Ok)
-      std::remove(Tmp.c_str());
+    Written = W.bytesWritten();
+    Ok = W.close() && publishFile(Tmp, resultsPath());
   }
-
-  {
-    RecordWriter W;
-    std::string Tmp = refutationsPath() + ".tmp";
-    bool FileOk = W.open(Tmp, CompatKey);
-    if (FileOk) {
-      for (const auto &Scope : Scopes) {
-        for (size_t Off = 0; Off < Scope.second.size();
-             Off += RefutationChunkKeys) {
-          size_t N = std::min(RefutationChunkKeys, Scope.second.size() - Off);
-          ByteWriter B;
-          B.putU64(Scope.first);
-          B.putU32(uint32_t(N));
-          for (size_t I = 0; I != N; ++I)
-            B.putU64(Scope.second[Off + I]);
-          if (!W.append(B.bytes()))
-            break;
-        }
-        // An empty scope still records its fingerprint: a restart then
-        // re-creates the scope (cheap) instead of forgetting it existed.
-        if (Scope.second.empty()) {
-          ByteWriter B;
-          B.putU64(Scope.first);
-          B.putU32(0);
-          if (!W.append(B.bytes()))
-            break;
-        }
-      }
-      uint64_t Written = W.bytesWritten();
-      if (W.close() && publishFile(Tmp, refutationsPath()))
-        Bytes += Written;
-      else
-        FileOk = false;
-    }
-    if (!FileOk) {
-      std::remove(Tmp.c_str());
-      Ok = false;
-    }
-  }
+  if (!Ok)
+    std::remove(Tmp.c_str());
 
   MutexLock Lock(M);
   if (Ok) {
     ++Counters.Checkpoints;
-    Counters.LastCheckpointBytes = Bytes;
+    Counters.LastCheckpointBytes = Written;
   } else {
     ++Counters.CheckpointErrors;
   }

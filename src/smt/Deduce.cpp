@@ -54,7 +54,6 @@
 #include <z3++.h>
 
 using namespace morpheus;
-using hashing::hashString;
 using hashing::mix64;
 
 namespace {
@@ -274,7 +273,6 @@ struct DeductionEngine::Impl {
   const uint64_t CompilesAtLease = Compiler.compilations();
   const uint64_t HitsAtLease = Compiler.hits();
   std::shared_ptr<const ExampleContext> Ex;
-  std::shared_ptr<RefutationStore> Store;
   /// The search's table components, whose instances a base visit asserts
   /// at every position it visits.
   std::vector<const TableTransformer *> Library;
@@ -614,10 +612,6 @@ void DeductionEngine::setLibrary(
   P->Library = std::move(Components);
 }
 
-void DeductionEngine::setRefutationStore(std::shared_ptr<RefutationStore> S) {
-  P->Store = std::move(S);
-}
-
 const std::shared_ptr<const ExampleContext> &
 DeductionEngine::exampleContext() const {
   return P->Ex;
@@ -651,19 +645,6 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     return Finish(Cached->second);
   }
 
-  // The cross-engine store: the query hash folds the canonical sketch
-  // shape with the full signature (level + concrete abstractions), so an
-  // entry is exactly one ψ over this store's example.
-  uint64_t QueryHash = 0;
-  if (P->Store) {
-    QueryHash = mix64(H->shapeHash() ^ hashString(Key));
-    if (P->Store->isRefuted(QueryHash)) {
-      ++Stats.StoreHits;
-      P->VerdictCache.emplace(std::move(Key), false);
-      return Finish(false);
-    }
-  }
-
   P->Components.clear();
   P->InputLeaves.clear();
   P->Holes.clear();
@@ -694,10 +675,6 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
       ++Stats.SolverPops;
     }
     Stats.CheckSeconds += secondsSince(CheckStart);
-  }
-  if (!Result && P->Store) {
-    P->Store->recordRefuted(QueryHash);
-    ++Stats.StoreInserts;
   }
   P->VerdictCache.emplace(std::move(Key), Result);
   Stats.TemplateCompiles = P->Compiler.compilations() - P->CompilesAtLease;

@@ -22,7 +22,7 @@
 /// partially filled sketch of Example 12 without filling the remaining
 /// holes.
 ///
-/// The engine is a thin layer over the three-tier deduction substrate:
+/// The engine is a thin layer over the two-tier deduction substrate:
 ///  - tier 1, compiled spec templates (smt/SpecCompiler.h): each
 ///    component's SpecFormula is encoded to Z3 once per core and
 ///    instantiated by substitution. A core — the Z3 context, the
@@ -39,11 +39,10 @@
 ///    bindings behind literals of their own), and deduce(H) asserts only
 ///    partial evaluation's concrete abstractions, then checks under H's
 ///    literals (Eén & Sörensson's incremental interface). A literal not
-///    assumed is free, so each query is exactly Algorithm 2's ψ for H;
-///  - tier 3, the example-scoped RefutationStore (smt/RefutationStore.h):
-///    when the owner of the example's scope (the SynthService) hands the
-///    engine a store, ⊥ verdicts are consulted before and published after
-///    every solver call, so later solves of that example reuse them.
+///    assumed is free, so each query is exactly Algorithm 2's ψ for H.
+///
+/// Above both tiers, the engine's verdict cache answers a repeated query
+/// within one solve without a solver call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +50,6 @@
 #define MORPHEUS_SMT_DEDUCE_H
 
 #include "lang/Hypothesis.h"
-#include "smt/RefutationStore.h"
 #include "spec/Abstraction.h"
 
 #include <cstdint>
@@ -79,8 +77,9 @@ struct DeduceStats {
   /// Solver calls that found their instances in the core and the example
   /// scope open.
   uint64_t SessionHits = 0;
-  uint64_t StoreHits = 0;        ///< refutations served by the shared store
-  uint64_t StoreInserts = 0;     ///< refutations published to the store
+  /// Always 0: kept only because perfbench reads it as `smt.store_hits`;
+  /// ROADMAP item 1's [benchmark] PR drops the metric and this field.
+  uint64_t StoreHits = 0;
   uint64_t SolverPushes = 0;     ///< Z3 push() calls (example + query scopes)
   uint64_t SolverPops = 0;       ///< Z3 pop() calls
   /// All of deduce(), every phase below included (perfbench reads it as
@@ -107,7 +106,6 @@ struct DeduceStats {
     SessionBuilds += O.SessionBuilds;
     SessionHits += O.SessionHits;
     StoreHits += O.StoreHits;
-    StoreInserts += O.StoreInserts;
     SolverPushes += O.SolverPushes;
     SolverPops += O.SolverPops;
     SolverSeconds += O.SolverSeconds;
@@ -120,8 +118,8 @@ struct DeduceStats {
 
 /// SMT-based deduction engine. Not thread-safe; use one engine per search
 /// thread. The Z3 core it leases is its alone until it is destroyed, after
-/// which any thread's next engine may lease it. The ExampleContext and the
-/// RefutationStore it is wired to ARE shared across engines.
+/// which any thread's next engine may lease it. The ExampleContext it is
+/// built on IS shared across engines.
 class DeductionEngine {
 public:
   /// Preferred constructor: \p Ex carries the example and its precomputed
@@ -159,12 +157,6 @@ public:
 
   /// Drops the evaluation cache (called between sketches to bound memory).
   void clearEvalCache();
-
-  /// Wires this engine to a shared refutation store: ⊥ verdicts of other
-  /// engines over the SAME example short-circuit deduce here, and this
-  /// engine's ⊥ verdicts are published back. The caller is responsible
-  /// for scoping: a store must never be shared across different examples.
-  void setRefutationStore(std::shared_ptr<RefutationStore> S);
 
   const std::shared_ptr<const ExampleContext> &exampleContext() const;
 

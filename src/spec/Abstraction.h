@@ -46,9 +46,10 @@ AttrValues abstractTable(const Table &T, const ExampleBase &Base);
 
 /// 64-bit content fingerprint of one example E = (Inputs, Output): an
 /// order-sensitive fold of the tables' fingerprints (input position is
-/// observable through program variables). This is the scope key of the
-/// cross-engine RefutationStore — everything a DEDUCE verdict depends on
-/// beyond the query itself is a function of the example, nothing else.
+/// observable through program variables). Everything a DEDUCE verdict
+/// depends on beyond the query itself is a function of the example, so
+/// this names the scope of any fact deduction derives (the service tags
+/// its bus events with it).
 uint64_t exampleFingerprint(const std::vector<Table> &Inputs,
                             const Table &Output);
 

@@ -47,10 +47,9 @@ PortfolioSynthesizer::synthesize(const std::vector<Table> &Inputs,
   auto Start = std::chrono::steady_clock::now();
 
   // One example context for every member: α(Ti)/α(Tout) and the base sets
-  // are computed once here instead of once per size class. No refutation
-  // store is made here: member K deduces only size-K sketches, so a
-  // sibling's refutation never answers its queries. A caller's store
-  // (Cfg.Refutations) reaches every member through its variant config.
+  // are computed once here instead of once per size class. Refutations
+  // are not shared: member K deduces only size-K sketches, so a sibling's
+  // refutation never answers its queries.
   std::shared_ptr<const ExampleContext> Ex =
       ExampleContext::make(Inputs, Output);
 

@@ -129,8 +129,6 @@ public:
     if (Cfg.Deadline && *Cfg.Deadline < Deadline)
       Deadline = *Cfg.Deadline;
     Engine.setLibrary(Lib.TableTransformers);
-    if (Cfg.UseDeduction && Cfg.Refutations)
-      Engine.setRefutationStore(Cfg.Refutations);
     // Raw pointer on the hot path; Cfg (alive for the whole run) keeps
     // the shared ownership.
     Bus = Cfg.Bus.get();

@@ -77,12 +77,6 @@ struct SynthesisConfig {
   /// requested. The default-constructed token is inert (never cancels); the
   /// token shares ownership of its flag, so there is no lifetime to manage.
   CancellationToken Cancel;
-  /// Refutation store handed in by the owner of this example's scope (the
-  /// SynthService, which keeps one per example and restores it from warm
-  /// state). Null — the default — means no store: the engine's own verdict
-  /// cache covers repeats within one solve. Portfolio members inherit it.
-  /// Must be scoped to the example being solved (see RefutationStore).
-  std::shared_ptr<RefutationStore> Refutations;
   /// Optional synthesis event bus (bus/EventBus.h). When set, the search
   /// publishes typed events (sketch generated / refuted, one hole-fill
   /// batch per completed sketch, a per-run stats snapshot) for

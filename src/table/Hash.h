@@ -9,9 +9,8 @@
 /// shares: table fingerprints (table/), example fingerprints and sketch
 /// shape hashes (spec/, lang/), deduction query keys (smt/), and the
 /// service problem fingerprint (service/). These keys feed each other —
-/// shape hashes fold into refutation-store keys, example fingerprints
-/// scope those stores — so all layers must mix identically; edit here,
-/// nowhere else.
+/// table fingerprints fold into example and problem fingerprints — so all
+/// layers must mix identically; edit here, nowhere else.
 ///
 //===----------------------------------------------------------------------===//
 

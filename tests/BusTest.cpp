@@ -419,8 +419,6 @@ TEST(SearchEvents, SnapshotsAndSketchSpansMatchTheSolve) {
     EXPECT_EQ(Ev.Deduce.TemplateHits, In.Deduce.TemplateHits) << T.Id;
     EXPECT_EQ(Ev.Deduce.SessionBuilds, In.Deduce.SessionBuilds) << T.Id;
     EXPECT_EQ(Ev.Deduce.SessionHits, In.Deduce.SessionHits) << T.Id;
-    EXPECT_EQ(Ev.Deduce.StoreHits, In.Deduce.StoreHits) << T.Id;
-    EXPECT_EQ(Ev.Deduce.StoreInserts, In.Deduce.StoreInserts) << T.Id;
     EXPECT_EQ(Ev.Deduce.SolverPushes, In.Deduce.SolverPushes) << T.Id;
     EXPECT_EQ(Ev.Deduce.SolverPops, In.Deduce.SolverPops) << T.Id;
     EXPECT_DOUBLE_EQ(Ev.Deduce.SolverSeconds, In.Deduce.SolverSeconds)

@@ -10,8 +10,8 @@
 /// never partially, a torn tail at ANY byte offset yields a clean prefix
 /// of intact records, and a crash injected mid-checkpoint (write fault
 /// after N bytes) leaves the previously published state untouched. The
-/// WarmState round-trip is checked end-to-end through ResultCache and
-/// RefutationStore snapshots. Runs in CI under ASan (label: unit).
+/// WarmState round-trip is checked end-to-end through ResultCache
+/// snapshots. Runs in CI under ASan (label: unit).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,8 +20,8 @@
 #include "interp/Components.h"
 #include "service/ResultCache.h"
 #include "service/WarmState.h"
-#include "smt/RefutationStore.h"
 #include "suite/Runner.h"
+#include "table/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -47,8 +47,7 @@ protected:
     Dir = "persistence_test.state";
     ::mkdir(Dir.c_str(), 0777);
     for (const char *F : {"/results.mstate", "/refutations.mstate",
-                          "/results.mstate.tmp", "/refutations.mstate.tmp",
-                          "/log.mstate"})
+                          "/results.mstate.tmp", "/log.mstate"})
       std::remove((Dir + F).c_str());
     setWriteFaultBudget(-1); // no injected faults unless a test asks
   }
@@ -319,31 +318,24 @@ TEST_F(PersistenceTest, WriteFaultMidCheckpointKeepsPreviousState) {
   S.Result = Outcome::Timeout;
   S.Seconds = 0.5;
   std::vector<std::pair<uint64_t, Solution>> Results = {{1, S}, {2, S}};
-  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> Scopes = {
-      {10, {100, 101, 102}}};
   WarmState W(Dir, Compat);
-  ASSERT_TRUE(W.checkpoint(Results, Scopes));
+  ASSERT_TRUE(W.checkpoint(Results));
   std::string GoodResults = slurp(W.resultsPath());
-  std::string GoodRefutations = slurp(W.refutationsPath());
 
   // Abort the next checkpoint at assorted crash points (mid-header,
-  // header boundary, mid-frame — all inside the results file, which is
-  // written first): the published files must still be the good
-  // generation, and no .tmp litter may survive.
+  // header boundary, mid-frame): the published file must still be the
+  // good generation, and no .tmp litter may survive.
   std::vector<std::pair<uint64_t, Solution>> MoreResults = {
       {1, S}, {2, S}, {3, S}};
   for (int64_t Budget : {int64_t(0), int64_t(1), int64_t(17), int64_t(31),
                          int64_t(32), int64_t(40), int64_t(100)}) {
     setWriteFaultBudget(Budget);
-    bool Ok = W.checkpoint(MoreResults, Scopes);
+    bool Ok = W.checkpoint(MoreResults);
     setWriteFaultBudget(-1);
     EXPECT_FALSE(Ok) << "budget " << Budget;
     EXPECT_EQ(slurp(W.resultsPath()), GoodResults) << "budget " << Budget;
-    EXPECT_EQ(slurp(W.refutationsPath()), GoodRefutations)
-        << "budget " << Budget;
     struct stat St;
     EXPECT_NE(::stat((W.resultsPath() + ".tmp").c_str(), &St), 0);
-    EXPECT_NE(::stat((W.refutationsPath() + ".tmp").c_str(), &St), 0);
 
     // And the surviving generation still parses back in full.
     ResultCache Cache(16);
@@ -352,7 +344,7 @@ TEST_F(PersistenceTest, WriteFaultMidCheckpointKeepsPreviousState) {
   }
 
   // With the fault cleared the next checkpoint goes through whole.
-  ASSERT_TRUE(W.checkpoint(MoreResults, Scopes));
+  ASSERT_TRUE(W.checkpoint(MoreResults));
   ResultCache Cache(16);
   WarmState W2(Dir, Compat);
   W2.loadResults(Cache, Lib);
@@ -363,7 +355,7 @@ TEST_F(PersistenceTest, WriteFaultMidCheckpointKeepsPreviousState) {
 // WarmState end-to-end round trip
 //===----------------------------------------------------------------------===//
 
-TEST_F(PersistenceTest, WarmStateRoundTripsCacheAndRefutations) {
+TEST_F(PersistenceTest, WarmStateRoundTripsTheCache) {
   ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
   SynthesisConfig Cfg = configSpec2(std::chrono::milliseconds(1000));
   uint64_t Compat = warmStateCompatKey(Lib, Cfg);
@@ -391,13 +383,11 @@ TEST_F(PersistenceTest, WarmStateRoundTripsCacheAndRefutations) {
   Cache.insert(111, Solved);
   Cache.insert(222, TimedOut);
 
-  RefutationStore Store;
-  Store.recordRefuted(5);
-  Store.recordRefuted(3);
-  Store.recordRefuted(9);
-
   WarmState W(Dir, Compat);
-  ASSERT_TRUE(W.checkpoint(Cache.snapshot(), {{42, Store.keys()}}));
+  ASSERT_TRUE(W.checkpoint(Cache.snapshot()));
+  // The result cache is the only persisted state.
+  struct stat St;
+  EXPECT_NE(::stat(path("refutations.mstate").c_str(), &St), 0);
 
   // Reload into fresh stores.
   ResultCache Cache2(8);
@@ -423,27 +413,61 @@ TEST_F(PersistenceTest, WarmStateRoundTripsCacheAndRefutations) {
   EXPECT_FALSE(Back->Program);
   EXPECT_TRUE(Back->Stats.TimedOut);
 
-  RefutationStore Store2;
-  size_t ScopesSeen = 0;
-  W2.loadRefutations([&](uint64_t Fp, std::vector<uint64_t> &&Keys) {
-    EXPECT_EQ(Fp, 42u);
-    ++ScopesSeen;
-    Store2.restoreKeys(Keys);
-    return true;
-  });
-  EXPECT_EQ(ScopesSeen, 1u);
-  EXPECT_EQ(Store2.keys(), (std::vector<uint64_t>{3, 5, 9}));
-  EXPECT_TRUE(Store2.isRefuted(5));
-  EXPECT_FALSE(Store2.isRefuted(6));
-  EXPECT_EQ(Store2.stats().Restored, 3u);
-  EXPECT_EQ(Store2.stats().Inserts, 0u);
-
   // A different compat key (changed library/spec/knobs) loads EMPTY.
   ResultCache Cache3(8);
   WarmState W3(Dir, Compat ^ 1);
   W3.loadResults(Cache3, Lib);
   EXPECT_EQ(Cache3.stats().WarmLoaded, 0u);
   EXPECT_EQ(W3.stats().FilesRejected, 1u);
+}
+
+/// warmStateCompatKey as it was computed under the "WarmSt03" seed, whose
+/// result records also carried the refutation-store counters.
+uint64_t warmSt03CompatKey(const ComponentLibrary &Lib,
+                           const SynthesisConfig &Cfg) {
+  using hashing::fold;
+  using hashing::hashString;
+  uint64_t H = 0x5761726d53743033ULL; // "WarmSt03"
+  H = fold(H, Lib.TableTransformers.size());
+  for (const TableTransformer *T : Lib.TableTransformers) {
+    H = fold(H, hashString(T->name()));
+    H = fold(H, T->numTableArgs());
+    for (ParamKind K : T->valueParams())
+      H = fold(H, uint64_t(K) + 1);
+    H = fold(H, hashString(T->spec(SpecLevel::Spec1).toString()));
+    H = fold(H, hashString(T->spec(SpecLevel::Spec2).toString()));
+  }
+  H = fold(H, Lib.ValueTransformers.size());
+  for (const ValueTransformer *V : Lib.ValueTransformers) {
+    H = fold(H, hashString(V->name()));
+    H = fold(H, V->arity());
+    H = fold(H, V->isAggregate());
+  }
+  H = fold(H, uint64_t(Cfg.Level));
+  H = fold(H, Cfg.UseDeduction ? 1 : 2);
+  H = fold(H, Cfg.UsePartialEval ? 1 : 2);
+  return H;
+}
+
+TEST_F(PersistenceTest, StateDirOfTheStoreFormatLoadsEmpty) {
+  ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
+  SynthesisConfig Cfg = configSpec2(std::chrono::milliseconds(1000));
+  uint64_t Old = warmSt03CompatKey(Lib, Cfg);
+  ASSERT_NE(Old, warmStateCompatKey(Lib, Cfg));
+
+  // A results file written under the old seed, with a well-formed record,
+  // is rejected whole: nothing loads, not even a record that would decode.
+  Solution S;
+  S.Result = Outcome::Timeout;
+  WarmState Writer(Dir, Old);
+  ASSERT_TRUE(Writer.checkpoint({{1, S}, {2, S}}));
+
+  ResultCache Cache(8);
+  WarmState W(Dir, warmStateCompatKey(Lib, Cfg));
+  W.loadResults(Cache, Lib);
+  EXPECT_EQ(Cache.stats().WarmLoaded, 0u);
+  EXPECT_EQ(W.stats().ResultsLoaded, 0u);
+  EXPECT_EQ(W.stats().FilesRejected, 1u);
 }
 
 TEST_F(PersistenceTest, RestoreNeverDisplacesLiveEntries) {
@@ -516,7 +540,7 @@ TEST_F(PersistenceTest, MalformedResultRecordsAreDroppedIndividually) {
   Solution S;
   S.Result = Outcome::Cancelled;
   WarmState W(Dir, Compat);
-  ASSERT_TRUE(W.checkpoint({{1, S}}, {}));
+  ASSERT_TRUE(W.checkpoint({{1, S}}));
   std::string One = slurp(W.resultsPath());
   std::string GoodRecord = One.substr(32); // frame of the single record
 

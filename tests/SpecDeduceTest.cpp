@@ -484,42 +484,6 @@ TEST(DeduceSubstrate, SpecIdSurvivesAddressReuse) {
   EXPECT_FALSE(Deduce({{outA(TableAttr::Row) > inA(0, TableAttr::Row)}}));
 }
 
-/// Cross-engine refutation sharing: a ⊥ verdict recorded by one engine
-/// short-circuits a fresh engine over the same example — same verdict,
-/// zero additional solver checks for that query.
-TEST(DeduceSubstrate, StoreSharesRefutationsAcrossEngines) {
-  Table In = paperExample1Input();
-  Table Out = paperExample1Output();
-  const TableTransformer *Spread = StandardComponents::get().find("spread");
-  HypPtr H = Hypothesis::apply(
-      Spread, {Hypothesis::input(0), Hypothesis::valueHole(ParamKind::ColName),
-               Hypothesis::valueHole(ParamKind::ColName)});
-
-  std::shared_ptr<const ExampleContext> Ex =
-      ExampleContext::make({In}, Out);
-  std::shared_ptr<RefutationStore> Store =
-      std::make_shared<RefutationStore>();
-
-  DeductionEngine A(Ex);
-  A.setRefutationStore(Store);
-  EXPECT_FALSE(A.deduce(H, SpecLevel::Spec2, true));
-  EXPECT_EQ(A.stats().StoreInserts, 1u);
-  EXPECT_EQ(Store->size(), 1u);
-
-  DeductionEngine B(Ex);
-  B.setRefutationStore(Store);
-  EXPECT_FALSE(B.deduce(H, SpecLevel::Spec2, true));
-  EXPECT_EQ(B.stats().StoreHits, 1u);
-  EXPECT_EQ(B.stats().SolverChecks, 0u);
-
-  // SAT verdicts are NOT stored: a fresh engine re-derives them.
-  DeductionEngine C(Ex);
-  C.setRefutationStore(Store);
-  EXPECT_TRUE(C.deduce(H, SpecLevel::Spec1, true));
-  EXPECT_EQ(C.stats().StoreHits, 0u);
-  EXPECT_EQ(Store->size(), 1u);
-}
-
 /// The shared ExampleContext carries the same abstractions the engine
 /// used to compute privately (Appendix A pinning included).
 TEST(DeduceSubstrate, ExampleContextMatchesDirectAbstraction) {

@@ -122,10 +122,9 @@ int usage(const char *Msg = nullptr) {
       "                                   0 disables)\n"
       "  --record PATH                    write a replayable traffic log\n"
       "                                   (JSON-lines, one line per job)\n"
-      "  --state-dir DIR                  persist the result cache and\n"
-      "                                   refutation stores in DIR (created\n"
-      "                                   if missing) and restore them at\n"
-      "                                   startup\n"
+      "  --state-dir DIR                  persist the result cache in DIR\n"
+      "                                   (created if missing) and restore\n"
+      "                                   it at startup\n"
       "  --cluster H1:P1,H2:P2,...        forward jobs to worker nodes,\n"
       "                                   sharded by problem fingerprint;\n"
       "                                   unreachable shards fail back to\n"
@@ -425,7 +424,6 @@ void setDeduceStats(JsonValue &D, const DeduceStats &DS) {
   D.set("template_hits", JsonValue::number(double(DS.TemplateHits)));
   D.set("session_builds", JsonValue::number(double(DS.SessionBuilds)));
   D.set("session_hits", JsonValue::number(double(DS.SessionHits)));
-  D.set("store_hits", JsonValue::number(double(DS.StoreHits)));
   D.set("pushes", JsonValue::number(double(DS.SolverPushes)));
   D.set("pops", JsonValue::number(double(DS.SolverPops)));
   D.set("solver_seconds", JsonValue::number(DS.SolverSeconds));
@@ -497,8 +495,6 @@ JsonValue benchSnapshot(const std::string &SuiteName,
   // only the summary reports them.
   D.set("template_compiles",
         JsonValue::number(double(TotalDeduce.TemplateCompiles)));
-  D.set("store_inserts",
-        JsonValue::number(double(TotalDeduce.StoreInserts)));
   Summary.set("deduce", std::move(D));
   Out.set("summary", std::move(Summary));
   return Out;
@@ -590,9 +586,9 @@ int runBench(ArgReader &Args) {
   std::optional<ServiceStats> SvcStats;
   if (!StateDir.empty()) {
     // Durable-state arm: the whole suite runs through one SynthService so
-    // the ResultCache and refutation scopes live (and persist) across
-    // tasks. One worker + sequential submit/get keeps per-task numbers
-    // comparable with the plain runSuite loop.
+    // the ResultCache lives (and persists) across tasks. One worker +
+    // sequential submit/get keeps per-task numbers comparable with the
+    // plain runSuite loop.
     EngineOptions EOpts;
     EOpts.config(Cfg).strategy(Strat).stateDir(StateDir);
     if (Strat == Strategy::Portfolio)
@@ -646,12 +642,11 @@ int runBench(ArgReader &Args) {
               Agg.ElapsedSeconds, SumWall);
   const DeduceStats &D = Agg.Deduce;
   std::printf("deduce: %llu calls, %llu solver checks, %llu cache hits, "
-              "%llu store hits, %llu session hits, %llu template hits, "
-              "%llu/%llu pushes/pops\n",
+              "%llu session hits, %llu template hits, %llu/%llu "
+              "pushes/pops\n",
               (unsigned long long)D.Calls,
               (unsigned long long)D.SolverChecks,
               (unsigned long long)D.CacheHits,
-              (unsigned long long)D.StoreHits,
               (unsigned long long)D.SessionHits,
               (unsigned long long)D.TemplateHits,
               (unsigned long long)D.SolverPushes,
@@ -666,18 +661,14 @@ int runBench(ArgReader &Args) {
     // One greppable line for the CI warm-restart smoke: a second run over
     // the same --state-dir must show results-loaded > 0 and cache-hits > 0.
     std::printf("warm-state: results-loaded %llu, results-dropped %llu, "
-                "refutation-keys-loaded %llu, scopes-loaded %llu, "
                 "torn-tails %llu, files-rejected %llu, cache-hits %llu, "
-                "warm-loaded %llu, store-hits %llu, solver-checks %llu\n",
+                "warm-loaded %llu, solver-checks %llu\n",
                 (unsigned long long)SvcStats->Warm.ResultsLoaded,
                 (unsigned long long)SvcStats->Warm.ResultsDropped,
-                (unsigned long long)SvcStats->Warm.RefutationKeysLoaded,
-                (unsigned long long)SvcStats->Warm.RefutationScopesLoaded,
                 (unsigned long long)SvcStats->Warm.TornTails,
                 (unsigned long long)SvcStats->Warm.FilesRejected,
                 (unsigned long long)SvcStats->Cache.Hits,
                 (unsigned long long)SvcStats->Cache.WarmLoaded,
-                (unsigned long long)D.StoreHits,
                 (unsigned long long)D.SolverChecks);
   }
 
