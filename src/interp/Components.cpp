@@ -22,8 +22,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
-#include <set>
+#include <cstring>
 #include <unordered_map>
 
 using namespace morpheus;
@@ -37,25 +36,98 @@ std::optional<std::vector<std::string>> colsOf(const TermPtr &T) {
   return T->Cols;
 }
 
-/// Extracts a single column/new-column name.
-std::optional<std::string> nameOf(const TermPtr &T) {
-  if (!T)
-    return std::nullopt;
-  if (T->K == Term::Kind::NameLit || T->K == Term::Kind::ColRef)
-    return T->Name;
-  return std::nullopt;
+/// Extracts a single column/new-column name term (its Name and NameId);
+/// null otherwise.
+const Term *nameOf(const TermPtr &T) {
+  if (T && (T->K == Term::Kind::NameLit || T->K == Term::Kind::ColRef))
+    return T.get();
+  return nullptr;
 }
 
-/// Checks that every name in \p Cols is a distinct column of \p T.
-bool allDistinctColumns(const Table &T, const std::vector<std::string> &Cols) {
+/// The sorted name ids of \p Cols, if every name is a distinct column of
+/// \p T; nullopt otherwise.
+std::optional<std::vector<uint32_t>>
+distinctColumnIds(const Table &T, const std::vector<std::string> &Cols) {
   if (Cols.empty())
-    return false;
-  std::set<std::string> Seen;
+    return std::nullopt;
+  std::vector<uint32_t> Ids;
+  Ids.reserve(Cols.size());
   for (const std::string &C : Cols) {
-    if (!T.schema().contains(C) || !Seen.insert(C).second)
-      return false;
+    std::optional<size_t> I = T.schema().indexOf(C);
+    if (!I)
+      return std::nullopt;
+    Ids.push_back(T.schema()[*I].NameId);
   }
-  return true;
+  std::sort(Ids.begin(), Ids.end());
+  if (std::adjacent_find(Ids.begin(), Ids.end()) != Ids.end())
+    return std::nullopt;
+  return Ids;
+}
+
+/// The interned text A.toString() + "_" + B.toString(). Unite's cells
+/// repeat heavily across candidates, so a fixed-size per-thread memo maps
+/// each cell pair to its id and only a miss builds the text and interns it.
+/// A cell is keyed by its string id or its number's bits (not by a number's
+/// canonical token, which would intern a printed number the text below
+/// never needs). Direct-mapped and overwritten on collision, so a
+/// long-lived worker's memo stays 48 KiB.
+uint32_t unitedId(const Value &A, const Value &B) {
+  auto KeyOf = [](const Value &V) {
+    if (V.isStr())
+      return uint64_t(V.strId());
+    double D = V.num();
+    uint64_t Bits;
+    std::memcpy(&Bits, &D, sizeof(Bits));
+    return Bits;
+  };
+  struct Entry {
+    uint64_t A, B;
+    uint32_t Id;   // id + 1; 0 marks an empty slot
+    uint32_t Tags; // bit 0: A is a string, bit 1: B is a string
+  };
+  constexpr unsigned LogSlots = 11; // 2048 x 24 B
+  static thread_local Entry Memo[size_t(1) << LogSlots] = {};
+  uint64_t KA = KeyOf(A), KB = KeyOf(B);
+  uint32_t Tags = uint32_t(A.isStr()) | uint32_t(B.isStr()) << 1;
+  uint64_t H = (KA ^ (KB * 0x9e3779b97f4a7c15ULL) ^ Tags) *
+               0xbf58476d1ce4e5b9ULL;
+  Entry &E = Memo[H >> (64 - LogSlots)];
+  if (E.Id && E.A == KA && E.B == KB && E.Tags == Tags)
+    return E.Id - 1;
+  uint32_t Id = Value::str(A.toString() + "_" + B.toString()).strId();
+  E = {KA, KB, Id + 1, Tags};
+  return Id;
+}
+
+/// The ids of string \p Id's two pieces, split at its first
+/// non-alphanumeric character (tidyr's default separator behaviour), or
+/// nullopt unless it splits into exactly two non-empty pieces. Memoized
+/// per thread by the cell's id like unitedId, so only a miss interns the
+/// pieces; 2048 slots x 16 B.
+std::optional<std::pair<uint32_t, uint32_t>> separatedIds(uint32_t Id) {
+  struct Entry {
+    uint32_t Key; // id + 1; 0 marks an empty slot
+    uint32_t First, Second;
+    bool Splits;
+  };
+  constexpr unsigned LogSlots = 11;
+  static thread_local Entry Memo[size_t(1) << LogSlots] = {};
+  Entry &E = Memo[(Id * 0x9e3779b9u) >> (32 - LogSlots)];
+  if (E.Key != Id + 1) {
+    E = {Id + 1, 0, 0, false};
+    std::string_view S = StringInterner::global().text(Id);
+    for (size_t I = 0; I != S.size(); ++I) {
+      if (!std::isalnum(static_cast<unsigned char>(S[I])) && S[I] != '.') {
+        if (I != 0 && I + 1 != S.size())
+          E = {Id + 1, Value::str(S.substr(0, I)).strId(),
+               Value::str(S.substr(I + 1)).strId(), true};
+        break;
+      }
+    }
+  }
+  if (!E.Splits)
+    return std::nullopt;
+  return std::make_pair(E.First, E.Second);
 }
 
 /// Grouping-aware per-row evaluation helper: maps each row index to the row
@@ -110,20 +182,21 @@ private:
 // tidyr verbs
 //===----------------------------------------------------------------------===//
 
-std::optional<Table> applyGather(const Table &T, const std::string &KeyName,
-                                 const std::string &ValName,
+std::optional<Table> applyGather(const Table &T, const Term &KeyName,
+                                 const Term &ValName,
                                  const std::vector<std::string> &GatherCols) {
-  if (!allDistinctColumns(T, GatherCols) || GatherCols.size() < 2 ||
-      GatherCols.size() > T.numCols())
+  std::optional<std::vector<uint32_t>> Gathered =
+      distinctColumnIds(T, GatherCols);
+  if (!Gathered || GatherCols.size() < 2 || GatherCols.size() > T.numCols())
     return std::nullopt;
-  if (T.schema().contains(KeyName) || T.schema().contains(ValName) ||
-      KeyName == ValName)
+  if (T.schema().contains(KeyName.Name) || T.schema().contains(ValName.Name) ||
+      KeyName.NameId == ValName.NameId)
     return std::nullopt;
 
-  std::set<std::string> Gathered(GatherCols.begin(), GatherCols.end());
   std::vector<size_t> KeepIdx, GatherIdx;
   for (size_t I = 0; I != T.numCols(); ++I) {
-    if (Gathered.count(T.schema()[I].Name))
+    if (std::binary_search(Gathered->begin(), Gathered->end(),
+                           T.schema()[I].NameId))
       GatherIdx.push_back(I);
     else
       KeepIdx.push_back(I);
@@ -142,8 +215,8 @@ std::optional<Table> applyGather(const Table &T, const std::string &KeyName,
   std::vector<Column> Cols;
   for (size_t I : KeepIdx)
     Cols.push_back(T.schema()[I]);
-  Cols.push_back({KeyName, CellType::Str});
-  Cols.push_back({ValName, ValType});
+  Cols.push_back({KeyName.Name, CellType::Str, KeyName.NameId});
+  Cols.push_back({ValName.Name, ValType, ValName.NameId});
 
   size_t G = GatherIdx.size(), NOut = T.numRows() * G;
   std::vector<ColumnPtr> Out;
@@ -158,24 +231,25 @@ std::optional<Table> applyGather(const Table &T, const std::string &KeyName,
         Cells.push_back(Src[R]);
     Out.push_back(ownCol(std::move(Cells)));
   }
-  // Key column: the gathered column names cycle; intern each name once.
+  // Key column: the gathered column names cycle, as cells of their ids.
   std::vector<Value> KeyVals;
   KeyVals.reserve(G);
   for (size_t I : GatherIdx)
-    KeyVals.push_back(Value::str(T.schema()[I].Name));
+    KeyVals.push_back(Value::strOfId(T.schema()[I].NameId));
   ColumnData KeyCells;
   KeyCells.reserve(NOut);
   for (size_t R = 0; R != T.numRows(); ++R)
     for (size_t K = 0; K != G; ++K)
       KeyCells.push_back(KeyVals[K]);
   Out.push_back(ownCol(std::move(KeyCells)));
-  // Value column: the gathered cells interleave.
+  // Value column: the gathered cells interleave. Mixed columns coerce to
+  // string: a cell's canonical token is the id of its printed form.
   ColumnData ValCells;
   ValCells.reserve(NOut);
   for (size_t R = 0; R != T.numRows(); ++R)
     for (size_t I : GatherIdx) {
       const Value &V = T.at(R, I);
-      ValCells.push_back(Mixed ? Value::str(V.toString()) : V);
+      ValCells.push_back(Mixed ? Value::strOfId(V.canonicalToken()) : V);
     }
   Out.push_back(ownCol(std::move(ValCells)));
   return Table(Schema(std::move(Cols)), std::move(Out), NOut);
@@ -193,30 +267,34 @@ std::optional<Table> applySpread(const Table &T, const std::string &Key,
     if (I != *KeyIdx && I != *ValIdx)
       IdIdx.push_back(I);
 
-  // Distinct key values become columns, in sorted order (tidyr sorts). The
-  // canonical token's text is exactly the cell's printed form.
+  // Distinct key values become columns, in sorted text order (tidyr
+  // sorts). The canonical token's text is exactly the cell's printed form,
+  // and the token doubles as the new column's name id.
   StringInterner &Pool = StringInterner::global();
-  std::set<std::string> KeyNames;
   std::vector<uint32_t> KeyTokens;
   KeyTokens.reserve(T.numRows());
-  for (const Value &V : T.col(*KeyIdx)) {
-    uint32_t Tok = V.canonicalToken();
-    KeyTokens.push_back(Tok);
-    KeyNames.insert(Pool.text(Tok));
-  }
+  for (const Value &V : T.col(*KeyIdx))
+    KeyTokens.push_back(V.canonicalToken());
+  std::vector<uint32_t> KeyNames(KeyTokens);
+  std::sort(KeyNames.begin(), KeyNames.end());
+  KeyNames.erase(std::unique(KeyNames.begin(), KeyNames.end()),
+                 KeyNames.end());
+  std::sort(KeyNames.begin(), KeyNames.end(), [&](uint32_t A, uint32_t B) {
+    return Pool.text(A) < Pool.text(B);
+  });
   // New columns must not collide with surviving columns.
-  for (const std::string &K : KeyNames)
+  for (uint32_t K : KeyNames)
     for (size_t I : IdIdx)
-      if (T.schema()[I].Name == K)
+      if (T.schema()[I].NameId == K)
         return std::nullopt;
 
   std::vector<Column> Cols;
   for (size_t I : IdIdx)
     Cols.push_back(T.schema()[I]);
   std::unordered_map<uint32_t, size_t> KeyToCol;
-  for (const std::string &K : KeyNames) {
-    KeyToCol[Pool.intern(K)] = Cols.size();
-    Cols.push_back({K, T.schema()[*ValIdx].Type});
+  for (uint32_t K : KeyNames) {
+    KeyToCol[K] = Cols.size();
+    Cols.push_back({Pool.text(K), T.schema()[*ValIdx].Type, K});
   }
 
   // Group rows by the id columns, in first-appearance order.
@@ -251,40 +329,25 @@ std::optional<Table> applySpread(const Table &T, const std::string &Key,
 }
 
 std::optional<Table> applySeparate(const Table &T, const std::string &Col,
-                                   const std::string &Into1,
-                                   const std::string &Into2) {
+                                   const Term &Into1, const Term &Into2) {
   std::optional<size_t> Idx = T.schema().indexOf(Col);
   if (!Idx || T.schema()[*Idx].Type != CellType::Str)
     return std::nullopt;
-  if (Into1 == Into2)
+  if (Into1.NameId == Into2.NameId)
     return std::nullopt;
   for (size_t I = 0; I != T.numCols(); ++I) {
     if (I == *Idx)
       continue;
-    if (T.schema()[I].Name == Into1 || T.schema()[I].Name == Into2)
+    if (T.schema()[I].NameId == Into1.NameId ||
+        T.schema()[I].NameId == Into2.NameId)
       return std::nullopt;
   }
-
-  // Split each cell at its first non-alphanumeric character (tidyr default
-  // separator behaviour); every cell must split into exactly two pieces.
-  auto Split = [](const std::string &S)
-      -> std::optional<std::pair<std::string_view, std::string_view>> {
-    for (size_t I = 0; I != S.size(); ++I) {
-      if (!std::isalnum(static_cast<unsigned char>(S[I])) && S[I] != '.') {
-        if (I == 0 || I + 1 == S.size())
-          return std::nullopt;
-        std::string_view View(S);
-        return std::make_pair(View.substr(0, I), View.substr(I + 1));
-      }
-    }
-    return std::nullopt;
-  };
 
   std::vector<Column> Cols;
   for (size_t I = 0; I != T.numCols(); ++I) {
     if (I == *Idx) {
-      Cols.push_back({Into1, CellType::Str});
-      Cols.push_back({Into2, CellType::Str});
+      Cols.push_back({Into1.Name, CellType::Str, Into1.NameId});
+      Cols.push_back({Into2.Name, CellType::Str, Into2.NameId});
     } else {
       Cols.push_back(T.schema()[I]);
     }
@@ -293,11 +356,12 @@ std::optional<Table> applySeparate(const Table &T, const std::string &Col,
   First.reserve(T.numRows());
   Second.reserve(T.numRows());
   for (const Value &V : T.col(*Idx)) {
-    auto Pieces = Split(V.strVal());
+    std::optional<std::pair<uint32_t, uint32_t>> Pieces =
+        separatedIds(V.strId());
     if (!Pieces)
       return std::nullopt;
-    First.push_back(Value::str(Pieces->first));
-    Second.push_back(Value::str(Pieces->second));
+    First.push_back(Value::strOfId(Pieces->first));
+    Second.push_back(Value::strOfId(Pieces->second));
   }
   std::vector<ColumnPtr> Out;
   Out.reserve(Cols.size());
@@ -312,14 +376,14 @@ std::optional<Table> applySeparate(const Table &T, const std::string &Col,
   return Table(Schema(std::move(Cols)), std::move(Out), T.numRows());
 }
 
-std::optional<Table> applyUnite(const Table &T, const std::string &NewName,
+std::optional<Table> applyUnite(const Table &T, const Term &NewName,
                                 const std::string &C1, const std::string &C2) {
   std::optional<size_t> I1 = T.schema().indexOf(C1);
   std::optional<size_t> I2 = T.schema().indexOf(C2);
   if (!I1 || !I2 || *I1 == *I2)
     return std::nullopt;
   for (size_t I = 0; I != T.numCols(); ++I)
-    if (I != *I1 && I != *I2 && T.schema()[I].Name == NewName)
+    if (I != *I1 && I != *I2 && T.schema()[I].NameId == NewName.NameId)
       return std::nullopt;
 
   std::vector<Column> Cols;
@@ -329,10 +393,10 @@ std::optional<Table> applyUnite(const Table &T, const std::string &NewName,
   const ColumnData &A = T.col(*I1);
   const ColumnData &B = T.col(*I2);
   for (size_t R = 0; R != T.numRows(); ++R)
-    United.push_back(Value::str(A[R].toString() + "_" + B[R].toString()));
+    United.push_back(Value::strOfId(unitedId(A[R], B[R])));
   for (size_t I = 0; I != T.numCols(); ++I) {
     if (I == *I1) {
-      Cols.push_back({NewName, CellType::Str});
+      Cols.push_back({NewName.Name, CellType::Str, NewName.NameId});
       Out.push_back(ownCol(std::move(United)));
     } else if (I != *I2) {
       Cols.push_back(T.schema()[I]);
@@ -348,7 +412,7 @@ std::optional<Table> applyUnite(const Table &T, const std::string &NewName,
 
 std::optional<Table> applySelect(const Table &T,
                                  const std::vector<std::string> &Cols) {
-  if (!allDistinctColumns(T, Cols))
+  if (!distinctColumnIds(T, Cols))
     return std::nullopt;
   // Keeping every column is never useful in an example-driven search and
   // Table 2 relies on it: the spec's col(y) < col(x) is sound only if the
@@ -505,7 +569,7 @@ std::optional<Table> applyFilter(const Table &T, const TermPtr &Pred) {
 
 std::optional<Table> applyGroupBy(const Table &T,
                                   const std::vector<std::string> &Cols) {
-  if (!allDistinctColumns(T, Cols) || Cols.size() >= T.numCols())
+  if (!distinctColumnIds(T, Cols) || Cols.size() >= T.numCols())
     return std::nullopt;
   if (T.isGrouped())
     return std::nullopt; // regrouping a grouped frame is never needed
@@ -514,7 +578,7 @@ std::optional<Table> applyGroupBy(const Table &T,
   return Result;
 }
 
-std::optional<Table> applySummarise(const Table &T, const std::string &NewName,
+std::optional<Table> applySummarise(const Table &T, const Term &NewName,
                                     const TermPtr &Agg) {
   if (!Agg || Agg->K != Term::Kind::App || !Agg->Fn->isAggregate())
     return std::nullopt;
@@ -526,13 +590,13 @@ std::optional<Table> applySummarise(const Table &T, const std::string &NewName,
     KeyIdx.push_back(*I);
   }
   for (size_t I : KeyIdx)
-    if (T.schema()[I].Name == NewName)
+    if (T.schema()[I].NameId == NewName.NameId)
       return std::nullopt;
 
   std::vector<Column> Cols;
   for (size_t I : KeyIdx)
     Cols.push_back(T.schema()[I]);
-  Cols.push_back({NewName, CellType::Num});
+  Cols.push_back({NewName.Name, CellType::Num, NewName.NameId});
 
   std::vector<size_t> GroupFirst;
   ColumnData AggCells;
@@ -561,9 +625,9 @@ std::optional<Table> applySummarise(const Table &T, const std::string &NewName,
   return Result;
 }
 
-std::optional<Table> applyMutate(const Table &T, const std::string &NewName,
+std::optional<Table> applyMutate(const Table &T, const Term &NewName,
                                  const TermPtr &Expr) {
-  if (!Expr || T.schema().contains(NewName) || T.numRows() == 0)
+  if (!Expr || T.schema().contains(NewName.Name) || T.numRows() == 0)
     return std::nullopt;
   auto Groups = T.groupedRowIndices();
   auto GroupMap = rowToGroup(T, Groups);
@@ -578,7 +642,7 @@ std::optional<Table> applyMutate(const Table &T, const std::string &NewName,
   }
   // Existing columns alias; only the new column is fresh storage.
   Schema NewSchema = T.schema();
-  NewSchema.append({NewName, CellType::Num});
+  NewSchema.append({NewName.Name, CellType::Num, NewName.NameId});
   std::vector<ColumnPtr> Out;
   Out.reserve(T.numCols() + 1);
   for (size_t C = 0; C != T.numCols(); ++C)
@@ -645,7 +709,7 @@ std::optional<Table> applyInnerJoin(const Table &A, const Table &B) {
 
 std::optional<Table> applyArrange(const Table &T,
                                   const std::vector<std::string> &Cols) {
-  if (!allDistinctColumns(T, Cols))
+  if (!distinctColumnIds(T, Cols))
     return std::nullopt;
   std::vector<size_t> Idx;
   for (const std::string &C : Cols)
@@ -703,7 +767,7 @@ StandardComponents::StandardComponents() {
   Add("gather", 1, {ParamKind::NewName, ParamKind::NewName, ParamKind::Cols},
       [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
           -> std::optional<Table> {
-        auto Key = nameOf(A[0]), Val = nameOf(A[1]);
+        const Term *Key = nameOf(A[0]), *Val = nameOf(A[1]);
         auto Cols = colsOf(A[2]);
         if (!Key || !Val || !Cols)
           return std::nullopt;
@@ -713,29 +777,29 @@ StandardComponents::StandardComponents() {
   Add("spread", 1, {ParamKind::ColName, ParamKind::ColName},
       [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
           -> std::optional<Table> {
-        auto Key = nameOf(A[0]), Val = nameOf(A[1]);
+        const Term *Key = nameOf(A[0]), *Val = nameOf(A[1]);
         if (!Key || !Val)
           return std::nullopt;
-        return applySpread(T[0], *Key, *Val);
+        return applySpread(T[0], Key->Name, Val->Name);
       });
 
   Add("separate", 1,
       {ParamKind::ColName, ParamKind::NewName, ParamKind::NewName},
       [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
           -> std::optional<Table> {
-        auto Col = nameOf(A[0]), I1 = nameOf(A[1]), I2 = nameOf(A[2]);
+        const Term *Col = nameOf(A[0]), *I1 = nameOf(A[1]), *I2 = nameOf(A[2]);
         if (!Col || !I1 || !I2)
           return std::nullopt;
-        return applySeparate(T[0], *Col, *I1, *I2);
+        return applySeparate(T[0], Col->Name, *I1, *I2);
       });
 
   Add("unite", 1, {ParamKind::NewName, ParamKind::ColName, ParamKind::ColName},
       [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
           -> std::optional<Table> {
-        auto NN = nameOf(A[0]), C1 = nameOf(A[1]), C2 = nameOf(A[2]);
+        const Term *NN = nameOf(A[0]), *C1 = nameOf(A[1]), *C2 = nameOf(A[2]);
         if (!NN || !C1 || !C2)
           return std::nullopt;
-        return applyUnite(T[0], *NN, *C1, *C2);
+        return applyUnite(T[0], *NN, C1->Name, C2->Name);
       });
 
   Add("select", 1, {ParamKind::ColsOrdered},
@@ -755,7 +819,7 @@ StandardComponents::StandardComponents() {
   Add("summarise", 1, {ParamKind::NewName, ParamKind::Agg},
       [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
           -> std::optional<Table> {
-        auto NN = nameOf(A[0]);
+        const Term *NN = nameOf(A[0]);
         if (!NN)
           return std::nullopt;
         return applySummarise(T[0], *NN, A[1]);
@@ -773,7 +837,7 @@ StandardComponents::StandardComponents() {
   Add("mutate", 1, {ParamKind::NewName, ParamKind::NumExpr},
       [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
           -> std::optional<Table> {
-        auto NN = nameOf(A[0]);
+        const Term *NN = nameOf(A[0]);
         if (!NN)
           return std::nullopt;
         return applyMutate(T[0], *NN, A[1]);

@@ -38,9 +38,15 @@ TermPtr Term::constant(Value V) {
 }
 
 TermPtr Term::colRef(std::string Col) {
+  uint32_t Id = StringInterner::global().intern(Col);
+  return colRef(std::move(Col), Id);
+}
+
+TermPtr Term::colRef(std::string Col, uint32_t ColId) {
   auto T = std::make_shared<Term>();
   T->K = Kind::ColRef;
   T->Name = std::move(Col);
+  T->NameId = ColId;
   return T;
 }
 
@@ -52,9 +58,15 @@ TermPtr Term::colsLit(std::vector<std::string> Cols) {
 }
 
 TermPtr Term::nameLit(std::string Name) {
+  uint32_t Id = StringInterner::global().intern(Name);
+  return nameLit(std::move(Name), Id);
+}
+
+TermPtr Term::nameLit(std::string Name, uint32_t NameId) {
   auto T = std::make_shared<Term>();
   T->K = Kind::NameLit;
   T->Name = std::move(Name);
+  T->NameId = NameId;
   return T;
 }
 
@@ -134,7 +146,7 @@ std::optional<Value> morpheus::evalTerm(const Term &T,
   case Term::Kind::Const:
     return T.ConstVal;
   case Term::Kind::NameLit:
-    return Value::str(T.Name);
+    return Value::strOfId(T.NameId);
   case Term::Kind::ColsLit:
     return std::nullopt; // not a scalar; consumed structurally by components
   case Term::Kind::ColRef: {

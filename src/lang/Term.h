@@ -46,14 +46,19 @@ struct Term {
   Kind K;
   Value ConstVal;                    // Const
   std::string Name;                  // ColRef / NameLit
+  uint32_t NameId = 0;               // ColRef / NameLit: Name's interner id
   std::vector<std::string> Cols;     // ColsLit
   const ValueTransformer *Fn = nullptr; // App
   std::vector<TermPtr> Args;         // App
 
   static TermPtr constant(Value V);
+  /// Name terms intern their name once, here; the overloads taking an id
+  /// are for names the interner already holds (a Column's NameId).
   static TermPtr colRef(std::string Col);
+  static TermPtr colRef(std::string Col, uint32_t ColId);
   static TermPtr colsLit(std::vector<std::string> Cols);
   static TermPtr nameLit(std::string Name);
+  static TermPtr nameLit(std::string Name, uint32_t NameId);
   static TermPtr app(const ValueTransformer *Fn, std::vector<TermPtr> Args);
 
   /// Renders the term in R-like syntax (e.g. `age > 12`, `sum(n)`,

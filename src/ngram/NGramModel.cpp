@@ -54,6 +54,15 @@ double NGramModel::score(const std::vector<std::string> &Sentence) const {
   return Cost + transitionCost(Prev, EndTok);
 }
 
+NGramModel::Table::Table(const NGramModel &M,
+                         const std::vector<std::string> &Words)
+    : N(Words.size()), Costs((N + 1) * (N + 1)) {
+  for (size_t P = 0; P <= N; ++P)
+    for (size_t X = 0; X <= N; ++X)
+      Costs[P * (N + 1) + X] = M.transitionCost(P == N ? StartTok : Words[P],
+                                                X == N ? EndTok : Words[X]);
+}
+
 const NGramModel &NGramModel::standard() {
   static NGramModel Model = [] {
     NGramModel M;

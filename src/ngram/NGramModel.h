@@ -40,6 +40,25 @@ public:
   double transitionCost(const std::string &Prev,
                         const std::string &Next) const;
 
+  /// transitionCost over a fixed vocabulary, precomputed into a dense
+  /// table so a hot caller scores a sentence by word index with no string
+  /// work. Index size() stands for the start marker as Prev and for the
+  /// end marker as Next; score() of a sentence equals the same
+  /// left-to-right sum of cost() entries, bit for bit.
+  class Table {
+  public:
+    Table(const NGramModel &M, const std::vector<std::string> &Words);
+    /// The marker index: sentence start as Prev, sentence end as Next.
+    size_t marker() const { return N; }
+    double cost(size_t Prev, size_t Next) const {
+      return Costs[Prev * (N + 1) + Next];
+    }
+
+  private:
+    size_t N;
+    std::vector<double> Costs;
+  };
+
   /// The model used by the paper-style experiments: trained on an embedded
   /// corpus of pipeline skeletons mirroring common Stackoverflow answers
   /// (group_by|>summarise, gather|>spread, filter-first chains, ...).

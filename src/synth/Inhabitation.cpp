@@ -9,7 +9,6 @@
 #include "table/TableUtils.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 using namespace morpheus;
@@ -24,14 +23,23 @@ constexpr size_t MaxCandidatesPerHole = 50000;
 /// variants per subset); larger subsets fall back to schema order.
 constexpr size_t MaxPermutedColsSubset = 3;
 
+/// Inserts \p Id into the sorted vector \p Ids; false if already present.
+bool insertSorted(std::vector<uint32_t> &Ids, uint32_t Id) {
+  auto It = std::lower_bound(Ids.begin(), Ids.end(), Id);
+  if (It != Ids.end() && *It == Id)
+    return false;
+  Ids.insert(It, Id);
+  return true;
+}
+
 /// Combined (name, type) column view over several tables, deduplicated by
 /// name in table/schema order.
 std::vector<Column> combinedColumns(const std::vector<Table> &Tables) {
   std::vector<Column> Out;
-  std::set<std::string> Seen;
+  std::vector<uint32_t> Seen;
   for (const Table &T : Tables)
     for (const Column &C : T.schema().columns())
-      if (Seen.insert(C.Name).second)
+      if (insertSorted(Seen, C.NameId))
         Out.push_back(C);
   return Out;
 }
@@ -135,7 +143,7 @@ bool Inhabitation::enumColName(
     const std::vector<Table> &Tables,
     const std::function<bool(TermPtr)> &Visit) const {
   for (const Column &C : combinedColumns(Tables))
-    if (!Visit(Term::colRef(C.Name)))
+    if (!Visit(Term::colRef(C.Name, C.NameId)))
       return false;
   return true;
 }
@@ -147,14 +155,19 @@ bool Inhabitation::enumNewName(
   // column surviving to the output must carry one of these), plus one
   // fresh name for columns consumed by a later component (e.g. the united
   // key column of motivating Example 1 that spread consumes).
-  std::set<std::string> Existing;
+  std::vector<uint32_t> Existing;
   for (const Column &C : combinedColumns(Tables))
-    Existing.insert(C.Name);
+    Existing.push_back(C.NameId);
+  std::sort(Existing.begin(), Existing.end());
   for (const Column &C : Output.schema().columns())
-    if (!Existing.count(C.Name))
-      if (!Visit(Term::nameLit(C.Name)))
+    if (!std::binary_search(Existing.begin(), Existing.end(), C.NameId))
+      if (!Visit(Term::nameLit(C.Name, C.NameId)))
         return false;
-  return Visit(Term::nameLit("tmp" + std::to_string(HoleSeq)));
+  if (FreshNames.size() <= HoleSeq)
+    FreshNames.resize(HoleSeq + 1);
+  if (!FreshNames[HoleSeq])
+    FreshNames[HoleSeq] = Term::nameLit("tmp" + std::to_string(HoleSeq));
+  return Visit(FreshNames[HoleSeq]);
 }
 
 bool Inhabitation::enumPred(const std::vector<Table> &Tables,
@@ -181,7 +194,7 @@ bool Inhabitation::enumPred(const std::vector<Table> &Tables,
         if (++Emitted > MaxCandidatesPerHole)
           return true;
         TermPtr Pred = Term::app(
-            Op, {Term::colRef(C.Name), Term::constant(V)});
+            Op, {Term::colRef(C.Name, C.NameId), Term::constant(V)});
         if (!Visit(std::move(Pred)))
           return false;
       }
@@ -203,7 +216,7 @@ bool Inhabitation::enumAgg(const std::vector<Table> &Tables,
     for (const Column &C : combinedColumns(Tables)) {
       if (C.Type != CellType::Num)
         continue;
-      if (!Visit(Term::app(Op, {Term::colRef(C.Name)})))
+      if (!Visit(Term::app(Op, {Term::colRef(C.Name, C.NameId)})))
         return false;
     }
   }
@@ -217,7 +230,7 @@ bool Inhabitation::enumNumExpr(
   std::vector<TermPtr> Operands;
   for (const Column &C : combinedColumns(Tables))
     if (C.Type == CellType::Num)
-      Operands.push_back(Term::colRef(C.Name));
+      Operands.push_back(Term::colRef(C.Name, C.NameId));
   size_t NumColRefs = Operands.size();
   for (const ValueTransformer *Op : Lib.ValueTransformers) {
     if (!Op->isAggregate())

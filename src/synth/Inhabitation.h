@@ -34,7 +34,10 @@
 namespace morpheus {
 
 /// Enumerates inhabitants of value-hole kinds, under fixed finitization
-/// bounds. Stateless apart from the library.
+/// bounds. Its only state besides the library is the fresh-name terms it
+/// has minted, one per hole sequence number, so a search interns each
+/// fresh name once; like the search that owns it, an instance is used by
+/// one thread at a time.
 class Inhabitation {
 public:
   explicit Inhabitation(const ComponentLibrary &Lib) : Lib(Lib) {}
@@ -63,6 +66,9 @@ private:
                    const std::function<bool(TermPtr)> &Visit) const;
 
   const ComponentLibrary &Lib;
+  /// FreshNames[HoleSeq]: the `tmp<HoleSeq>` name term, or null until the
+  /// hole first asks for it.
+  mutable std::vector<TermPtr> FreshNames;
 };
 
 } // namespace morpheus

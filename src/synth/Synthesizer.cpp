@@ -11,6 +11,8 @@
 #include "synth/Inhabitation.h"
 #include "table/BatchCheck.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <queue>
 #include <unordered_map>
@@ -117,6 +119,14 @@ bool identicalTables(const Table &A, const Table &B) {
   return true;
 }
 
+/// The names of \p Lib's table transformers, in library order.
+std::vector<std::string> componentNames(const ComponentLibrary &Lib) {
+  std::vector<std::string> Names;
+  for (const TableTransformer *T : Lib.TableTransformers)
+    Names.push_back(T->name());
+  return Names;
+}
+
 /// One synthesis run; bundles the state Algorithm 1 threads through its
 /// subroutines.
 class SearchContext {
@@ -125,6 +135,7 @@ public:
                 std::shared_ptr<const ExampleContext> ExIn)
       : Lib(Lib), Cfg(Cfg), Ex(std::move(ExIn)), Inputs(Ex->Inputs),
         Output(Ex->Output), Engine(Ex), Inhab(Lib),
+        NGram(NGramModel::standard(), componentNames(Lib)),
         Deadline(std::chrono::steady_clock::now() + Cfg.Timeout) {
     if (Cfg.Deadline && *Cfg.Deadline < Deadline)
       Deadline = *Cfg.Deadline;
@@ -156,13 +167,33 @@ private:
     return Cfg.MaxWorkPerSketch != 0 && SketchWork > Cfg.MaxWorkPerSketch;
   }
 
+  /// The n-gram score of H's component sentence plus a per-component
+  /// charge. The sentence is H's applications in post-order (as
+  /// collectComponentNames lists them), summed in NGramModel::score's
+  /// order through the library's transition table.
   double costOf(const HypPtr &H) const {
     double Size = double(H->numApplies());
     if (!Cfg.UseNGram)
       return Size;
-    std::vector<std::string> Names;
-    H->collectComponentNames(Names);
-    return NGramModel::standard().score(Names) + CostPerComponent * Size;
+    double Cost = 0;
+    size_t Prev = NGram.marker();
+    addTransitions(*H, Prev, Cost);
+    return Cost + NGram.cost(Prev, NGram.marker()) + CostPerComponent * Size;
+  }
+
+  /// Adds the transitions into H's applications, in post-order, to Cost;
+  /// Prev holds the index of the last component added.
+  void addTransitions(const Hypothesis &H, size_t &Prev, double &Cost) const {
+    if (!H.isApply())
+      return;
+    for (const HypPtr &C : H.children())
+      addTransitions(*C, Prev, Cost);
+    const std::vector<const TableTransformer *> &Comps = Lib.TableTransformers;
+    size_t Next = size_t(std::find(Comps.begin(), Comps.end(), H.component()) -
+                         Comps.begin());
+    assert(Next != Comps.size() && "component outside the library");
+    Cost += NGram.cost(Prev, Next);
+    Prev = Next;
   }
 
   bool deduce(const HypPtr &H) {
@@ -223,6 +254,9 @@ private:
   uint64_t OutputFingerprint = 0;
   DeductionEngine Engine;
   Inhabitation Inhab;
+  /// The standard n-gram model over the library's component names, by
+  /// index into Lib.TableTransformers.
+  NGramModel::Table NGram;
   std::chrono::steady_clock::time_point Deadline;
   unsigned ExpiryPoll = 0;
   bool TimedOut = false;

@@ -18,6 +18,7 @@ StringInterner &StringInterner::global() {
 
 uint32_t StringInterner::intern(std::string_view S) {
   MutexLock Lock(M);
+  ++Lookups;
   auto It = Ids.find(S);
   if (It != Ids.end())
     return It->second;
@@ -39,6 +40,11 @@ uint32_t StringInterner::intern(std::string_view S) {
   // text-compares until the next (growth-triggered) rebuild.
   Count.store(Id + 1, std::memory_order_release);
   return uint32_t(Id);
+}
+
+uint64_t StringInterner::lookups() const {
+  MutexLock Lock(M);
+  return Lookups;
 }
 
 const std::string &StringInterner::text(uint32_t Id) const {

@@ -6,10 +6,18 @@
 ///
 /// \file
 /// The string side of the columnar table engine. Every string that enters a
-/// table cell (and every numeric cell's canonical printed form, see
-/// Value::canonicalToken) is interned into a process-global, append-only
-/// pool and represented by a 32-bit id, which makes Value a trivially
-/// copyable 16-byte scalar whose equality and hashing are integer ops.
+/// table cell or a column name is interned into a process-global,
+/// append-only pool and represented by a 32-bit id, which makes Value a
+/// trivially copyable 16-byte scalar whose equality and hashing are integer
+/// ops. A numeric cell's canonical printed form gets an id here too, but
+/// only the first time a thread meets that number: Value::canonicalToken
+/// answers repeats from a per-thread cache.
+///
+/// Interning happens once, where a string is first minted (table parse, a
+/// name term, a kernel building a genuinely new cell); from there its id
+/// travels with the column or cell. Every intern() call takes the mutex,
+/// hits included, and lookups() counts them so a regression that puts
+/// interning back on the synthesis hot path shows up as a number.
 ///
 /// Ordering: string ids are handed out in first-intern order, not sort
 /// order, because the pool grows during search (unite/separate/gather mint
@@ -61,6 +69,9 @@ public:
   /// Number of interned strings.
   size_t size() const { return Count.load(std::memory_order_acquire); }
 
+  /// Number of intern() calls so far, hits included.
+  uint64_t lookups() const;
+
 private:
   StringInterner() = default;
 
@@ -72,6 +83,7 @@ private:
 
   mutable Mutex M;
   std::unordered_map<std::string_view, uint32_t> Ids GUARDED_BY(M);
+  uint64_t Lookups GUARDED_BY(M) = 0;
   std::vector<std::unique_ptr<std::string[]>> Chunks GUARDED_BY(M);
   /// Lock-free mirror of Chunks for readers: slot I is published (with
   /// release order) before any id in chunk I escapes intern(). Ordering

@@ -37,13 +37,27 @@
 
 namespace morpheus {
 
-/// One column of a schema: a name and a cell type.
+/// One column of a schema: a name, its interner id and a cell type.
+///
+/// A name is interned once, where it enters the system (a parsed or built
+/// table, a name term); kernels that derive a column pass the id along, so
+/// abstraction and header comparisons never re-intern a name.
 struct Column {
   std::string Name;
   CellType Type;
+  uint32_t NameId;
 
+  /// Declares a column, interning its name.
+  Column(std::string Name, CellType Type)
+      : Name(std::move(Name)), Type(Type),
+        NameId(StringInterner::global().intern(this->Name)) {}
+  /// Declares a column whose name the interner already holds as \p NameId.
+  Column(std::string Name, CellType Type, uint32_t NameId)
+      : Name(std::move(Name)), Type(Type), NameId(NameId) {}
+
+  /// Interning is injective, so equal ids mean equal names.
   bool operator==(const Column &Other) const {
-    return Name == Other.Name && Type == Other.Type;
+    return NameId == Other.NameId && Type == Other.Type;
   }
 };
 

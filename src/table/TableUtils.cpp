@@ -17,7 +17,7 @@ TokenSet morpheus::headerTokens(const Table &T) {
   TokenSet Out;
   Out.reserve(T.numCols());
   for (const Column &C : T.schema().columns())
-    Out.insert(StringInterner::global().intern(C.Name));
+    Out.insert(C.NameId);
   return Out;
 }
 

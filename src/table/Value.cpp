@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 using namespace morpheus;
 
@@ -39,28 +40,35 @@ std::string Value::toString() const {
 uint32_t Value::canonicalToken() const {
   if (isStr())
     return StrId;
-  // Numeric cells recur massively inside the grouping/distinct kernels, so
-  // memoize bit-pattern -> token in a thread-local direct-mapped cache:
-  // the common case costs one load instead of a printf plus a trip through
+  // Numeric cells recur massively inside the grouping/distinct kernels and
+  // the abstraction, so a thread-local cache maps bit pattern -> token: the
+  // common case costs a load or two instead of a printf plus a trip through
   // the interner's mutex. Tokens are process-global, so caching per thread
-  // is sound.
+  // is sound. The cache is 2-way set-associative with most-recent-first
+  // ways, so two hot numbers that hash to one set do not evict each other
+  // on every alternate call; a slot's Token is id + 1, 0 meaning empty.
   struct Entry {
     uint64_t Bits;
     uint32_t Token;
-    bool Valid;
   };
-  static thread_local Entry Cache[256] = {};
+  constexpr unsigned LogSets = 10; // 1024 sets x 2 ways x 16 B = 32 KiB
+  static thread_local Entry Cache[size_t(1) << LogSets][2] = {};
   uint64_t Bits;
   static_assert(sizeof(Bits) == sizeof(Num), "double must be 64-bit");
   std::memcpy(&Bits, &Num, sizeof(Bits));
-  Entry &E = Cache[(Bits ^ (Bits >> 17) ^ (Bits >> 39)) & 0xFF];
-  if (E.Valid && E.Bits == Bits)
-    return E.Token;
+  Entry *Set = Cache[(Bits * 0x9e3779b97f4a7c15ULL) >> (64 - LogSets)];
+  if (Set[0].Token && Set[0].Bits == Bits)
+    return Set[0].Token - 1;
+  if (Set[1].Token && Set[1].Bits == Bits) {
+    std::swap(Set[0], Set[1]);
+    return Set[0].Token - 1;
+  }
   char Buf[48];
   size_t Len = printNum(Num, Buf);
   uint32_t Token =
       StringInterner::global().intern(std::string_view(Buf, Len));
-  E = {Bits, Token, true};
+  Set[1] = Set[0];
+  Set[0] = {Bits, Token + 1};
   return Token;
 }
 

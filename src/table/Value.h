@@ -55,9 +55,15 @@ public:
 
   /// Creates a string value, interning the text.
   static Value str(std::string_view S) {
+    return strOfId(StringInterner::global().intern(S));
+  }
+
+  /// Creates a string value from an id the interner already handed out
+  /// (a column's NameId, a canonical token); no interner call.
+  static Value strOfId(uint32_t Id) {
     Value V;
     V.Type = CellType::Str;
-    V.StrId = StringInterner::global().intern(S);
+    V.StrId = Id;
     return V;
   }
 
@@ -86,9 +92,12 @@ public:
   std::string toString() const;
 
   /// The interner id of the value's printed form: a string cell's own id, a
-  /// numeric cell's interned toString(). Tokens canonicalize the printed
-  /// equivalence the row-major engine keyed its group/distinct/spread maps
-  /// on (where num 3 and str "3" coincide), as one integer.
+  /// numeric cell's toString() id. A number is not interned per call: a
+  /// per-thread cache maps its bit pattern to the id, and only the first
+  /// sight of a number on a thread (or a cache eviction) reaches the
+  /// interner. Tokens canonicalize the printed equivalence the row-major
+  /// engine keyed its group/distinct/spread maps on (where num 3 and str
+  /// "3" coincide), as one integer.
   uint32_t canonicalToken() const;
 
   /// canonicalToken tagged with the cell type in the low bit — the row-key

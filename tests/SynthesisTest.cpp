@@ -19,9 +19,11 @@
 #include "suite/Runner.h"
 #include "synth/Inhabitation.h"
 #include "synth/Synthesizer.h"
+#include "table/Interner.h"
 #include "TestBudget.h"
 
 #include <gtest/gtest.h>
+#include <functional>
 #include <set>
 
 using namespace morpheus;
@@ -195,6 +197,41 @@ TEST(NGram, TrainingShiftsProbabilities) {
   EXPECT_LT(M.score({"b", "a"}), M.score({"b", "b"}));
 }
 
+/// The search scores hypotheses through a dense transition table; it must
+/// reproduce score() bit for bit, or the worklist order would move. Every
+/// sentence of up to three words over the tidy library plus a word the
+/// corpus never saw.
+TEST(NGram, TableScoresBitIdenticallyToTheModel) {
+  const NGramModel &M = NGramModel::standard();
+  std::vector<std::string> Words;
+  for (const TableTransformer *T :
+       StandardComponents::get().tidyDplyr().TableTransformers)
+    Words.push_back(T->name());
+  Words.push_back("nosuchcomponent");
+  NGramModel::Table Costs(M, Words);
+  std::vector<size_t> Sentence;
+  std::function<void()> Check = [&] {
+    std::vector<std::string> Names;
+    double Cost = 0;
+    size_t Prev = Costs.marker();
+    for (size_t W : Sentence) {
+      Names.push_back(Words[W]);
+      Cost += Costs.cost(Prev, W);
+      Prev = W;
+    }
+    Cost = Cost + Costs.cost(Prev, Costs.marker());
+    EXPECT_EQ(Cost, M.score(Names));
+    if (Sentence.size() == 3)
+      return;
+    for (size_t W = 0; W != Words.size(); ++W) {
+      Sentence.push_back(W);
+      Check();
+      Sentence.pop_back();
+    }
+  };
+  Check();
+}
+
 /// End-to-end: one representative benchmark per category (the smallest of
 /// each) synthesizes under Spec 2 and replays to the expected output.
 class CategoryIntegration : public ::testing::TestWithParam<const char *> {};
@@ -218,6 +255,24 @@ TEST_P(CategoryIntegration, SynthesizesRepresentative) {
 INSTANTIATE_TEST_SUITE_P(Categories, CategoryIntegration,
                          ::testing::Values("C1", "C2", "C3", "C4", "C5",
                                            "C6", "C8", "C9"));
+
+/// Interning stays off the synthesis hot path. Solving C3-01 made about
+/// 378,000 intern() calls when numeric tokens, column names and kernel
+/// cells were interned per use, and makes 1,164 now in a fresh process
+/// (fewer once the thread's caches are warm). The bound is about twice
+/// that: room for cache-layout changes, none for per-call interning.
+TEST(Interner, SolvingC3_01StaysOffTheInterner) {
+  const BenchmarkTask *T = nullptr;
+  for (const BenchmarkTask &B : morpheusSuite())
+    if (B.Id == "C3-01")
+      T = &B;
+  ASSERT_NE(T, nullptr);
+  uint64_t Before = StringInterner::global().lookups();
+  TaskResult R = runTask(*T, configSpec2(test_budget::scaledBudget(45000)));
+  uint64_t Lookups = StringInterner::global().lookups() - Before;
+  EXPECT_TRUE(R.Solved);
+  EXPECT_LT(Lookups, 2500u);
+}
 
 /// The no-deduction configuration still solves easy tasks (pure
 /// enumerative search is sound), just more slowly.

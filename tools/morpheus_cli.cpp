@@ -496,6 +496,14 @@ JsonValue benchSnapshot(const std::string &SuiteName,
   D.set("template_compiles",
         JsonValue::number(double(TotalDeduce.TemplateCompiles)));
   Summary.set("deduce", std::move(D));
+  // Process-wide: every intern() call (hits included) and the pool size
+  // once the suite is done, so interning creeping back onto the hot path
+  // shows up per run.
+  const StringInterner &Pool = StringInterner::global();
+  JsonValue Interner = JsonValue::object();
+  Interner.set("lookups", JsonValue::number(double(Pool.lookups())));
+  Interner.set("strings", JsonValue::number(double(Pool.size())));
+  Summary.set("interner", std::move(Interner));
   Out.set("summary", std::move(Summary));
   return Out;
 }
@@ -656,6 +664,9 @@ int runBench(ArgReader &Args) {
               D.SolverSeconds, D.SignatureSeconds, D.SessionSeconds,
               D.CheckSeconds, (unsigned long long)Agg.CandidatesChecked,
               (unsigned long long)Agg.ReusedCompletions);
+  std::printf("interner: %llu lookups, %zu strings\n",
+              (unsigned long long)StringInterner::global().lookups(),
+              StringInterner::global().size());
 
   if (SvcStats) {
     // One greppable line for the CI warm-restart smoke: a second run over
