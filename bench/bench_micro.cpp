@@ -15,14 +15,10 @@
 #include "interp/Components.h"
 #include "smt/Deduce.h"
 #include "suite/Task.h"
-#include "support/Simd.h"
 #include "synth/Inhabitation.h"
-#include "table/BatchCheck.h"
 #include "table/TableUtils.h"
 
 #include <benchmark/benchmark.h>
-
-#include <chrono>
 
 using namespace morpheus;
 using namespace morpheus::pb;
@@ -353,99 +349,87 @@ void BM_Fingerprint(benchmark::State &State) {
 BENCHMARK(BM_Fingerprint)->Arg(16)->Arg(64)->Arg(256);
 
 //===----------------------------------------------------------------------===//
-// Columnar hot paths: the batched candidate check against the per-candidate
-// gate chain it replaces on a sketch's last hole, and the filter and
-// group-by kernels (support/Simd.h).
+// Columnar hot paths: a sketch's last-hole candidate loop with and without
+// the components' header gates, and the filter and group-by kernels
+// (support/Simd.h).
 //===----------------------------------------------------------------------===//
 
-/// A batch-sized pool of near-misses (one numeric cell nudged): NO true
-/// match, modelling the search's steady state — candidate checks reject
-/// essentially every sibling, so neither arm gets to early-exit and the
-/// ratio measures pure per-candidate rejection cost. (The with-match case
-/// is covered by the Legacy/Columnar pair above and the BatchChecker
-/// first-match-wins unit tests.)
-std::vector<Table> candidatePoolN(const Table &Output, size_t Count) {
-  std::vector<Table> Pool;
-  size_t N = Output.numRows();
-  for (size_t K = 0; K != Count; ++K) {
+/// One last-hole candidate loop, as SearchContext::fillLastHole runs it for
+/// a root component: every term the enumerator offers for the hole, over
+/// shared table arguments, checked against the example output. The output
+/// is a near miss (filter's result with one cell nudged), so no candidate
+/// matches and neither arm early-exits: filter candidates with the right
+/// row count reach the exact check, everything else has a wrong header.
+/// Kernel-only arm: every candidate runs its kernel, then the check.
+/// Gated arm: TableTransformer::mayYield first, the kernel only on a pass.
+void candidateCheckArm(benchmark::State &State, bool Gated) {
+  Table In = wideTable(size_t(State.range(0)));
+  Table Output = *filter(in(0), "c", "<", num(4))->evaluate({In});
+  {
     std::vector<Row> Rows;
-    for (size_t R = 0; R != N; ++R)
+    for (size_t R = 0; R != Output.numRows(); ++R)
       Rows.push_back(Output.row(R));
-    Rows[K % N][1] = num(Rows[K % N][1].num() + double(K + 1));
-    Pool.push_back(Table(Output.schema(), Rows));
-  }
-  return Pool;
-}
-
-/// Per-candidate arm: the gate chain of SearchContext::checkCandidate
-/// (rows, schema, fingerprint, compare). Batched arm: the same candidates
-/// moved into a BatchChecker and swept per 64, as fillLastHoleBatched does.
-/// Each iteration checks fresh uncached Table wrappers (the fingerprint
-/// cache is per-Table, so a reused wrapper would measure one cache load);
-/// wrapper construction itself is component evaluation's cost, not the
-/// check's, so it happens off the clock — manual timing brackets just the
-/// check in both arms.
-void candidateCheckArm(benchmark::State &State, bool Batched) {
-  Table Output = wideTable(size_t(State.range(0)));
-  std::vector<Table> Pool = candidatePoolN(Output, 64);
-  std::vector<std::vector<ColumnPtr>> Cols;
-  for (const Table &T : Pool) {
-    std::vector<ColumnPtr> Handles;
-    for (size_t C = 0; C != T.numCols(); ++C)
-      Handles.push_back(T.colHandle(C));
-    Cols.push_back(std::move(Handles));
+    Rows[0][1] = num(Rows[0][1].num() + 0.5);
+    Output = Table(Output.schema(), Rows);
   }
   uint64_t OutputFp = Output.fingerprint();
   Output.sortedPermutation();
-  size_t Matches = 0;
-  std::vector<Table> Fresh;
-  Fresh.reserve(Pool.size());
+
+  const StandardComponents &SC = StandardComponents::get();
+  ComponentLibrary Lib = SC.tidyDplyr();
+  Inhabitation Inhab(Lib);
+  struct Loop {
+    const TableTransformer *X;
+    std::vector<TermPtr> Fixed; // filled holes; the last slot varies
+    std::vector<TermPtr> Terms;
+  };
+  std::vector<Loop> Loops;
+  auto AddLoop = [&](const char *Name, ParamKind Kind,
+                     std::vector<TermPtr> Fixed) {
+    Loop L{SC.find(Name), std::move(Fixed), {}};
+    L.Fixed.push_back(nullptr);
+    Inhab.enumerate(Kind, {In}, Output, 0, [&](TermPtr T) {
+      L.Terms.push_back(std::move(T));
+      return true;
+    });
+    Loops.push_back(std::move(L));
+  };
+  AddLoop("filter", ParamKind::Pred, {});
+  AddLoop("select", ParamKind::ColsOrdered, {});
+  AddLoop("arrange", ParamKind::ColsOrdered, {});
+  AddLoop("gather", ParamKind::Cols,
+          {Term::nameLit("key"), Term::nameLit("val")});
+  AddLoop("mutate", ParamKind::NumExpr, {Term::nameLit("d")});
+
+  std::vector<Table> Tables{In};
+  size_t Candidates = 0, Matches = 0;
   for (auto _ : State) {
-    Fresh.clear();
-    for (size_t I = 0; I != Pool.size(); ++I)
-      Fresh.emplace_back(Pool[I].schema(), Cols[I], Pool[I].numRows());
-    auto Start = std::chrono::steady_clock::now();
-    if (Batched) {
-      BatchChecker Checker(Output);
-      for (Table &C : Fresh) {
-        Checker.add(std::move(C));
-        if (Checker.full())
-          Matches += Checker.flush() != simd::npos;
-      }
-      Matches += Checker.flush() != simd::npos;
-    } else {
-      for (Table &C : Fresh) {
-        // Take the wrapper by move so it dies right after its check, like
-        // a rejected candidate in the search — the batched arm's flush
-        // destroys its batch on the clock too, so both arms time the
-        // candidate teardown.
-        Table T = std::move(C);
-        Matches += T.numRows() == Output.numRows() &&
-                   T.schema() == Output.schema() &&
-                   T.fingerprint() == OutputFp && T.equalsUnordered(Output);
+    for (Loop &L : Loops) {
+      for (const TermPtr &T : L.Terms) {
+        L.Fixed.back() = T;
+        ++Candidates;
+        if (Gated && !L.X->mayYield(Tables, L.Fixed, Output))
+          continue;
+        std::optional<Table> C = L.X->apply(Tables, L.Fixed);
+        Matches += C && C->numRows() == Output.numRows() &&
+                   C->schema() == Output.schema() &&
+                   C->fingerprint() == OutputFp && C->equalsUnordered(Output);
       }
     }
     benchmark::DoNotOptimize(Matches);
-    State.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-            .count());
   }
-  State.SetItemsProcessed(int64_t(State.iterations()) * int64_t(Pool.size()));
+  State.SetItemsProcessed(int64_t(Candidates));
 }
 
-void BM_CandidateCheckPerCandidate(benchmark::State &State) {
-  candidateCheckArm(State, /*Batched=*/false);
+void BM_CandidateCheckKernelOnly(benchmark::State &State) {
+  candidateCheckArm(State, /*Gated=*/false);
 }
-BENCHMARK(BM_CandidateCheckPerCandidate)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->UseManualTime();
+BENCHMARK(BM_CandidateCheckKernelOnly)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_CandidateCheckBatched(benchmark::State &State) {
-  candidateCheckArm(State, /*Batched=*/true);
+void BM_CandidateCheckGated(benchmark::State &State) {
+  candidateCheckArm(State, /*Gated=*/true);
 }
-BENCHMARK(BM_CandidateCheckBatched)->Arg(16)->Arg(64)->Arg(256)->UseManualTime();
+BENCHMARK(BM_CandidateCheckGated)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_Filter(benchmark::State &State) {
   Table In = wideTable(size_t(State.range(0)));

@@ -29,6 +29,8 @@ const char *morpheus::lintKindName(LintKind K) {
     return "unsound-spec";
   case LintKind::NoScenario:
     return "no-scenario";
+  case LintKind::GateRejectsOutput:
+    return "gate-rejects-output";
   }
   return "unknown";
 }
@@ -196,6 +198,8 @@ private:
   Inhabitation Inhab;
   LintReport Report;
   std::unordered_set<uint64_t> SeenScenarios;
+  /// Components already reported for a gate rejection (one issue each).
+  std::unordered_set<const TableTransformer *> GateFlagged;
   unsigned NextVar = 0;
 
   void issue(LintKind K, bool IsError, const TableTransformer &X, SpecLevel L,
@@ -421,20 +425,41 @@ private:
     Solver.pop();
   }
 
-  /// Depth-1 abstraction soundness over the concrete table family.
+  /// The header gate must accept what the kernel returned for the same
+  /// call, or the synthesizer would skip that candidate unevaluated.
+  void checkGate(const TableTransformer &X, const std::vector<Table> &Tables,
+                 const std::vector<TermPtr> &Args, const Table &Out,
+                 const std::string &Witness) {
+    ++Report.Stats.GateChecks;
+    if (X.mayYield(Tables, Args, Out) || !GateFlagged.insert(&X).second)
+      return;
+    issue(LintKind::GateRejectsOutput, /*IsError=*/true, X, SpecLevel::Spec1,
+          "the header gate (mayYield) rejects a table the kernel returns for "
+          "the same call; the synthesizer would skip that candidate and lose "
+          "its program",
+          {"witness: " + Witness,
+           "output: " + std::to_string(Out.numRows()) + "x" +
+               std::to_string(Out.numCols()) + " table"});
+  }
+
+  /// Depth-1 abstraction and gate soundness over the concrete table family.
   void checkSoundness(const TableTransformer &X) {
-    if (X.spec(SpecLevel::Spec1).isTrue() && X.spec(SpecLevel::Spec2).isTrue())
-      return; // the trivial spec rejects nothing
+    // The trivial spec rejects nothing; the gate is checked regardless.
+    bool TrivialSpec = X.spec(SpecLevel::Spec1).isTrue() &&
+                       X.spec(SpecLevel::Spec2).isTrue();
     ScenarioCounts Counts = forEachAcceptedScenario(
         Inhab, X, Opts,
         [&](const std::vector<Table> &Tables,
             const std::vector<TermPtr> &Args, const Table &Out) {
+          std::string W = describeScenario(X, Tables, Args);
+          checkGate(X, Tables, Args, Out, W);
+          if (TrivialSpec)
+            return;
           ExampleBase Base = ExampleBase::fromInputs(Tables);
           std::vector<AttrValues> InputAbs;
           for (const Table &T : Tables)
             InputAbs.push_back(abstractTable(T, Base));
           AttrValues OutAbs = abstractTable(Out, Base);
-          std::string W = describeScenario(X, Tables, Args);
           for (SpecLevel L : {SpecLevel::Spec1, SpecLevel::Spec2})
             checkScenarioSat(X, L, InputAbs, OutAbs, W);
         });
@@ -459,9 +484,6 @@ private:
         continue;
       if (Opts.Only && G != Opts.Only && GB != Opts.Only)
         continue;
-      if (G->spec(SpecLevel::Spec2).isTrue() &&
-          G->spec(SpecLevel::Spec1).isTrue() && GB != Opts.Only)
-        continue;
       for (const Table &T : analysisSingleTables()) {
         std::vector<Table> In{T};
         std::vector<std::vector<TermPtr>> GBHole;
@@ -484,15 +506,17 @@ private:
             if (!Out)
               return true;
             ++Report.Stats.ChainScenarios;
-            ExampleBase Base = ExampleBase::fromInputs(In);
-            AttrValues InAbs = abstractTable(T, Base);
-            AttrValues MidAbs = abstractTable(*Mid, Base);
-            AttrValues OutAbs = abstractTable(*Out, Base);
             std::string W = "group_by(" + std::to_string(T.numRows()) + "x" +
                             std::to_string(T.numCols()) + " table";
             for (const TermPtr &A : GBArgs)
               W += ", " + A->toString();
             W += ") |> " + describeScenario(*G, MidIn, Args);
+            // A grouped mid table exercises the gates' group-aware rows.
+            checkGate(*G, MidIn, Args, *Out, W);
+            ExampleBase Base = ExampleBase::fromInputs(In);
+            AttrValues InAbs = abstractTable(T, Base);
+            AttrValues MidAbs = abstractTable(*Mid, Base);
+            AttrValues OutAbs = abstractTable(*Out, Base);
             checkChainSat(*GB, *G, InAbs, MidAbs, OutAbs, W);
             return true;
           });
@@ -622,7 +646,8 @@ std::string morpheus::reportToJson(const LintReport &R) {
      << ",\"scenarios\":" << R.Stats.Scenarios
      << ",\"chainScenarios\":" << R.Stats.ChainScenarios
      << ",\"soundnessChecks\":" << R.Stats.SoundnessChecks
-     << ",\"dedupHits\":" << R.Stats.DedupHits << "},\"issues\":[";
+     << ",\"dedupHits\":" << R.Stats.DedupHits
+     << ",\"gateChecks\":" << R.Stats.GateChecks << "},\"issues\":[";
   for (size_t I = 0; I < R.Issues.size(); ++I) {
     const LintIssue &Issue = R.Issues[I];
     if (I)

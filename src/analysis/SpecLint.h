@@ -29,6 +29,12 @@
 ///     that the spec rejects a behaviour the kernel exhibits, i.e. DEDUCE
 ///     over-prunes. Depth-2 chains through group_by are checked the same
 ///     way so group/newCols atoms are exercised with a non-input mid node.
+///  4. Gate soundness: on every kernel run of check 3 (and the last
+///     component of every chain), the component's header gate
+///     (TableTransformer::mayYield) must accept the table the kernel
+///     returned. A `false` is a candidate the synthesizer would skip
+///     without running the kernel, i.e. a lost program. This runs even for
+///     components whose spec is `true`.
 ///
 /// All solver work shares one Z3 context/solver with push/pop, and
 /// scenario checks are deduplicated by (component, level, α-signature), so
@@ -61,6 +67,8 @@ enum class LintKind {
   /// Pedantic: no enumerated instantiation was accepted by the kernel, so
   /// the soundness check never exercised this component.
   NoScenario,
+  /// The header gate rejects a table the kernel returns for that call.
+  GateRejectsOutput,
 };
 
 const char *lintKindName(LintKind K);
@@ -84,6 +92,7 @@ struct LintStats {
   uint64_t ChainScenarios = 0;///< accepted depth-2 group_by chains
   uint64_t SoundnessChecks = 0; ///< scenario solver calls after dedup
   uint64_t DedupHits = 0;     ///< scenarios skipped via α-signature cache
+  uint64_t GateChecks = 0;    ///< kernel outputs tested against the gate
 };
 
 struct LintReport {

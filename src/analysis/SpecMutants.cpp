@@ -30,7 +30,8 @@ const char *morpheus::mutationKindName(MutationKind K) {
 
 namespace {
 
-/// Same kernel and signature as the original, one spec level rewritten.
+/// Same kernel, gate and signature as the original, one spec level
+/// rewritten.
 class MutatedTransformer : public TableTransformer {
 public:
   MutatedTransformer(const TableTransformer &Base, SpecLevel L, SpecFormula F)
@@ -44,6 +45,12 @@ public:
   std::optional<Table> apply(const std::vector<Table> &Tables,
                              const std::vector<TermPtr> &Args) const override {
     return Base.apply(Tables, Args);
+  }
+
+  bool mayYield(const std::vector<Table> &Tables,
+                const std::vector<TermPtr> &Args,
+                const Table &Want) const override {
+    return Base.mayYield(Tables, Args, Want);
   }
 
 private:

@@ -29,11 +29,11 @@ using namespace morpheus;
 
 namespace {
 
-/// Extracts the literal column list from a ColsLit term; nullopt otherwise.
-std::optional<std::vector<std::string>> colsOf(const TermPtr &T) {
+/// The literal column list of a ColsLit term; null otherwise.
+const std::vector<std::string> *colsOf(const TermPtr &T) {
   if (!T || T->K != Term::Kind::ColsLit)
-    return std::nullopt;
-  return T->Cols;
+    return nullptr;
+  return &T->Cols;
 }
 
 /// Extracts a single column/new-column name term (its Name and NameId);
@@ -155,36 +155,77 @@ ColumnPtr gatherCol(const ColumnData &Src, const std::vector<size_t> &Idx) {
   return ownCol(std::move(Out));
 }
 
-/// A table transformer defined by a lambda; all standard components use it.
+/// A table transformer defined by a kernel lambda and, optionally, a header
+/// gate lambda; all standard components use it.
 class LambdaTransformer final : public TableTransformer {
 public:
   using ApplyFn = std::function<std::optional<Table>(
       const std::vector<Table> &, const std::vector<TermPtr> &)>;
+  using GateFn = std::function<bool(const std::vector<Table> &,
+                                    const std::vector<TermPtr> &,
+                                    const Table &)>;
 
   LambdaTransformer(std::string Name, unsigned NumTableArgs,
-                    std::vector<ParamKind> Params, ApplyFn Fn)
+                    std::vector<ParamKind> Params, ApplyFn Fn, GateFn Gate)
       : TableTransformer(std::move(Name), NumTableArgs, std::move(Params)),
-        Fn(std::move(Fn)) {}
+        Fn(std::move(Fn)), Gate(std::move(Gate)) {}
 
   std::optional<Table>
   apply(const std::vector<Table> &Tables,
         const std::vector<TermPtr> &Args) const override {
-    if (Tables.size() != numTableArgs() || Args.size() != valueParams().size())
+    if (!arityMatches(Tables, Args))
       return std::nullopt;
     return Fn(Tables, Args);
   }
 
+  bool mayYield(const std::vector<Table> &Tables,
+                const std::vector<TermPtr> &Args,
+                const Table &Want) const override {
+    return arityMatches(Tables, Args) && (!Gate || Gate(Tables, Args, Want));
+  }
+
 private:
+  bool arityMatches(const std::vector<Table> &Tables,
+                    const std::vector<TermPtr> &Args) const {
+    return Tables.size() == numTableArgs() &&
+           Args.size() == valueParams().size();
+  }
+
   ApplyFn Fn;
+  GateFn Gate;
 };
 
 //===----------------------------------------------------------------------===//
-// tidyr verbs
+// Output headers
+//
+// Each verb derives its output header (column names, ids and types, in
+// order) from its arguments' headers and terms in one function below. The
+// kernel builds its result under that header, and the verb's gate
+// (TableTransformer::mayYield) compares the same header with the wanted
+// table's, so a gate cannot drift from its kernel. A header function
+// returns nullopt exactly where the kernel rejects a call for header
+// reasons (a missing or clashing column, a full-width select, ...).
 //===----------------------------------------------------------------------===//
 
-std::optional<Table> applyGather(const Table &T, const Term &KeyName,
-                                 const Term &ValName,
-                                 const std::vector<std::string> &GatherCols) {
+/// An output header and the input columns the kernel fills it from, by
+/// role: select's kept columns, summarise's key columns, separate's split
+/// column, unite's two joined columns.
+struct Header {
+  Schema Out;
+  std::vector<size_t> Idx;
+};
+
+/// gather: the kept columns, the gathered columns and the value column's
+/// type (string when the gathered types mix, as tidyr coerces).
+struct GatherHeader {
+  Schema Out;
+  std::vector<size_t> KeepIdx, GatherIdx;
+  bool Mixed = false;
+};
+
+std::optional<GatherHeader>
+gatherHeader(const Table &T, const Term &KeyName, const Term &ValName,
+             const std::vector<std::string> &GatherCols) {
   std::optional<std::vector<uint32_t>> Gathered =
       distinctColumnIds(T, GatherCols);
   if (!Gathered || GatherCols.size() < 2 || GatherCols.size() > T.numCols())
@@ -193,34 +234,166 @@ std::optional<Table> applyGather(const Table &T, const Term &KeyName,
       KeyName.NameId == ValName.NameId)
     return std::nullopt;
 
-  std::vector<size_t> KeepIdx, GatherIdx;
+  GatherHeader H;
   for (size_t I = 0; I != T.numCols(); ++I) {
     if (std::binary_search(Gathered->begin(), Gathered->end(),
                            T.schema()[I].NameId))
-      GatherIdx.push_back(I);
+      H.GatherIdx.push_back(I);
     else
-      KeepIdx.push_back(I);
+      H.KeepIdx.push_back(I);
   }
-
-  // Value column type: common type of the gathered columns, coercing to
-  // string when mixed (tidyr coerces to character).
-  bool Mixed = false;
-  CellType ValType = T.schema()[GatherIdx.front()].Type;
-  for (size_t I : GatherIdx)
+  CellType ValType = T.schema()[H.GatherIdx.front()].Type;
+  for (size_t I : H.GatherIdx)
     if (T.schema()[I].Type != ValType)
-      Mixed = true;
-  if (Mixed)
+      H.Mixed = true;
+  if (H.Mixed)
     ValType = CellType::Str;
 
   std::vector<Column> Cols;
-  for (size_t I : KeepIdx)
+  for (size_t I : H.KeepIdx)
     Cols.push_back(T.schema()[I]);
   Cols.push_back({KeyName.Name, CellType::Str, KeyName.NameId});
   Cols.push_back({ValName.Name, ValType, ValName.NameId});
+  H.Out = Schema(std::move(Cols));
+  return H;
+}
+
+/// spread: the key and value columns, and the id columns (every other
+/// column, in order) that lead the output header. The columns after them
+/// are named by the key column's distinct cells, so only their type (the
+/// value column's) is a header fact.
+struct SpreadHeader {
+  size_t KeyIdx, ValIdx;
+  std::vector<size_t> IdIdx;
+};
+
+std::optional<SpreadHeader> spreadHeader(const Table &T,
+                                         const std::string &Key,
+                                         const std::string &Val) {
+  std::optional<size_t> KeyIdx = T.schema().indexOf(Key);
+  std::optional<size_t> ValIdx = T.schema().indexOf(Val);
+  if (!KeyIdx || !ValIdx || *KeyIdx == *ValIdx || T.numRows() == 0)
+    return std::nullopt;
+  SpreadHeader H{*KeyIdx, *ValIdx, {}};
+  for (size_t I = 0; I != T.numCols(); ++I)
+    if (I != *KeyIdx && I != *ValIdx)
+      H.IdIdx.push_back(I);
+  return H;
+}
+
+std::optional<Header> separateHeader(const Table &T, const std::string &Col,
+                                     const Term &Into1, const Term &Into2) {
+  std::optional<size_t> Idx = T.schema().indexOf(Col);
+  if (!Idx || T.schema()[*Idx].Type != CellType::Str)
+    return std::nullopt;
+  if (Into1.NameId == Into2.NameId)
+    return std::nullopt;
+  for (size_t I = 0; I != T.numCols(); ++I) {
+    if (I == *Idx)
+      continue;
+    if (T.schema()[I].NameId == Into1.NameId ||
+        T.schema()[I].NameId == Into2.NameId)
+      return std::nullopt;
+  }
+  std::vector<Column> Cols;
+  for (size_t I = 0; I != T.numCols(); ++I) {
+    if (I == *Idx) {
+      Cols.push_back({Into1.Name, CellType::Str, Into1.NameId});
+      Cols.push_back({Into2.Name, CellType::Str, Into2.NameId});
+    } else {
+      Cols.push_back(T.schema()[I]);
+    }
+  }
+  return Header{Schema(std::move(Cols)), {*Idx}};
+}
+
+std::optional<Header> uniteHeader(const Table &T, const Term &NewName,
+                                  const std::string &C1,
+                                  const std::string &C2) {
+  std::optional<size_t> I1 = T.schema().indexOf(C1);
+  std::optional<size_t> I2 = T.schema().indexOf(C2);
+  if (!I1 || !I2 || *I1 == *I2)
+    return std::nullopt;
+  for (size_t I = 0; I != T.numCols(); ++I)
+    if (I != *I1 && I != *I2 && T.schema()[I].NameId == NewName.NameId)
+      return std::nullopt;
+  std::vector<Column> Cols;
+  for (size_t I = 0; I != T.numCols(); ++I) {
+    if (I == *I1)
+      Cols.push_back({NewName.Name, CellType::Str, NewName.NameId});
+    else if (I != *I2)
+      Cols.push_back(T.schema()[I]);
+  }
+  return Header{Schema(std::move(Cols)), {*I1, *I2}};
+}
+
+std::optional<Header> selectHeader(const Table &T,
+                                   const std::vector<std::string> &Cols) {
+  // Keeping every column is never useful in an example-driven search and
+  // Table 2 relies on it: the spec's col(y) < col(x) is sound only if the
+  // kernel rejects full-width selects (found by `morpheus analyze`).
+  if (!distinctColumnIds(T, Cols) || Cols.size() == T.numCols())
+    return std::nullopt;
+  Header H;
+  std::vector<Column> NewCols;
+  for (const std::string &C : Cols) {
+    size_t I = *T.schema().indexOf(C);
+    NewCols.push_back(T.schema()[I]);
+    H.Idx.push_back(I);
+  }
+  H.Out = Schema(std::move(NewCols));
+  return H;
+}
+
+/// group_by keeps T's header; this is its header-level precondition.
+bool groupByAccepts(const Table &T, const std::vector<std::string> &Cols) {
+  // Regrouping a grouped frame is never needed.
+  return !T.isGrouped() && Cols.size() < T.numCols() &&
+         distinctColumnIds(T, Cols);
+}
+
+/// summarise: the grouping columns, then the new numeric column.
+std::optional<Header> summariseHeader(const Table &T, const Term &NewName) {
+  Header H;
+  std::vector<Column> Cols;
+  for (const std::string &G : T.groupCols()) {
+    std::optional<size_t> I = T.schema().indexOf(G);
+    if (!I || T.schema()[*I].NameId == NewName.NameId)
+      return std::nullopt;
+    H.Idx.push_back(*I);
+    Cols.push_back(T.schema()[*I]);
+  }
+  Cols.push_back({NewName.Name, CellType::Num, NewName.NameId});
+  H.Out = Schema(std::move(Cols));
+  return H;
+}
+
+/// mutate: T's header plus the new numeric column.
+std::optional<Schema> mutateHeader(const Table &T, const Term &NewName) {
+  if (T.schema().contains(NewName.Name) || T.numRows() == 0)
+    return std::nullopt;
+  Schema S = T.schema();
+  S.append({NewName.Name, CellType::Num, NewName.NameId});
+  return S;
+}
+
+//===----------------------------------------------------------------------===//
+// tidyr verbs
+//===----------------------------------------------------------------------===//
+
+std::optional<Table> applyGather(const Table &T, const Term &KeyName,
+                                 const Term &ValName,
+                                 const std::vector<std::string> &GatherCols) {
+  std::optional<GatherHeader> H =
+      gatherHeader(T, KeyName, ValName, GatherCols);
+  if (!H)
+    return std::nullopt;
+  const std::vector<size_t> &KeepIdx = H->KeepIdx, &GatherIdx = H->GatherIdx;
+  const bool Mixed = H->Mixed;
 
   size_t G = GatherIdx.size(), NOut = T.numRows() * G;
   std::vector<ColumnPtr> Out;
-  Out.reserve(Cols.size());
+  Out.reserve(H->Out.size());
   // Kept columns: each input cell repeats once per gathered column.
   for (size_t I : KeepIdx) {
     const ColumnData &Src = T.col(I);
@@ -252,20 +425,29 @@ std::optional<Table> applyGather(const Table &T, const Term &KeyName,
       ValCells.push_back(Mixed ? Value::strOfId(V.canonicalToken()) : V);
     }
   Out.push_back(ownCol(std::move(ValCells)));
-  return Table(Schema(std::move(Cols)), std::move(Out), NOut);
+  return Table(std::move(H->Out), std::move(Out), NOut);
+}
+
+/// Rows and width follow from the number of gathered columns alone, so
+/// they are tested before the header is built.
+bool gatherMayYield(const Table &T, const Term &KeyName, const Term &ValName,
+                    const std::vector<std::string> &GatherCols,
+                    const Table &Want) {
+  if (T.numRows() * GatherCols.size() != Want.numRows() ||
+      T.numCols() + 2 != Want.numCols() + GatherCols.size())
+    return false;
+  std::optional<GatherHeader> H =
+      gatherHeader(T, KeyName, ValName, GatherCols);
+  return H && H->Out == Want.schema();
 }
 
 std::optional<Table> applySpread(const Table &T, const std::string &Key,
                                  const std::string &Val) {
-  std::optional<size_t> KeyIdx = T.schema().indexOf(Key);
-  std::optional<size_t> ValIdx = T.schema().indexOf(Val);
-  if (!KeyIdx || !ValIdx || *KeyIdx == *ValIdx || T.numRows() == 0)
+  std::optional<SpreadHeader> H = spreadHeader(T, Key, Val);
+  if (!H)
     return std::nullopt;
-
-  std::vector<size_t> IdIdx;
-  for (size_t I = 0; I != T.numCols(); ++I)
-    if (I != *KeyIdx && I != *ValIdx)
-      IdIdx.push_back(I);
+  const std::vector<size_t> &IdIdx = H->IdIdx;
+  const size_t KeyIdx = H->KeyIdx, ValIdx = H->ValIdx;
 
   // Distinct key values become columns, in sorted text order (tidyr
   // sorts). The canonical token's text is exactly the cell's printed form,
@@ -273,7 +455,7 @@ std::optional<Table> applySpread(const Table &T, const std::string &Key,
   StringInterner &Pool = StringInterner::global();
   std::vector<uint32_t> KeyTokens;
   KeyTokens.reserve(T.numRows());
-  for (const Value &V : T.col(*KeyIdx))
+  for (const Value &V : T.col(KeyIdx))
     KeyTokens.push_back(V.canonicalToken());
   std::vector<uint32_t> KeyNames(KeyTokens);
   std::sort(KeyNames.begin(), KeyNames.end());
@@ -294,7 +476,7 @@ std::optional<Table> applySpread(const Table &T, const std::string &Key,
   std::unordered_map<uint32_t, size_t> KeyToCol;
   for (uint32_t K : KeyNames) {
     KeyToCol[K] = Cols.size();
-    Cols.push_back({Pool.text(K), T.schema()[*ValIdx].Type, K});
+    Cols.push_back({Pool.text(K), T.schema()[ValIdx].Type, K});
   }
 
   // Group rows by the id columns, in first-appearance order.
@@ -304,7 +486,7 @@ std::optional<Table> applySpread(const Table &T, const std::string &Key,
   std::vector<ColumnData> ValCols(NumValCols, ColumnData(NOut));
   std::vector<std::vector<bool>> Filled(NumValCols,
                                         std::vector<bool>(NOut, false));
-  const ColumnData &ValSrc = T.col(*ValIdx);
+  const ColumnData &ValSrc = T.col(ValIdx);
   for (size_t R = 0; R != T.numRows(); ++R) {
     size_t RowI = G.GroupOf[R];
     size_t ColI = KeyToCol[KeyTokens[R]] - IdIdx.size();
@@ -328,34 +510,38 @@ std::optional<Table> applySpread(const Table &T, const std::string &Key,
   return Table(Schema(std::move(Cols)), std::move(Out), NOut);
 }
 
+/// The id columns must lead Want's header and every column after them must
+/// have the value column's type. Each input row fills exactly one cell of
+/// the spread columns (a duplicate or a missing cell fails the kernel), so
+/// the input's rows are Want's rows times the number of spread columns.
+bool spreadMayYield(const Table &T, const std::string &Key,
+                    const std::string &Val, const Table &Want) {
+  std::optional<SpreadHeader> H = spreadHeader(T, Key, Val);
+  if (!H)
+    return false;
+  size_t NumIds = H->IdIdx.size(), Width = Want.numCols();
+  if (Width <= NumIds || Want.numRows() * (Width - NumIds) != T.numRows())
+    return false;
+  for (size_t I = 0; I != NumIds; ++I)
+    if (!(Want.schema()[I] == T.schema()[H->IdIdx[I]]))
+      return false;
+  CellType ValType = T.schema()[H->ValIdx].Type;
+  for (size_t I = NumIds; I != Width; ++I)
+    if (Want.schema()[I].Type != ValType)
+      return false;
+  return true;
+}
+
 std::optional<Table> applySeparate(const Table &T, const std::string &Col,
                                    const Term &Into1, const Term &Into2) {
-  std::optional<size_t> Idx = T.schema().indexOf(Col);
-  if (!Idx || T.schema()[*Idx].Type != CellType::Str)
+  std::optional<Header> H = separateHeader(T, Col, Into1, Into2);
+  if (!H)
     return std::nullopt;
-  if (Into1.NameId == Into2.NameId)
-    return std::nullopt;
-  for (size_t I = 0; I != T.numCols(); ++I) {
-    if (I == *Idx)
-      continue;
-    if (T.schema()[I].NameId == Into1.NameId ||
-        T.schema()[I].NameId == Into2.NameId)
-      return std::nullopt;
-  }
-
-  std::vector<Column> Cols;
-  for (size_t I = 0; I != T.numCols(); ++I) {
-    if (I == *Idx) {
-      Cols.push_back({Into1.Name, CellType::Str, Into1.NameId});
-      Cols.push_back({Into2.Name, CellType::Str, Into2.NameId});
-    } else {
-      Cols.push_back(T.schema()[I]);
-    }
-  }
+  const size_t Idx = H->Idx[0];
   ColumnData First, Second;
   First.reserve(T.numRows());
   Second.reserve(T.numRows());
-  for (const Value &V : T.col(*Idx)) {
+  for (const Value &V : T.col(Idx)) {
     std::optional<std::pair<uint32_t, uint32_t>> Pieces =
         separatedIds(V.strId());
     if (!Pieces)
@@ -364,46 +550,38 @@ std::optional<Table> applySeparate(const Table &T, const std::string &Col,
     Second.push_back(Value::strOfId(Pieces->second));
   }
   std::vector<ColumnPtr> Out;
-  Out.reserve(Cols.size());
+  Out.reserve(H->Out.size());
   for (size_t I = 0; I != T.numCols(); ++I) {
-    if (I == *Idx) {
+    if (I == Idx) {
       Out.push_back(ownCol(std::move(First)));
       Out.push_back(ownCol(std::move(Second)));
     } else {
       Out.push_back(T.colHandle(I)); // untouched columns alias
     }
   }
-  return Table(Schema(std::move(Cols)), std::move(Out), T.numRows());
+  return Table(std::move(H->Out), std::move(Out), T.numRows());
 }
 
 std::optional<Table> applyUnite(const Table &T, const Term &NewName,
                                 const std::string &C1, const std::string &C2) {
-  std::optional<size_t> I1 = T.schema().indexOf(C1);
-  std::optional<size_t> I2 = T.schema().indexOf(C2);
-  if (!I1 || !I2 || *I1 == *I2)
+  std::optional<Header> H = uniteHeader(T, NewName, C1, C2);
+  if (!H)
     return std::nullopt;
-  for (size_t I = 0; I != T.numCols(); ++I)
-    if (I != *I1 && I != *I2 && T.schema()[I].NameId == NewName.NameId)
-      return std::nullopt;
-
-  std::vector<Column> Cols;
+  const size_t I1 = H->Idx[0], I2 = H->Idx[1];
   std::vector<ColumnPtr> Out;
   ColumnData United;
   United.reserve(T.numRows());
-  const ColumnData &A = T.col(*I1);
-  const ColumnData &B = T.col(*I2);
+  const ColumnData &A = T.col(I1);
+  const ColumnData &B = T.col(I2);
   for (size_t R = 0; R != T.numRows(); ++R)
     United.push_back(Value::strOfId(unitedId(A[R], B[R])));
   for (size_t I = 0; I != T.numCols(); ++I) {
-    if (I == *I1) {
-      Cols.push_back({NewName.Name, CellType::Str, NewName.NameId});
+    if (I == I1)
       Out.push_back(ownCol(std::move(United)));
-    } else if (I != *I2) {
-      Cols.push_back(T.schema()[I]);
+    else if (I != I2)
       Out.push_back(T.colHandle(I));
-    }
   }
-  return Table(Schema(std::move(Cols)), std::move(Out), T.numRows());
+  return Table(std::move(H->Out), std::move(Out), T.numRows());
 }
 
 //===----------------------------------------------------------------------===//
@@ -412,22 +590,14 @@ std::optional<Table> applyUnite(const Table &T, const Term &NewName,
 
 std::optional<Table> applySelect(const Table &T,
                                  const std::vector<std::string> &Cols) {
-  if (!distinctColumnIds(T, Cols))
-    return std::nullopt;
-  // Keeping every column is never useful in an example-driven search and
-  // Table 2 relies on it: the spec's col(y) < col(x) is sound only if the
-  // kernel rejects full-width selects (found by `morpheus analyze`).
-  if (Cols.size() == T.numCols())
+  std::optional<Header> H = selectHeader(T, Cols);
+  if (!H)
     return std::nullopt;
   // Pure column-pointer shuffle: no cells move.
-  std::vector<Column> NewCols;
   std::vector<ColumnPtr> Out;
-  for (const std::string &C : Cols) {
-    size_t I = *T.schema().indexOf(C);
-    NewCols.push_back(T.schema()[I]);
+  for (size_t I : H->Idx)
     Out.push_back(T.colHandle(I));
-  }
-  Table Result(Schema(std::move(NewCols)), std::move(Out), T.numRows());
+  Table Result(std::move(H->Out), std::move(Out), T.numRows());
   // Grouping columns that survive the projection stay grouping columns.
   std::vector<std::string> Groups;
   for (const std::string &G : T.groupCols())
@@ -569,10 +739,8 @@ std::optional<Table> applyFilter(const Table &T, const TermPtr &Pred) {
 
 std::optional<Table> applyGroupBy(const Table &T,
                                   const std::vector<std::string> &Cols) {
-  if (!distinctColumnIds(T, Cols) || Cols.size() >= T.numCols())
+  if (!groupByAccepts(T, Cols))
     return std::nullopt;
-  if (T.isGrouped())
-    return std::nullopt; // regrouping a grouped frame is never needed
   Table Result = T; // aliases every column
   Result.setGroupCols(Cols);
   return Result;
@@ -582,21 +750,9 @@ std::optional<Table> applySummarise(const Table &T, const Term &NewName,
                                     const TermPtr &Agg) {
   if (!Agg || Agg->K != Term::Kind::App || !Agg->Fn->isAggregate())
     return std::nullopt;
-  std::vector<size_t> KeyIdx;
-  for (const std::string &G : T.groupCols()) {
-    std::optional<size_t> I = T.schema().indexOf(G);
-    if (!I)
-      return std::nullopt;
-    KeyIdx.push_back(*I);
-  }
-  for (size_t I : KeyIdx)
-    if (T.schema()[I].NameId == NewName.NameId)
-      return std::nullopt;
-
-  std::vector<Column> Cols;
-  for (size_t I : KeyIdx)
-    Cols.push_back(T.schema()[I]);
-  Cols.push_back({NewName.Name, CellType::Num, NewName.NameId});
+  std::optional<Header> H = summariseHeader(T, NewName);
+  if (!H)
+    return std::nullopt;
 
   std::vector<size_t> GroupFirst;
   ColumnData AggCells;
@@ -611,12 +767,12 @@ std::optional<Table> applySummarise(const Table &T, const Term &NewName,
     AggCells.push_back(std::move(*V));
   }
   std::vector<ColumnPtr> Out;
-  Out.reserve(Cols.size());
-  for (size_t I : KeyIdx)
+  Out.reserve(H->Out.size());
+  for (size_t I : H->Idx)
     Out.push_back(gatherCol(T.col(I), GroupFirst));
   size_t NOut = AggCells.size();
   Out.push_back(ownCol(std::move(AggCells)));
-  Table Result(Schema(std::move(Cols)), std::move(Out), NOut);
+  Table Result(std::move(H->Out), std::move(Out), NOut);
   // dplyr drops the last grouping level after summarise.
   std::vector<std::string> Remaining = T.groupCols();
   if (!Remaining.empty())
@@ -627,7 +783,8 @@ std::optional<Table> applySummarise(const Table &T, const Term &NewName,
 
 std::optional<Table> applyMutate(const Table &T, const Term &NewName,
                                  const TermPtr &Expr) {
-  if (!Expr || T.schema().contains(NewName.Name) || T.numRows() == 0)
+  std::optional<Schema> NewSchema;
+  if (!Expr || !(NewSchema = mutateHeader(T, NewName)))
     return std::nullopt;
   auto Groups = T.groupedRowIndices();
   auto GroupMap = rowToGroup(T, Groups);
@@ -641,14 +798,12 @@ std::optional<Table> applyMutate(const Table &T, const Term &NewName,
     NewCells.push_back(std::move(*V));
   }
   // Existing columns alias; only the new column is fresh storage.
-  Schema NewSchema = T.schema();
-  NewSchema.append({NewName.Name, CellType::Num, NewName.NameId});
   std::vector<ColumnPtr> Out;
   Out.reserve(T.numCols() + 1);
   for (size_t C = 0; C != T.numCols(); ++C)
     Out.push_back(T.colHandle(C));
   Out.push_back(ownCol(std::move(NewCells)));
-  Table Result(std::move(NewSchema), std::move(Out), T.numRows());
+  Table Result(std::move(*NewSchema), std::move(Out), T.numRows());
   Result.setGroupCols(T.groupCols());
   return Result;
 }
@@ -756,111 +911,185 @@ std::optional<Table> applyDistinct(const Table &T) {
 } // namespace
 
 StandardComponents::StandardComponents() {
+  using Tables = std::vector<Table>;
+  using Args = std::vector<TermPtr>;
   auto Add = [&](std::string Name, unsigned NumTables,
-                 std::vector<ParamKind> Params,
-                 LambdaTransformer::ApplyFn Fn) {
+                 std::vector<ParamKind> Params, LambdaTransformer::ApplyFn Fn,
+                 LambdaTransformer::GateFn Gate = nullptr) {
     Storage.push_back(std::make_unique<LambdaTransformer>(
-        std::move(Name), NumTables, std::move(Params), std::move(Fn)));
+        std::move(Name), NumTables, std::move(Params), std::move(Fn),
+        std::move(Gate)));
     All.push_back(Storage.back().get());
   };
+  // The gates test what costs no header first: a verb that keeps T's rows
+  // must be handed Want's row count, whatever its terms say.
+  auto SameRows = [](const Table &T, const Table &Want) {
+    return T.numRows() == Want.numRows();
+  };
+  auto SameHeader = [](const Table &T, const Table &Want) {
+    return T.numRows() == Want.numRows() && T.schema() == Want.schema();
+  };
 
-  Add("gather", 1, {ParamKind::NewName, ParamKind::NewName, ParamKind::Cols},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
+  Add(
+      "gather", 1, {ParamKind::NewName, ParamKind::NewName, ParamKind::Cols},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
         const Term *Key = nameOf(A[0]), *Val = nameOf(A[1]);
-        auto Cols = colsOf(A[2]);
+        const std::vector<std::string> *Cols = colsOf(A[2]);
         if (!Key || !Val || !Cols)
           return std::nullopt;
         return applyGather(T[0], *Key, *Val, *Cols);
+      },
+      [](const Tables &T, const Args &A, const Table &Want) {
+        const Term *Key = nameOf(A[0]), *Val = nameOf(A[1]);
+        const std::vector<std::string> *Cols = colsOf(A[2]);
+        return Key && Val && Cols &&
+               gatherMayYield(T[0], *Key, *Val, *Cols, Want);
       });
 
-  Add("spread", 1, {ParamKind::ColName, ParamKind::ColName},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
+  Add(
+      "spread", 1, {ParamKind::ColName, ParamKind::ColName},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
         const Term *Key = nameOf(A[0]), *Val = nameOf(A[1]);
         if (!Key || !Val)
           return std::nullopt;
         return applySpread(T[0], Key->Name, Val->Name);
+      },
+      [](const Tables &T, const Args &A, const Table &Want) {
+        const Term *Key = nameOf(A[0]), *Val = nameOf(A[1]);
+        return Key && Val && spreadMayYield(T[0], Key->Name, Val->Name, Want);
       });
 
-  Add("separate", 1,
+  Add(
+      "separate", 1,
       {ParamKind::ColName, ParamKind::NewName, ParamKind::NewName},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
         const Term *Col = nameOf(A[0]), *I1 = nameOf(A[1]), *I2 = nameOf(A[2]);
         if (!Col || !I1 || !I2)
           return std::nullopt;
         return applySeparate(T[0], Col->Name, *I1, *I2);
+      },
+      [SameRows](const Tables &T, const Args &A, const Table &Want) {
+        const Term *Col = nameOf(A[0]), *I1 = nameOf(A[1]), *I2 = nameOf(A[2]);
+        if (!Col || !I1 || !I2 || !SameRows(T[0], Want) ||
+            T[0].numCols() + 1 != Want.numCols())
+          return false;
+        std::optional<Header> H = separateHeader(T[0], Col->Name, *I1, *I2);
+        return H && H->Out == Want.schema();
       });
 
-  Add("unite", 1, {ParamKind::NewName, ParamKind::ColName, ParamKind::ColName},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
+  Add(
+      "unite", 1, {ParamKind::NewName, ParamKind::ColName, ParamKind::ColName},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
         const Term *NN = nameOf(A[0]), *C1 = nameOf(A[1]), *C2 = nameOf(A[2]);
         if (!NN || !C1 || !C2)
           return std::nullopt;
         return applyUnite(T[0], *NN, C1->Name, C2->Name);
+      },
+      [SameRows](const Tables &T, const Args &A, const Table &Want) {
+        const Term *NN = nameOf(A[0]), *C1 = nameOf(A[1]), *C2 = nameOf(A[2]);
+        if (!NN || !C1 || !C2 || !SameRows(T[0], Want) ||
+            Want.numCols() + 1 != T[0].numCols())
+          return false;
+        std::optional<Header> H = uniteHeader(T[0], *NN, C1->Name, C2->Name);
+        return H && H->Out == Want.schema();
       });
 
-  Add("select", 1, {ParamKind::ColsOrdered},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
-        auto Cols = colsOf(A[0]);
+  Add(
+      "select", 1, {ParamKind::ColsOrdered},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
+        const std::vector<std::string> *Cols = colsOf(A[0]);
         if (!Cols)
           return std::nullopt;
         return applySelect(T[0], *Cols);
+      },
+      [SameRows](const Tables &T, const Args &A, const Table &Want) {
+        const std::vector<std::string> *Cols = colsOf(A[0]);
+        if (!Cols || !SameRows(T[0], Want) || Cols->size() != Want.numCols())
+          return false;
+        std::optional<Header> H = selectHeader(T[0], *Cols);
+        return H && H->Out == Want.schema();
       });
 
-  Add("filter", 1, {ParamKind::Pred},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A) {
-        return applyFilter(T[0], A[0]);
+  // A filter keeps T's header and drops at least one row.
+  Add(
+      "filter", 1, {ParamKind::Pred},
+      [](const Tables &T, const Args &A) { return applyFilter(T[0], A[0]); },
+      [](const Tables &T, const Args &A, const Table &Want) {
+        return A[0] && Want.numRows() < T[0].numRows() &&
+               T[0].schema() == Want.schema();
       });
 
-  Add("summarise", 1, {ParamKind::NewName, ParamKind::Agg},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
+  // summarise yields one row per non-empty group: none of an empty table,
+  // at most one of an ungrouped table, never more than T's rows.
+  Add(
+      "summarise", 1, {ParamKind::NewName, ParamKind::Agg},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
         const Term *NN = nameOf(A[0]);
         if (!NN)
           return std::nullopt;
         return applySummarise(T[0], *NN, A[1]);
+      },
+      [](const Tables &T, const Args &A, const Table &Want) {
+        const Term *NN = nameOf(A[0]);
+        size_t Rows = T[0].numRows(), WantRows = Want.numRows();
+        if (!NN || !A[1] || WantRows > Rows || (Rows != 0 && WantRows == 0) ||
+            (!T[0].isGrouped() && WantRows > 1) ||
+            T[0].groupCols().size() + 1 != Want.numCols())
+          return false;
+        std::optional<Header> H = summariseHeader(T[0], *NN);
+        return H && H->Out == Want.schema();
       });
 
-  Add("group_by", 1, {ParamKind::Cols},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
-        auto Cols = colsOf(A[0]);
+  Add(
+      "group_by", 1, {ParamKind::Cols},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
+        const std::vector<std::string> *Cols = colsOf(A[0]);
         if (!Cols)
           return std::nullopt;
         return applyGroupBy(T[0], *Cols);
+      },
+      [SameHeader](const Tables &T, const Args &A, const Table &Want) {
+        const std::vector<std::string> *Cols = colsOf(A[0]);
+        return Cols && SameHeader(T[0], Want) && groupByAccepts(T[0], *Cols);
       });
 
-  Add("mutate", 1, {ParamKind::NewName, ParamKind::NumExpr},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
+  Add(
+      "mutate", 1, {ParamKind::NewName, ParamKind::NumExpr},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
         const Term *NN = nameOf(A[0]);
         if (!NN)
           return std::nullopt;
         return applyMutate(T[0], *NN, A[1]);
+      },
+      [SameRows](const Tables &T, const Args &A, const Table &Want) {
+        const Term *NN = nameOf(A[0]);
+        if (!NN || !A[1] || !SameRows(T[0], Want) ||
+            T[0].numCols() + 1 != Want.numCols())
+          return false;
+        std::optional<Schema> S = mutateHeader(T[0], *NN);
+        return S && *S == Want.schema();
       });
 
-  Add("inner_join", 2, {},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &) {
-        return applyInnerJoin(T[0], T[1]);
-      });
+  Add("inner_join", 2, {}, [](const Tables &T, const Args &) {
+    return applyInnerJoin(T[0], T[1]);
+  });
 
-  Add("arrange", 1, {ParamKind::ColsOrdered},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &A)
-          -> std::optional<Table> {
-        auto Cols = colsOf(A[0]);
+  Add(
+      "arrange", 1, {ParamKind::ColsOrdered},
+      [](const Tables &T, const Args &A) -> std::optional<Table> {
+        const std::vector<std::string> *Cols = colsOf(A[0]);
         if (!Cols)
           return std::nullopt;
         return applyArrange(T[0], *Cols);
+      },
+      [SameHeader](const Tables &T, const Args &A, const Table &Want) {
+        const std::vector<std::string> *Cols = colsOf(A[0]);
+        return Cols && SameHeader(T[0], Want) &&
+               distinctColumnIds(T[0], *Cols);
       });
 
   Add("distinct", 1, {},
-      [](const std::vector<Table> &T, const std::vector<TermPtr> &) {
-        return applyDistinct(T[0]);
-      });
+      [](const Tables &T, const Args &) { return applyDistinct(T[0]); });
 
   std::vector<TableTransformer *> Mutable;
   Mutable.reserve(Storage.size());

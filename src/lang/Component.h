@@ -10,8 +10,9 @@
 /// of table arguments plus the kinds of its first-order value parameters)
 /// and per-level first-order specifications φ. The synthesizer treats
 /// components entirely through this interface — adding a component requires
-/// no synthesizer change, only an `apply` implementation and (optionally) a
-/// spec; `true` is always a valid spec.
+/// no synthesizer change, only an `apply` implementation and, optionally, a
+/// spec and a header gate (`mayYield`); `true` is always a valid spec and a
+/// valid gate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +52,29 @@ public:
   virtual std::optional<Table>
   apply(const std::vector<Table> &Tables,
         const std::vector<TermPtr> &Args) const = 0;
+
+  /// The header gate: could apply(Tables, Args) return a table whose
+  /// schema() equals Want.schema() and whose numRows() equals
+  /// Want.numRows()? The synthesizer asks it before running the kernel on
+  /// every fill of a sketch's last hole, where almost every candidate's
+  /// header is wrong, and skips the kernel on `false`.
+  ///
+  /// Contract for component authors: return `false` only when no such
+  /// table can come back; when unsure, return `true`. An over-eager
+  /// `false` silently loses programs (`morpheus analyze` flags one on the
+  /// tables it enumerates). Read only headers: the schemas, row counts and
+  /// grouping columns of \p Tables and \p Want, and the names, ids and
+  /// kinds of \p Args' terms, never cells, so the gate stays far cheaper
+  /// than apply. The default says `true`, so a component that does not
+  /// override it behaves exactly as if there were no gate.
+  virtual bool mayYield(const std::vector<Table> &Tables,
+                        const std::vector<TermPtr> &Args,
+                        const Table &Want) const {
+    (void)Tables;
+    (void)Args;
+    (void)Want;
+    return true;
+  }
 
   /// The first-order specification of this component at \p Level. Defaults
   /// to `true` (Definition 2: true is always a valid spec).

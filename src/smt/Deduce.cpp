@@ -48,7 +48,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 #include <unordered_map>
 #include <z3++.h>
@@ -353,12 +352,12 @@ struct DeductionEngine::Impl {
         if (Complete && !T)
           return false;
         if (T) {
+          // A fixed-width field after the '@' (which only ever follows a
+          // ')'), so the key stays injective.
           const AttrValues &A = absCached(*T);
-          char Buf[64];
-          std::snprintf(Buf, sizeof(Buf), "@%lld.%lld.%lld.%lld",
-                        (long long)A.Row, (long long)A.Col,
-                        (long long)A.NewCols, (long long)A.NewVals);
-          Key += Buf;
+          Key += '@';
+          for (int64_t V : {A.Row, A.Col, A.NewCols, A.NewVals})
+            Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
         }
       }
       return true;

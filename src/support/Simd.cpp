@@ -96,14 +96,6 @@ inline uint32_t cellType(const void *Cells, size_t I) {
 
 } // namespace
 
-size_t morpheus::simd::findEqualU64(const uint64_t *Xs, size_t N,
-                                    uint64_t Target, size_t From) {
-  for (size_t I = From; I < N; ++I)
-    if (Xs[I] == Target)
-      return I;
-  return npos;
-}
-
 size_t morpheus::simd::selectCmpF64(const double *Xs, size_t N, double C,
                                     CmpOp Op, uint32_t *OutIdx) {
   size_t Count = 0;

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The data-parallel kernels the columnar hot path runs over contiguous
-/// spans: batched 64-bit fingerprint compares, selection-vector comparison
-/// kernels for filter predicates, and the hash-combine loops behind
-/// group-by keys and table fingerprints. Each kernel is one plain loop;
-/// the compiler is free to vectorize it for the build's target.
+/// spans: selection-vector comparison kernels for filter predicates, and
+/// the hash-combine loops behind group-by keys and table fingerprints.
+/// Each kernel is one plain loop; the compiler is free to vectorize it for
+/// the build's target.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,13 +31,6 @@ enum class SimdLevel : int { Scalar = 0 };
 constexpr SimdLevel activeSimdLevel() { return SimdLevel::Scalar; }
 
 constexpr std::string_view simdLevelName(SimdLevel) { return "scalar"; }
-
-constexpr size_t npos = size_t(-1);
-
-/// First index I in [From, N) with Xs[I] == Target, or npos. The batched
-/// candidate-check sweep over a block of output fingerprints.
-size_t findEqualU64(const uint64_t *Xs, size_t N, uint64_t Target,
-                    size_t From = 0);
 
 /// Comparison operators of the filter fast path, in the engine's tolerant
 /// numeric semantics (interp/ValueOps.cpp compare()).

@@ -9,7 +9,6 @@
 #include "bus/EventBus.h"
 #include "support/Arena.h"
 #include "synth/Inhabitation.h"
-#include "table/BatchCheck.h"
 
 #include <algorithm>
 #include <cassert>
@@ -200,23 +199,22 @@ private:
     return Engine.deduce(H, Cfg.Level, Cfg.UsePartialEval);
   }
 
+  /// The exact candidate check. Cheap rejections first; under unordered
+  /// compare the O(1) fingerprint test rejects almost every mismatch before
+  /// any sort or cell compare (equalsUnordered re-checks it, cached).
+  bool equalsOutput(const Table &T) const {
+    if (T.numRows() != Output.numRows() || !(T.schema() == Output.schema()))
+      return false;
+    return Cfg.OrderedCompare ? T.equalsOrdered(Output)
+                              : T.fingerprint() == OutputFingerprint &&
+                                    T.equalsUnordered(Output);
+  }
+
   bool checkCandidate(const HypPtr &Candidate) {
     ++Stats.CandidatesChecked;
     ++SketchWork;
     const std::optional<Table> &T = Engine.evaluateCached(Candidate);
-    if (!T)
-      return false;
-    // Cheap rejections first; candidate checks run millions of times. The
-    // O(1) fingerprint gate rejects almost every mismatch before any sort
-    // or cell compare (equalsUnordered re-checks it, cached).
-    if (T->numRows() != Output.numRows() ||
-        !(T->schema() == Output.schema()))
-      return false;
-    bool Equal = Cfg.OrderedCompare
-                     ? T->equalsOrdered(Output)
-                     : T->fingerprint() == OutputFingerprint &&
-                           T->equalsUnordered(Output);
-    if (!Equal)
+    if (!T || !equalsOutput(*T))
       return false;
     Solution = Candidate;
     return true;
@@ -227,10 +225,9 @@ private:
   bool fillSketch(const HypPtr &Sketch);
   bool fillHoles(size_t Index, const HypPtr &Tree,
                  const std::vector<HoleInfo> &Holes);
-  /// The vectorized sibling-fill path for a sketch's final value hole.
-  bool fillLastHoleBatched(const HypPtr &Tree, const HoleInfo &HI,
-                           const std::vector<Table> &Universe,
-                           unsigned Index);
+  /// The candidate loop of a sketch's final value hole.
+  bool fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
+                    const std::vector<Table> &Universe, unsigned Index);
 
   /// The tables whose contents finitize the candidate universe for a hole
   /// of \p Node. With partial evaluation these are the node's concrete
@@ -320,12 +317,10 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
   if (!Universe)
     return false;
 
-  // The final hole's completions all go straight to the candidate check —
-  // the batched sibling-fill path evaluates their shared prefix once and
-  // sweeps their output fingerprints in batches. Ordered-compare tasks
-  // stay on the per-candidate check (see BatchCheck.h).
-  if (!Cfg.OrderedCompare && Index + 1 == Holes.size())
-    return fillLastHoleBatched(Tree, HI, *Universe, unsigned(Index));
+  // The final hole's completions all go straight to the candidate check,
+  // which subsumes deduction on a fully complete tree.
+  if (Index + 1 == Holes.size())
+    return fillLastHole(Tree, HI, *Universe, unsigned(Index));
 
   bool Found = false;
   Inhab.enumerate(
@@ -334,11 +329,9 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
           return false;
         HypPtr NewTree = replaceAtPath(
             Tree, HI.Path, 0, Hypothesis::filled(HI.Kind, std::move(T)));
-        // The final hole's fill goes straight to the candidate check, which
-        // subsumes deduction on a fully complete tree.
         std::unordered_multimap<uint64_t, ExploredTable> *Memo = nullptr;
         const Table *Completed = nullptr;
-        if (HI.LastOfNode && Index + 1 != Holes.size()) {
+        if (HI.LastOfNode) {
           const HypPtr &Done = nodeAt(NewTree, HI.NodePath);
           // The owning subtree is now complete: partial evaluation gives
           // deduction a concrete table to abstract (rule 1/3 of Fig. 14).
@@ -386,20 +379,19 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
   return Found;
 }
 
-bool SearchContext::fillLastHoleBatched(const HypPtr &Tree,
-                                        const HoleInfo &HI,
-                                        const std::vector<Table> &Universe,
-                                        unsigned Index) {
-  // Sibling-fill batch evaluation: every candidate differs from its
-  // siblings only in the term filled into this one hole. When the hole's
-  // owning Apply node is the root, the shared prefix — the root's table
-  // children — is evaluated ONCE (cache-hot: universeFor just did) and
-  // each sibling becomes a direct component apply over the shared
-  // arguments, skipping the per-candidate tree rebuild, tree re-walk and
-  // eval-cache insertion of the scalar path. Candidate outputs then
-  // accumulate into a BatchChecker and are rejected in fingerprint
-  // sweeps; only fingerprint hits pay a full table compare.
+bool SearchContext::fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
+                                 const std::vector<Table> &Universe,
+                                 unsigned Index) {
+  // Every candidate differs from its siblings only in the term filled into
+  // this one hole. When the hole's owning Apply node is the root, the
+  // shared prefix (the root's table children) is evaluated once (cache-hot:
+  // universeFor just did) and each sibling is a direct component call over
+  // the shared arguments, with no tree rebuild or eval-cache insertion.
+  // The component's header gate runs before its kernel: almost every
+  // sibling's output has the wrong header, and the gate rejects it without
+  // building the table.
   const HypPtr &Node = nodeAt(Tree, HI.NodePath);
+  const TableTransformer *X = Node->component();
   bool Direct = HI.NodePath.empty();
   std::vector<Table> TableArgs;
   std::vector<TermPtr> ValueArgs; // one null slot where the hole sits
@@ -409,9 +401,8 @@ bool SearchContext::fillLastHoleBatched(const HypPtr &Tree,
       if (C->isTableTyped()) {
         const std::optional<Table> &T = Engine.evaluateCached(C);
         if (!T) {
-          // A dead child: fall back to per-candidate evaluation so the
-          // per-term outcome (every candidate rejected) and work
-          // accounting match the scalar path exactly.
+          // A dead child: every candidate evaluates to nothing; the
+          // per-candidate path still charges each one to the sketch.
           Direct = false;
           break;
         }
@@ -424,59 +415,48 @@ bool SearchContext::fillLastHoleBatched(const HypPtr &Tree,
         ValueArgs.push_back(nullptr);
       }
     }
-    if (Direct && (HoleSlot == SIZE_MAX ||
-                   TableArgs.size() != Node->component()->numTableArgs()))
+    if (Direct &&
+        (HoleSlot == SIZE_MAX || TableArgs.size() != X->numTableArgs()))
       Direct = false;
   }
 
-  BatchChecker Checker(Output);
-  std::vector<TermPtr> Pending; // aligned with the checker's batch slots
-  Pending.reserve(BatchChecker::Capacity);
   bool Found = false;
-  auto FlushBatch = [&] {
-    size_t Hit = Checker.flush();
-    if (Hit != simd::npos) {
-      Solution = replaceAtPath(
-          Tree, HI.Path, 0, Hypothesis::filled(HI.Kind, Pending[Hit]));
-      Found = true;
+  Inhab.enumerate(HI.Kind, Universe, Output, Index, [&](TermPtr T) {
+    if (expired())
+      return false;
+    if (!Direct) {
+      // Not the root's hole: the rest of the tree above it evaluates
+      // through the eval cache.
+      if (checkCandidate(replaceAtPath(Tree, HI.Path, 0,
+                                       Hypothesis::filled(HI.Kind, T)))) {
+        Found = true;
+        return false;
+      }
+      return !TimedOut && !sketchBudgetSpent();
     }
-    Pending.clear();
-    return Found;
-  };
-
-  Inhab.enumerate(
-      HI.Kind, Universe, Output, Index, [&](TermPtr T) {
-        if (expired())
-          return false;
-        ++Stats.CandidatesChecked;
-        ++SketchWork;
-        std::optional<Table> Cand;
-        if (Direct) {
-          ValueArgs[HoleSlot] = T;
-          Cand = Node->component()->apply(TableArgs, ValueArgs);
-        } else {
-          HypPtr NewTree = replaceAtPath(Tree, HI.Path, 0,
-                                         Hypothesis::filled(HI.Kind, T));
-          const std::optional<Table> &Cached = Engine.evaluateCached(NewTree);
-          if (Cached)
-            Cand = *Cached;
-        }
-        if (Cand && Checker.add(std::move(*Cand))) {
-          Pending.push_back(std::move(T));
-          if (Checker.full() && FlushBatch())
-            return false;
-        }
-        return !TimedOut && !sketchBudgetSpent();
-      });
-  if (!Found)
-    FlushBatch();
+    // Charged before the gate, so the sketch budget cuts where it would if
+    // every candidate ran its kernel.
+    ++Stats.CandidatesChecked;
+    ++SketchWork;
+    ValueArgs[HoleSlot] = T;
+    if (X->mayYield(TableArgs, ValueArgs, Output)) {
+      std::optional<Table> Cand = X->apply(TableArgs, ValueArgs);
+      if (Cand && equalsOutput(*Cand)) {
+        Solution = replaceAtPath(Tree, HI.Path, 0,
+                                 Hypothesis::filled(HI.Kind, std::move(T)));
+        Found = true;
+        return false;
+      }
+    }
+    return !TimedOut && !sketchBudgetSpent();
+  });
   return Found;
 }
 
 bool SearchContext::fillSketch(const HypPtr &Sketch) {
   // Pin the search thread's arena for the whole completion: the kernels
-  // below (fingerprint folds, group-by scratch, batch sweeps) stack their
-  // own scopes on top, and this rewind point returns the arena to its
+  // below (fingerprint folds, group-by scratch, filter selections) stack
+  // their own scopes on top, and this rewind point returns the arena to its
   // pre-sketch watermark even if a kernel's scope hierarchy grows the
   // arena mid-completion. Chunks are retained, so steady-state sketch
   // completion performs zero temporary heap allocations in the kernels.

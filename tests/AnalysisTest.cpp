@@ -50,12 +50,50 @@ TEST(SpecLint, StandardLibraryLintsClean) {
   EXPECT_GT(R.Stats.Scenarios, 0u);
   EXPECT_GT(R.Stats.ChainScenarios, 0u);
   EXPECT_GT(R.Stats.SoundnessChecks, 0u);
+  // Every accepted run, depth-1 and chained, also tested the gate.
+  EXPECT_EQ(R.Stats.GateChecks, R.Stats.Scenarios + R.Stats.ChainScenarios);
 }
 
 TEST(SpecLint, SqlLibraryLintsClean) {
   LintReport R = lintLibrary(StandardComponents::get().sqlRelevant());
   EXPECT_TRUE(R.clean());
   EXPECT_EQ(R.Stats.Components, 8u);
+  EXPECT_GT(R.Stats.GateChecks, 0u);
+}
+
+/// select's kernel under a header gate that wrongly insists the output
+/// drops a row, with the trivial spec: the gate check must run anyway.
+class TightGateSelect : public TableTransformer {
+public:
+  TightGateSelect()
+      : TableTransformer("tight_select", 1, {ParamKind::ColsOrdered}) {}
+
+  std::optional<Table> apply(const std::vector<Table> &Tables,
+                             const std::vector<TermPtr> &Args) const override {
+    return StandardComponents::get().find("select")->apply(Tables, Args);
+  }
+
+  bool mayYield(const std::vector<Table> &Tables, const std::vector<TermPtr> &,
+                const Table &Want) const override {
+    return Want.numRows() < Tables[0].numRows();
+  }
+};
+
+TEST(SpecLint, TooTightGateIsFlagged) {
+  TightGateSelect X;
+  ComponentLibrary Lib = fullLibrary();
+  Lib.TableTransformers.push_back(&X);
+  LintOptions Opts;
+  Opts.Only = &X;
+  LintReport R = lintLibrary(Lib, Opts);
+  ASSERT_FALSE(R.clean());
+  unsigned Flagged = 0;
+  for (const LintIssue &I : R.Issues) {
+    EXPECT_EQ(I.Component, "tight_select");
+    Flagged += I.Kind == LintKind::GateRejectsOutput && I.IsError;
+  }
+  EXPECT_EQ(Flagged, 1u); // one issue per component, not per scenario
+  EXPECT_NE(reportToJson(R).find("gate-rejects-output"), std::string::npos);
 }
 
 TEST(SpecLint, CleanReportJsonShape) {

@@ -13,7 +13,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Engine.h"
+#include "interp/Components.h"
 #include "io/ProblemIO.h"
+#include "io/ProgramIO.h"
 #include "suite/Runner.h"
 
 #include <gtest/gtest.h>
@@ -188,6 +190,33 @@ TEST(Engine, SqlEngineUsesSqlComponents) {
   Problem P = Problem::fromTables({studentsTable()}, nameAgeOutput());
   Solution S = E.solve(P);
   ASSERT_TRUE(S);
+}
+
+/// A custom component that overrides apply only (select's kernel under
+/// another name): it keeps the default header gate, which says `true`.
+class KeepColumns final : public TableTransformer {
+public:
+  KeepColumns() : TableTransformer("keep_cols", 1, {ParamKind::ColsOrdered}) {}
+
+  std::optional<Table> apply(const std::vector<Table> &Tables,
+                             const std::vector<TermPtr> &Args) const override {
+    return StandardComponents::get().find("select")->apply(Tables, Args);
+  }
+};
+
+TEST(Engine, CustomComponentWithoutGateSolvesAsBefore) {
+  KeepColumns Keep;
+  ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
+  Lib.TableTransformers = {&Keep, Lib.findTable("filter")};
+  Engine E(Lib, EngineOptions().timeout(std::chrono::seconds(30)));
+  Solution S =
+      E.solve(Problem::fromTables({studentsTable()}, nameAgeOutput()));
+  ASSERT_TRUE(S);
+  // The program found before components had gates; keep_cols owns the
+  // last hole, so every one of its candidates ran the default gate.
+  EXPECT_EQ(printSexp(S.Program),
+            "(keep_cols (filter (input 0) (> (col id) (num 1))) "
+            "(cols name age))");
 }
 
 TEST(Problem, InputNamesDefaultPositionally) {

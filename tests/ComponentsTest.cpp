@@ -6,7 +6,9 @@
 ///
 /// \file
 /// Golden-table tests for every table transformer, including the paper's
-/// own worked examples (Figures 8, 9 and 15).
+/// own worked examples (Figures 8, 9 and 15), and tests of the header
+/// gates (TableTransformer::mayYield): they reject wrong headers, and they
+/// accept every table the suites' ground truths evaluate to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +16,8 @@
 #include "suite/Task.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace morpheus;
 using namespace morpheus::pb;
@@ -346,6 +350,132 @@ TEST(GroupBy, RejectsGroupingByAllColumnsOrRegrouping) {
                         {{num(1), num(2)}});
   EXPECT_FALSE(
       groupBy(groupBy(in(0), {"a"}), {"b"})->evaluate({In2}).has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// Header gates
+//===----------------------------------------------------------------------===//
+
+/// The gate of \p P's root component, asked with \p P's own children as
+/// its arguments (evaluated on \p Inputs) and \p Want as the wanted table.
+bool rootMayYield(const HypPtr &P, const std::vector<Table> &Inputs,
+                  const Table &Want) {
+  std::vector<Table> Tables;
+  std::vector<TermPtr> Args;
+  for (const HypPtr &C : P->children()) {
+    if (C->isTableTyped())
+      Tables.push_back(evalOrDie(C, Inputs));
+    else
+      Args.push_back(C->term());
+  }
+  return P->component()->mayYield(Tables, Args, Want);
+}
+
+/// \p T with its rows truncated to the first \p N (same header).
+Table firstRows(const Table &T, size_t N) {
+  std::vector<Row> Rows;
+  for (size_t R = 0; R != N; ++R)
+    Rows.push_back(T.row(R));
+  return Table(T.schema(), Rows);
+}
+
+TEST(Gates, AcceptTheKernelsOwnOutputAndRejectWrongHeaders) {
+  Table T1 = paperT1();
+  // Each program's own output passes its gate; the same header with one
+  // row fewer does not, since none of these verbs can drop a row here.
+  for (const HypPtr &P :
+       {select(in(0), {"name", "age"}), arrange(in(0), {"age"}),
+        mutate(in(0), "sum", bin("+", col("age"), col("GPA"))),
+        gather(in(0), "k", "v", {"age", "GPA"}),
+        unite(in(0), "who", "id", "name")}) {
+    Table Out = evalOrDie(P, {T1});
+    EXPECT_TRUE(rootMayYield(P, {T1}, Out)) << P->toString();
+    EXPECT_FALSE(rootMayYield(P, {T1}, firstRows(Out, Out.numRows() - 1)))
+        << P->toString();
+  }
+  // Column order is part of the header.
+  Table NameAge = evalOrDie(select(in(0), {"name", "age"}), {T1});
+  EXPECT_FALSE(rootMayYield(select(in(0), {"age", "name"}), {T1}, NameAge));
+  // A filter must drop a row: T1 itself is never its output.
+  HypPtr F = filter(in(0), "age", ">", num(8));
+  EXPECT_TRUE(rootMayYield(F, {T1}, evalOrDie(F, {T1})));
+  EXPECT_FALSE(rootMayYield(F, {T1}, T1));
+  // Ungrouped summarise yields one row.
+  HypPtr S = summarise(in(0), "n", "n");
+  Table One = evalOrDie(S, {T1});
+  EXPECT_TRUE(rootMayYield(S, {T1}, One));
+  std::vector<Row> Two{One.row(0), One.row(0)};
+  EXPECT_FALSE(rootMayYield(S, {T1}, Table(One.schema(), Two)));
+}
+
+TEST(Gates, SpreadTestsIdColumnsAndCellCountBeforeAnyToken) {
+  Table In = makeTable({{"id", CellType::Str},
+                        {"key", CellType::Str},
+                        {"val", CellType::Num}},
+                       {{str("x"), str("a"), num(1)},
+                        {str("x"), str("b"), num(2)},
+                        {str("y"), str("a"), num(3)},
+                        {str("y"), str("b"), num(4)}});
+  HypPtr Right = spread(in(0), "key", "val");
+  Table Out = evalOrDie(Right, {In});
+  EXPECT_TRUE(rootMayYield(Right, {In}, Out));
+  // Spreading by the wrong value column leaves `val` among the id columns,
+  // so the id columns no longer lead Out's header.
+  EXPECT_FALSE(rootMayYield(spread(in(0), "key", "id"), {In}, Out));
+  EXPECT_FALSE(rootMayYield(spread(in(0), "id", "val"), {In}, Out));
+  // Four input rows cannot fill 1 row x 2 spread columns.
+  EXPECT_FALSE(rootMayYield(Right, {In}, firstRows(Out, 1)));
+}
+
+/// Evaluates \p H bottom-up on \p Inputs, requiring at every Apply node
+/// that its component's gate accepts the node's own table; records the
+/// gated components' names in \p Seen.
+std::optional<Table> evalThroughGates(const HypPtr &H,
+                                      const std::vector<Table> &Inputs,
+                                      const std::string &Id,
+                                      std::set<std::string> &Seen) {
+  if (H->isInput())
+    return Inputs[H->inputIndex()];
+  std::vector<Table> Tables;
+  std::vector<TermPtr> Args;
+  for (const HypPtr &C : H->children()) {
+    if (!C->isTableTyped()) {
+      Args.push_back(C->term());
+      continue;
+    }
+    std::optional<Table> T = evalThroughGates(C, Inputs, Id, Seen);
+    if (!T)
+      return std::nullopt;
+    Tables.push_back(std::move(*T));
+  }
+  const TableTransformer *X = H->component();
+  std::optional<Table> Out = X->apply(Tables, Args);
+  if (!Out) {
+    ADD_FAILURE() << Id << ": " << X->name() << " failed to evaluate";
+    return std::nullopt;
+  }
+  EXPECT_TRUE(X->mayYield(Tables, Args, *Out))
+      << Id << ": the " << X->name() << " gate rejects its own output";
+  Seen.insert(X->name());
+  return Out;
+}
+
+TEST(Gates, AcceptEveryGroundTruthNodeOfBothSuites) {
+  std::vector<BenchmarkTask> All = morpheusSuite();
+  for (const BenchmarkTask &T : sqlSuite())
+    All.push_back(T);
+  ASSERT_EQ(All.size(), 108u);
+  std::set<std::string> Seen;
+  for (const BenchmarkTask &T : All) {
+    std::optional<Table> Out =
+        evalThroughGates(T.GroundTruth, T.Inputs, T.Id, Seen);
+    ASSERT_TRUE(Out) << T.Id;
+    EXPECT_TRUE(Out->equalsOrdered(T.Output)) << T.Id;
+  }
+  for (const char *Verb : {"select", "filter", "group_by", "arrange",
+                           "mutate", "summarise", "gather", "spread",
+                           "separate", "unite"})
+    EXPECT_TRUE(Seen.count(Verb)) << Verb << " appears in no ground truth";
 }
 
 } // namespace

@@ -345,8 +345,8 @@ TEST(GoldenRenders, All108GroundTruthsRenderByteIdentically) {
 // Columnar evaluation against row-wise references written here: filter
 // predicates (selection-vector compare kernels) against a per-row
 // evalTerm loop, and the open-addressing group-by against std::map
-// first-appearance numbering. Batched candidate checking must synthesize
-// the same programs as per-candidate checking.
+// first-appearance numbering. The header-gated last-hole check must
+// synthesize the programs the ungated per-candidate check found.
 //===----------------------------------------------------------------------===//
 
 /// applyFilter's definition, one row at a time: an aborted row aborts the
@@ -409,11 +409,11 @@ TEST_P(RandomTables, VerbEvaluationMatchesRowWiseReference) {
   }
 }
 
-TEST(SynthesisParity, BatchedCheckingFindsTheScalarPathsPrograms) {
+TEST(SynthesisParity, GatedCheckingFindsTheScalarPathsPrograms) {
   // Small problems the sequential search solves well inside the budget;
-  // what matters is that the batched sibling check never changes WHICH
+  // what matters is that the components' header gates never change WHICH
   // program wins, only how fast. The expected programs are the ones the
-  // per-candidate (scalar) check finds.
+  // per-candidate (scalar) check found before gates existed.
   Table People = makeTable({{"name", CellType::Str},
                             {"dept", CellType::Str},
                             {"score", CellType::Num}},

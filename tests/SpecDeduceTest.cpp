@@ -131,6 +131,32 @@ TEST(Deduce, PaperExample12PartialEvaluation) {
   EXPECT_TRUE(E.deduce(Pi, SpecLevel::Spec1, false));
 }
 
+/// The verdict cache keys a hypothesis on its structure and the
+/// abstractions of its evaluated subtrees: two inner tables that differ
+/// only in their new-value count must not share a verdict.
+TEST(Deduce, VerdictKeySeparatesAbstractionsDifferingInNewVals) {
+  Table In = makeTable({{"a", CellType::Num}, {"b", CellType::Num}},
+                       {{num(1), num(2)}, {num(3), num(4)}});
+  // c = a + 10: the header c and the cells 11, 13 are new values.
+  Table Out = makeTable({{"a", CellType::Num}, {"c", CellType::Num}},
+                        {{num(1), num(11)}, {num(3), num(13)}});
+  const StandardComponents &SC = StandardComponents::get();
+  auto SelectOfMutate = [&](double Shift) {
+    HypPtr M = Hypothesis::apply(
+        SC.find("mutate"),
+        {in(0), Hypothesis::filled(ParamKind::NewName, Term::nameLit("c")),
+         Hypothesis::filled(ParamKind::NumExpr,
+                            bin("+", col("a"), Term::constant(num(Shift))))});
+    return Hypothesis::apply(
+        SC.find("select"), {M, Hypothesis::valueHole(ParamKind::ColsOrdered)});
+  };
+  // Both mutates have 2 rows, 3 columns and one new column; a + 0 adds
+  // one new value (the header), a + 10 three. select cannot add values.
+  DeductionEngine E({In}, Out);
+  EXPECT_FALSE(E.deduce(SelectOfMutate(0), SpecLevel::Spec2, true));
+  EXPECT_TRUE(E.deduce(SelectOfMutate(10), SpecLevel::Spec2, true));
+}
+
 /// DEDUCE is sound: it never refutes the ground truth of a suite task.
 TEST(Deduce, NeverRefutesGroundTruth) {
   for (const BenchmarkTask &T : morpheusSuite()) {

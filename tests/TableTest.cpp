@@ -7,7 +7,6 @@
 #include "interp/ValueOps.h"
 #include "support/Arena.h"
 #include "support/Simd.h"
-#include "table/BatchCheck.h"
 #include "table/Table.h"
 #include "table/TableUtils.h"
 
@@ -325,19 +324,6 @@ std::vector<uint32_t> standardSelect(const std::vector<Value> &Cells,
   return Out;
 }
 
-TEST(Simd, FindEqualU64) {
-  std::vector<uint64_t> Xs(133);
-  for (size_t I = 0; I != Xs.size(); ++I)
-    Xs[I] = I * 2 + 1; // odd values; even targets cannot collide
-  Xs[77] = 1000;
-  Xs[131] = 1000;
-  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000), 77u);
-  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000, 78), 131u);
-  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 2000), simd::npos);
-  EXPECT_EQ(simd::findEqualU64(Xs.data(), 0, 1000), simd::npos);
-  EXPECT_EQ(simd::findEqualU64(Xs.data(), Xs.size(), 1000, 132), simd::npos);
-}
-
 TEST(Simd, SelectCmpF64MatchesStandardOps) {
   // Edge inputs around compare()'s tolerant equality (|a-b| <= 1e-9 *
   // max(|a|,|b|,1)): exact hit, within-tolerance, just outside, NaN and
@@ -484,99 +470,6 @@ TEST(Table, FingerprintMatchesRowWiseFold) {
   uint64_t Ref =
       mixFp(H ^ Sum) ^ mixFp(Xor ^ (uint64_t(Mixed.numRows()) << 32));
   EXPECT_EQ(Mixed.fingerprint(), Ref);
-}
-
-//===----------------------------------------------------------------------===//
-// BatchChecker (table/BatchCheck.h)
-//===----------------------------------------------------------------------===//
-
-TEST(BatchCheck, FirstMatchWinsAndUnorderedSemantics) {
-  Table E = roster();
-  // A row permutation of E equals it under unordered comparison; the
-  // scalar one-at-a-time chain would accept the first equal candidate, so
-  // flush must return the *earliest* batch index.
-  Table Permuted = makeTable({{"id", CellType::Num},
-                              {"name", CellType::Str},
-                              {"age", CellType::Num}},
-                             {{num(3), str("Tom"), num(12)},
-                              {num(1), str("Alice"), num(8)},
-                              {num(2), str("Bob"), num(18)}});
-  Table Miss = makeTable({{"id", CellType::Num},
-                          {"name", CellType::Str},
-                          {"age", CellType::Num}},
-                         {{num(1), str("Alice"), num(8)},
-                          {num(2), str("Bob"), num(18)},
-                          {num(3), str("Tom"), num(99)}});
-  BatchChecker Checker(E);
-  EXPECT_TRUE(Checker.add(Miss));
-  EXPECT_TRUE(Checker.add(Permuted));
-  EXPECT_TRUE(Checker.add(E));
-  EXPECT_EQ(Checker.flush(), 1u);
-  // flush cleared the batch.
-  EXPECT_EQ(Checker.size(), 0u);
-  EXPECT_EQ(Checker.flush(), simd::npos);
-}
-
-TEST(BatchCheck, ShapeGateRejectsWithoutEnqueuing) {
-  Table E = roster();
-  BatchChecker Checker(E);
-  Table WrongRows = makeTable({{"id", CellType::Num},
-                               {"name", CellType::Str},
-                               {"age", CellType::Num}},
-                              {{num(1), str("Alice"), num(8)}});
-  Table WrongCols =
-      makeTable({{"id", CellType::Num}}, {{num(1)}, {num(2)}, {num(3)}});
-  EXPECT_FALSE(Checker.add(WrongRows));
-  EXPECT_FALSE(Checker.add(WrongCols));
-  EXPECT_EQ(Checker.size(), 0u);
-  EXPECT_EQ(Checker.flush(), simd::npos);
-}
-
-TEST(BatchCheck, CheckCandidatesMapsIndicesAcrossBatches) {
-  Table E = roster();
-  // More candidates than one batch (Capacity = 64) with shape-gated
-  // rejects interleaved: the returned index must be into the ORIGINAL
-  // candidate list, and the hit sits past the first flush boundary.
-  std::vector<Table> Pool;
-  Table Short = makeTable({{"id", CellType::Num},
-                           {"name", CellType::Str},
-                           {"age", CellType::Num}},
-                          {{num(1), str("Alice"), num(8)}});
-  for (int I = 0; I != 70; ++I) {
-    if (I % 10 == 3) {
-      Pool.push_back(Short); // rejected by the shape gate
-      continue;
-    }
-    Pool.push_back(makeTable({{"id", CellType::Num},
-                              {"name", CellType::Str},
-                              {"age", CellType::Num}},
-                             {{num(1), str("Alice"), num(8)},
-                              {num(2), str("Bob"), num(18)},
-                              {num(3), str("Tom"), num(100 + I)}}));
-  }
-  EXPECT_EQ(checkCandidates(E, Pool), simd::npos);
-  Pool.push_back(E);
-  EXPECT_EQ(checkCandidates(E, Pool), Pool.size() - 1);
-}
-
-TEST(BatchCheck, FindsMatchAgainstFreshExpectedTable) {
-  Table E = roster();
-  std::vector<Table> Pool;
-  for (int I = 0; I != 10; ++I)
-    Pool.push_back(makeTable({{"id", CellType::Num},
-                              {"name", CellType::Str},
-                              {"age", CellType::Num}},
-                             {{num(1), str("Alice"), num(8)},
-                              {num(2), str("Bob"), num(18)},
-                              {num(3), str("Tom"), num(100 + I)}}));
-  Pool.insert(Pool.begin() + 6, E);
-  // A fresh expected wrapper over the same columns: its fingerprint is
-  // computed here, not taken from E's cache.
-  std::vector<ColumnPtr> Handles;
-  for (size_t C = 0; C != E.numCols(); ++C)
-    Handles.push_back(E.colHandle(C));
-  Table Fresh(E.schema(), Handles, E.numRows());
-  EXPECT_EQ(checkCandidates(Fresh, Pool), 6u);
 }
 
 } // namespace

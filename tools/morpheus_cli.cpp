@@ -1161,12 +1161,13 @@ int runAnalyze(ArgReader &Args) {
     }
   std::printf("analyze: %llu component(s), %llu sat check(s), %llu "
               "scenario(s) (%llu chained), %llu soundness check(s), "
-              "%u error(s), %u warning(s)\n",
+              "%llu gate check(s), %u error(s), %u warning(s)\n",
               (unsigned long long)Report.Stats.Components,
               (unsigned long long)Report.Stats.SatChecks,
               (unsigned long long)Report.Stats.Scenarios,
               (unsigned long long)Report.Stats.ChainScenarios,
               (unsigned long long)Report.Stats.SoundnessChecks,
+              (unsigned long long)Report.Stats.GateChecks,
               Report.errorCount(), Report.warningCount());
 
   if (!JsonPath.empty()) {
