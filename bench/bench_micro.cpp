@@ -154,81 +154,9 @@ void BM_InhabitationColsOrdered(benchmark::State &State) {
 BENCHMARK(BM_InhabitationColsOrdered);
 
 //===----------------------------------------------------------------------===//
-// Candidate-check / table-equality: columnar engine vs the row-major legacy
-// substrate it replaced. The legacy reference reproduces the seed layout
-// faithfully — row-major vector<vector> cells with heap-allocated strings,
-// equality via sort-everything-and-compare — so the pair of benchmarks
-// quantifies the engine swap on the operation the synthesizer runs millions
-// of times per task (BENCHMARKS.md records the measured ratio).
+// Candidate-check / table-equality: the operation the synthesizer runs
+// millions of times per task, on candidates fresh from component evaluation.
 //===----------------------------------------------------------------------===//
-
-/// The seed's cell representation: tag + double + owned string.
-struct LegacyValue {
-  bool IsStr = false;
-  double Num = 0;
-  std::string Str;
-
-  static LegacyValue of(const Value &V) {
-    LegacyValue L;
-    L.IsStr = V.isStr();
-    if (V.isStr())
-      L.Str = V.strVal();
-    else
-      L.Num = V.num();
-    return L;
-  }
-  bool operator==(const LegacyValue &O) const {
-    if (IsStr != O.IsStr)
-      return false;
-    if (IsStr)
-      return Str == O.Str;
-    return Value::numEq(Num, O.Num);
-  }
-  bool operator<(const LegacyValue &O) const {
-    if (IsStr != O.IsStr)
-      return !IsStr;
-    if (!IsStr)
-      return Num < O.Num && !Value::numEq(Num, O.Num);
-    return Str < O.Str;
-  }
-};
-
-using LegacyRow = std::vector<LegacyValue>;
-using LegacyTable = std::vector<LegacyRow>;
-
-LegacyTable legacyOf(const Table &T) {
-  LegacyTable Out;
-  Out.reserve(T.numRows());
-  for (size_t R = 0; R != T.numRows(); ++R) {
-    LegacyRow Row;
-    Row.reserve(T.numCols());
-    for (size_t C = 0; C != T.numCols(); ++C)
-      Row.push_back(LegacyValue::of(T.at(R, C)));
-    Out.push_back(std::move(Row));
-  }
-  return Out;
-}
-
-LegacyTable legacySorted(LegacyTable T) {
-  std::stable_sort(T.begin(), T.end(),
-                   [](const LegacyRow &A, const LegacyRow &B) {
-                     for (size_t I = 0; I != A.size(); ++I) {
-                       if (A[I] < B[I])
-                         return true;
-                       if (B[I] < A[I])
-                         return false;
-                     }
-                     return false;
-                   });
-  return T;
-}
-
-/// The seed's checkCandidate comparison: sort the candidate's rows, then
-/// compare against the pre-sorted expected output.
-bool legacyCheck(const LegacyTable &Candidate, const LegacyTable &SortedOut) {
-  LegacyTable S = legacySorted(Candidate);
-  return S == SortedOut;
-}
 
 /// A pool of candidate tables shaped like the output: one true match (in a
 /// different row order) and near-misses differing in a single cell.
@@ -250,22 +178,6 @@ std::vector<Table> candidatePool(const Table &Output) {
   }
   return Pool;
 }
-
-void BM_CandidateCheckLegacy(benchmark::State &State) {
-  Table Output = wideTable(size_t(State.range(0)));
-  std::vector<LegacyTable> Pool;
-  for (const Table &T : candidatePool(Output))
-    Pool.push_back(legacyOf(T));
-  LegacyTable SortedOut = legacySorted(legacyOf(Output));
-  size_t Matches = 0;
-  for (auto _ : State) {
-    for (const LegacyTable &C : Pool)
-      Matches += legacyCheck(C, SortedOut);
-    benchmark::DoNotOptimize(Matches);
-  }
-  State.SetItemsProcessed(int64_t(State.iterations()) * int64_t(Pool.size()));
-}
-BENCHMARK(BM_CandidateCheckLegacy)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_CandidateCheckColumnar(benchmark::State &State) {
   Table Output = wideTable(size_t(State.range(0)));
@@ -296,25 +208,10 @@ void BM_CandidateCheckColumnar(benchmark::State &State) {
 BENCHMARK(BM_CandidateCheckColumnar)->Arg(16)->Arg(64)->Arg(256);
 
 // The equalsUnordered hot call site (SqlSynthesizer::tryQuery) compares a
-// stream of fresh candidate tables against ONE expected output. The seed
-// engine re-sorted *both* sides on every call; the columnar engine caches
-// the output's fingerprint and canonical permutation and pays only for the
-// fresh side. The matching-tables case below is the worst case for the new
-// engine (a mismatch stops at the fingerprint).
-
-void BM_TableEqualityLegacy(benchmark::State &State) {
-  Table A = wideTable(size_t(State.range(0)));
-  std::vector<Row> Rotated;
-  for (size_t R = 0; R != A.numRows(); ++R)
-    Rotated.push_back(A.row((R + A.numRows() / 2) % A.numRows()));
-  LegacyTable LA = legacyOf(A);
-  LegacyTable LB = legacyOf(Table(A.schema(), Rotated));
-  for (auto _ : State) {
-    bool Eq = legacySorted(LA) == legacySorted(LB);
-    benchmark::DoNotOptimize(Eq);
-  }
-}
-BENCHMARK(BM_TableEqualityLegacy)->Arg(16)->Arg(64)->Arg(256);
+// stream of fresh candidate tables against ONE expected output: the output's
+// fingerprint and canonical permutation are cached, so each call pays only
+// for the fresh side. Matching tables are the worst case (a mismatch stops at
+// the fingerprint).
 
 void BM_TableEqualityColumnar(benchmark::State &State) {
   Table A = wideTable(size_t(State.range(0)));

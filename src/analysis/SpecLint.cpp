@@ -170,8 +170,7 @@ ScenarioCounts forEachAcceptedScenario(
 class Linter {
 public:
   Linter(const ComponentLibrary &Lib, const LintOptions &Opts)
-      : Lib(Lib), Opts(Opts), Solver(Ctx), Compiler(Ctx),
-        Inhab(Lib) {}
+      : Lib(Lib), Opts(Opts), Solver(Ctx), Inhab(Lib) {}
 
   LintReport run() {
     for (const TableTransformer *X : Lib.TableTransformers) {
@@ -194,7 +193,6 @@ private:
   LintOptions Opts;
   z3::context Ctx;
   z3::solver Solver;
-  SpecCompiler Compiler;
   Inhabitation Inhab;
   LintReport Report;
   std::unordered_set<uint64_t> SeenScenarios;
@@ -216,56 +214,6 @@ private:
     return {Var("_r"), Var("_c"), Var("_g"), Var("_nc"), Var("_nv")};
   }
 
-  /// Direct SpecExpr encoding (the compiler's template is one opaque
-  /// conjunction; the linter re-encodes atom by atom so unsat cores can
-  /// name the conflicting atoms).
-  z3::expr encodeExpr(const SpecExprPtr &E, const std::vector<NodeVars> &Args,
-                      const NodeVars &Result) {
-    switch (E->K) {
-    case SpecExpr::Kind::Const:
-      return Ctx.int_val(E->ConstVal);
-    case SpecExpr::Kind::Attr:
-      return (E->ArgIndex < 0 ? Result : Args[size_t(E->ArgIndex)])
-          .get(E->Attr);
-    case SpecExpr::Kind::Add:
-      return encodeExpr(E->Lhs, Args, Result) +
-             encodeExpr(E->Rhs, Args, Result);
-    case SpecExpr::Kind::Sub:
-      return encodeExpr(E->Lhs, Args, Result) -
-             encodeExpr(E->Rhs, Args, Result);
-    case SpecExpr::Kind::Min: {
-      z3::expr L = encodeExpr(E->Lhs, Args, Result);
-      z3::expr R = encodeExpr(E->Rhs, Args, Result);
-      return z3::ite(L <= R, L, R);
-    }
-    case SpecExpr::Kind::Max: {
-      z3::expr L = encodeExpr(E->Lhs, Args, Result);
-      z3::expr R = encodeExpr(E->Rhs, Args, Result);
-      return z3::ite(L >= R, L, R);
-    }
-    }
-    return Ctx.int_val(0);
-  }
-
-  z3::expr encodeAtom(const SpecAtom &A, const std::vector<NodeVars> &Args,
-                      const NodeVars &Result) {
-    z3::expr L = encodeExpr(A.Lhs, Args, Result);
-    z3::expr R = encodeExpr(A.Rhs, Args, Result);
-    switch (A.Op) {
-    case SpecCmp::EQ:
-      return L == R;
-    case SpecCmp::LT:
-      return L < R;
-    case SpecCmp::LE:
-      return L <= R;
-    case SpecCmp::GT:
-      return L > R;
-    case SpecCmp::GE:
-      return L >= R;
-    }
-    return Ctx.bool_val(true);
-  }
-
   struct Nodes {
     std::vector<NodeVars> Args;
     NodeVars Result;
@@ -277,8 +225,8 @@ private:
     for (unsigned I = 0; I < NumArgs; ++I)
       N.Args.push_back(freshNode("a"));
     for (const NodeVars &V : N.Args)
-      Solver.add(Compiler.axiomsFor(V));
-    Solver.add(Compiler.axiomsFor(N.Result));
+      Solver.add(nodeAxioms(V));
+    Solver.add(nodeAxioms(N.Result));
     return N;
   }
 
@@ -307,7 +255,8 @@ private:
       for (size_t I = 0; I < F.Atoms.size(); ++I) {
         z3::expr P =
             Ctx.bool_const(("$lint_p" + std::to_string(NextVar++)).c_str());
-        Solver.add(z3::implies(P, encodeAtom(F.Atoms[I], N.Args, N.Result)));
+        Solver.add(
+            z3::implies(P, compileAtom(Ctx, F.Atoms[I], N.Args, N.Result)));
         Assumptions.push_back(P);
       }
       ++Report.Stats.SatChecks;
@@ -348,10 +297,10 @@ private:
     Solver.push();
     Nodes N = makeNodes(X.numTableArgs());
     for (const SpecAtom &A : S2.Atoms)
-      Solver.add(encodeAtom(A, N.Args, N.Result));
+      Solver.add(compileAtom(Ctx, A, N.Args, N.Result));
     z3::expr_vector Violations(Ctx);
     for (const SpecAtom &A : S1.Atoms)
-      Violations.push_back(!encodeAtom(A, N.Args, N.Result));
+      Violations.push_back(!compileAtom(Ctx, A, N.Args, N.Result));
     Solver.add(z3::mk_or(Violations));
     ++Report.Stats.SatChecks;
     if (Solver.check() == z3::sat)
@@ -376,15 +325,15 @@ private:
   }
 
   /// One solver query: does α of a concrete kernel run satisfy the
-  /// compiled template (group attributes free, as in Deduce.cpp)? Emits
+  /// encoded spec (group attributes free, as in Deduce.cpp)? Emits
   /// an UnsoundSpec error on UNSAT. \p MidChain describes an optional
   /// chain prefix already asserted by the caller.
   void checkScenarioSat(const TableTransformer &X, SpecLevel L,
                         const std::vector<AttrValues> &InputAbs,
                         const AttrValues &OutAbs, std::string Witness,
                         std::vector<std::string> ExtraDetails = {}) {
-    const SpecTemplate &Tpl = Compiler.get(&X, L);
-    if (Tpl.Trivial)
+    const SpecFormula &F = X.spec(L);
+    if (F.isTrue())
       return;
     SigHash Sig;
     Sig.add(reinterpret_cast<uintptr_t>(&X));
@@ -406,7 +355,7 @@ private:
       Solver.add(N.Args[I].Group == Ctx.int_val(int64_t(InputAbs[I].Group)));
     }
     bindConcrete(N.Result, OutAbs); // group left free (abstract attribute)
-    Solver.add(Tpl.instantiate(N.Args, N.Result));
+    Solver.add(encodeSpec(Ctx, F, N.Args, N.Result));
     ++Report.Stats.SoundnessChecks;
     if (Solver.check() == z3::unsat) {
       std::vector<std::string> Details;
@@ -474,7 +423,7 @@ private:
   /// Depth-2 chains `g(group_by(T, cols), ...)`: the mid table has a real
   /// group structure, so g's group/newCols atoms are exercised with a mid
   /// node whose group attribute deduction would constrain through the
-  /// group_by template rather than pin to 1.
+  /// group_by spec rather than pin to 1.
   void checkGroupChains() {
     const TableTransformer *GB = Lib.findTable("group_by");
     if (!GB)
@@ -526,17 +475,15 @@ private:
     }
   }
 
-  /// SAT check of the full two-node chain, mirroring Deduce.cpp's
-  /// genShape/genConcrete: axioms on all three nodes, input bound with
-  /// group = 1, mid and output bound concretely with group free, both
-  /// templates instantiated.
+  /// SAT check of the full two-node chain, mirroring a Deduce.cpp query:
+  /// axioms on all three nodes, input bound with group = 1, mid and output
+  /// bound concretely with group free, both specs encoded.
   void checkChainSat(const TableTransformer &GB, const TableTransformer &G,
                      const AttrValues &InAbs, const AttrValues &MidAbs,
                      const AttrValues &OutAbs, const std::string &Witness) {
     for (SpecLevel L : {SpecLevel::Spec1, SpecLevel::Spec2}) {
-      const SpecTemplate &GBTpl = Compiler.get(&GB, L);
-      const SpecTemplate &GTpl = Compiler.get(&G, L);
-      if (GBTpl.Trivial && GTpl.Trivial)
+      const SpecFormula &GBSpec = GB.spec(L), &GSpec = G.spec(L);
+      if (GBSpec.isTrue() && GSpec.isTrue())
         continue;
       SigHash Sig;
       Sig.add(reinterpret_cast<uintptr_t>(&GB));
@@ -552,15 +499,13 @@ private:
       Solver.push();
       NodeVars N0 = freshNode("a"), N1 = freshNode("m"), N2 = freshNode("y");
       for (const NodeVars *N : {&N0, &N1, &N2})
-        Solver.add(Compiler.axiomsFor(*N));
+        Solver.add(nodeAxioms(*N));
       bindConcrete(N0, InAbs);
       Solver.add(N0.Group == 1);
       bindConcrete(N1, MidAbs); // group free: constrained via group_by's spec
       bindConcrete(N2, OutAbs); // group free
-      if (!GBTpl.Trivial)
-        Solver.add(GBTpl.instantiate({N0}, N1));
-      if (!GTpl.Trivial)
-        Solver.add(GTpl.instantiate({N1}, N2));
+      Solver.add(encodeSpec(Ctx, GBSpec, {N0}, N1));
+      Solver.add(encodeSpec(Ctx, GSpec, {N1}, N2));
       ++Report.Stats.SoundnessChecks;
       if (Solver.check() == z3::unsat) {
         const TableTransformer &Blame =

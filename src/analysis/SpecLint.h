@@ -23,12 +23,13 @@
 ///  3. Abstraction soundness: for every component, enumerate small
 ///     concrete input tables (analysis/TableEnum.h) and parameter terms
 ///     (the synthesizer's own Inhabitation rules), run the real kernel,
-///     and require that α(inputs) → α(output) satisfies the *compiled*
-///     SpecTemplate — exactly the constraint DEDUCE would assert, group
-///     attributes left free as in Deduce.cpp. UNSAT is a concrete witness
-///     that the spec rejects a behaviour the kernel exhibits, i.e. DEDUCE
-///     over-prunes. Depth-2 chains through group_by are checked the same
-///     way so group/newCols atoms are exercised with a non-input mid node.
+///     and require that α(inputs) → α(output) satisfies the spec as
+///     smt/SpecCompiler.h encodes it — exactly the constraint DEDUCE
+///     would assert, group attributes left free as in Deduce.cpp. UNSAT is
+///     a concrete witness that the spec rejects a behaviour the kernel
+///     exhibits, i.e. DEDUCE over-prunes. Depth-2 chains through group_by
+///     are checked the same way so group/newCols atoms are exercised with
+///     a non-input mid node.
 ///  4. Gate soundness: on every kernel run of check 3 (and the last
 ///     component of every chain), the component's header gate
 ///     (TableTransformer::mayYield) must accept the table the kernel

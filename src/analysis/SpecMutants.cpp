@@ -108,17 +108,6 @@ SpecExprPtr swapMinMaxExpr(const SpecExprPtr &E) {
   }
 }
 
-bool exprHasGroup(const SpecExprPtr &E) {
-  switch (E->K) {
-  case SpecExpr::Kind::Const:
-    return false;
-  case SpecExpr::Kind::Attr:
-    return E->Attr == TableAttr::Group;
-  default:
-    return exprHasGroup(E->Lhs) || exprHasGroup(E->Rhs);
-  }
-}
-
 bool exprHasMinMax(const SpecExprPtr &E) {
   switch (E->K) {
   case SpecExpr::Kind::Const:
@@ -130,10 +119,6 @@ bool exprHasMinMax(const SpecExprPtr &E) {
   default:
     return exprHasMinMax(E->Lhs) || exprHasMinMax(E->Rhs);
   }
-}
-
-bool atomHasGroup(const SpecAtom &A) {
-  return exprHasGroup(A.Lhs) || exprHasGroup(A.Rhs);
 }
 
 bool sameAtom(const SpecAtom &A, const SpecAtom &B) {
@@ -161,7 +146,7 @@ std::vector<CandidateMutation> strengthenings(const SpecFormula &F) {
   std::vector<CandidateMutation> Out;
   for (size_t I = 0; I < F.Atoms.size(); ++I) {
     const SpecAtom &A = F.Atoms[I];
-    if (atomHasGroup(A))
+    if (mentionsGroup(A))
       continue;
     std::string Where = "atom " + std::to_string(I) + " `" + A.toString() +
                         "`";
@@ -219,10 +204,7 @@ std::vector<CandidateMutation> strengthenings(const SpecFormula &F) {
 /// the same scenario is UNSAT: the mutant is guaranteed killable.
 bool certifyUnsound(const SpecFormula &Mutated,
                     const std::vector<AbsScenario> &Scenarios) {
-  SpecFormula GroupFree;
-  for (const SpecAtom &A : Mutated.Atoms)
-    if (!atomHasGroup(A))
-      GroupFree.Atoms.push_back(A);
+  SpecFormula GroupFree = groupFree(Mutated);
   for (const AbsScenario &S : Scenarios)
     if (!evalSpec(GroupFree, S.Inputs, S.Output))
       return true;

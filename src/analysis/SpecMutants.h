@@ -23,8 +23,8 @@
 /// with ExpectUnsound = true only when concrete evaluation (evalSpec, a
 /// code path independent of Z3) exhibits an enumerated kernel run whose
 /// abstraction violates the mutated atom. The sweep therefore asserts
-/// that two independent mechanisms — direct evaluation and the compiled
-/// SMT templates — agree on every seeded fault.
+/// that two independent mechanisms — direct evaluation and the SMT
+/// encoding of smt/SpecCompiler.h — agree on every seeded fault.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -25,6 +25,16 @@ namespace {
 /// the submission (the local service drains continuously; the retry is a
 /// poll, not a backoff ladder).
 constexpr int LocalRetryMs = 50;
+/// Remote delivery attempts before a job falls back to local solving.
+constexpr int MaxAttempts = 3;
+constexpr unsigned VirtualNodes = 64; ///< ring points per worker
+/// The reconnect backoff doubles per failure up to this.
+constexpr int ReconnectBackoffMaxMs = 5000;
+/// Extra wall-clock past a job's deadline before the coordinator stops
+/// waiting for a (possibly hung) worker and completes it as Timeout.
+constexpr int DeadlineGraceMs = 2000;
+/// Jobs one link may queue behind its in-flight cap.
+constexpr size_t BacklogPerWorker = 256;
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -160,7 +170,7 @@ ClusterClient::ClusterClient(ComponentLibrary LibIn, EngineOptions EOptsIn,
                              ServiceOptions SOpts, ClusterOptions COptsIn)
     : Lib(std::move(LibIn)), EOpts(std::move(EOptsIn)),
       COpts(std::move(COptsIn)),
-      Ring(unsigned(COpts.Workers.size()), COpts.VirtualNodes) {
+      Ring(unsigned(COpts.Workers.size()), VirtualNodes) {
   Bus = EOpts.eventBus().get();
   OptionsDigest = clusterOptionsDigest(EOpts);
   CompatKey = warmStateCompatKey(Lib, EOpts.config());
@@ -261,7 +271,7 @@ ClusterJob ClusterClient::submit(Problem P, JobRequest R) {
       int64_t Ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                        *Ref.Deadline - Now)
                        .count() +
-                   COpts.DeadlineGraceMs;
+                   DeadlineGraceMs;
       Ref.DeadlineTimer =
           Loop.addTimer(std::max<int64_t>(Ms, 0),
                         [this, Id = Ref.ReqId] { onDeadline(Id); });
@@ -278,7 +288,7 @@ ClusterJob ClusterClient::submit(Problem P, JobRequest R) {
 void ClusterClient::routeJob(RJob &J) {
   J.SentRemote = false;
   J.AssignedWorker = -1;
-  if (!Links.empty() && J.Attempts < int(COpts.MaxAttempts)) {
+  if (!Links.empty() && J.Attempts < MaxAttempts) {
     std::vector<int> Order = Ring.walk(J.Fp, Links.size());
     Link *BacklogTo = nullptr;
     for (int W : Order) {
@@ -292,7 +302,7 @@ void ClusterClient::routeJob(RJob &J) {
           sendSolve(L, J);
           return;
         }
-        if (!BacklogTo && L.Backlog.size() < COpts.BacklogPerWorker)
+        if (!BacklogTo && L.Backlog.size() < BacklogPerWorker)
           BacklogTo = &L; // its cap will free as results return
         continue;
       case Link::Phase::Connecting:
@@ -300,7 +310,7 @@ void ClusterClient::routeJob(RJob &J) {
         // Plausible soon: park the job here rather than solving it
         // locally the moment the cluster starts up. A failed connect
         // reroutes the backlog (linkFailed), so nothing is stranded.
-        if (!BacklogTo && L.Backlog.size() < COpts.BacklogPerWorker)
+        if (!BacklogTo && L.Backlog.size() < BacklogPerWorker)
           BacklogTo = &L;
         continue;
       }
@@ -579,7 +589,7 @@ void ClusterClient::scheduleReconnect(Link &L) {
   if (ShuttingDown.load() || L.St == Link::Phase::Refused || L.RetryTimer)
     return;
   int Delay = L.BackoffMs;
-  L.BackoffMs = std::min(L.BackoffMs * 2, COpts.ReconnectBackoffMaxMs);
+  L.BackoffMs = std::min(L.BackoffMs * 2, ReconnectBackoffMaxMs);
   L.RetryTimer = Loop.addTimer(Delay, [this, Idx = L.Index] {
     Link &T = *Links[size_t(Idx)];
     T.RetryTimer = 0;
@@ -838,7 +848,7 @@ void ClusterClient::handleResult(Link &L, const WireMessage &M) {
       MutexLock Lock(StatsM);
       ++Counters.RemoteErrors;
     }
-    J->Attempts = int(COpts.MaxAttempts);
+    J->Attempts = MaxAttempts;
     J->SentRemote = false;
     J->AssignedWorker = -1;
     routeJob(*J);
@@ -873,7 +883,7 @@ void ClusterClient::handleRemoteError(Link &L, const WireMessage &M) {
     MutexLock Lock(StatsM);
     ++Counters.RemoteErrors;
   }
-  J->Attempts = int(COpts.MaxAttempts);
+  J->Attempts = MaxAttempts;
   J->SentRemote = false;
   J->AssignedWorker = -1;
   routeJob(*J);

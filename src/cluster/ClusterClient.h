@@ -22,7 +22,7 @@
 ///  - a link failure — connect refusal, EOF, frame corruption — reroutes
 ///    everything outstanding or backlogged on it (attempt counter
 ///    incremented) and schedules a reconnect with exponential backoff;
-///    after MaxAttempts remote tries a job is solved locally;
+///    after a few remote tries a job is solved locally;
 ///  - when every shard for a job is unavailable, the local service solves
 ///    it (fail-back, never failure); its job's JobRequest::onDone hook
 ///    posts the completion back to the loop thread;
@@ -58,16 +58,8 @@ struct ClusterOptions {
   /// its backlog. Sized to keep a worker's pool busy without burying a
   /// slow shard: the worker also has its own queue behind this.
   unsigned MaxInflightPerWorker = 8;
-  /// Remote delivery attempts before a job falls back to local solving.
-  unsigned MaxAttempts = 3;
-  unsigned VirtualNodes = 64; ///< ring points per worker
   int ConnectTimeoutMs = 2000;
-  int ReconnectBackoffMs = 100;    ///< initial; doubles per failure
-  int ReconnectBackoffMaxMs = 5000;
-  /// Extra wall-clock past a job's deadline before the coordinator stops
-  /// waiting for a (possibly hung) worker and completes it as Timeout.
-  int DeadlineGraceMs = 2000;
-  size_t BacklogPerWorker = 256;
+  int ReconnectBackoffMs = 100; ///< initial; doubles per failure
 };
 
 /// Aggregate coordinator counters (monotonic since construction).

@@ -81,7 +81,13 @@ public:
   const SpecFormula &spec(SpecLevel Level) const {
     return Level == SpecLevel::Spec1 ? Spec1 : Spec2;
   }
+  /// groupFree(spec(Level)), computed once by setSpec: what deduction's
+  /// concrete fast path evaluates.
+  const SpecFormula &groupFreeSpec(SpecLevel Level) const {
+    return Level == SpecLevel::Spec1 ? GroupFree1 : GroupFree2;
+  }
   void setSpec(SpecLevel Level, SpecFormula F) {
+    (Level == SpecLevel::Spec1 ? GroupFree1 : GroupFree2) = groupFree(F);
     (Level == SpecLevel::Spec1 ? Spec1 : Spec2) = std::move(F);
     SpecId = nextSpecId();
   }
@@ -89,8 +95,10 @@ public:
   /// Identifies this component's current (Spec1, Spec2) pair for the whole
   /// process: drawn from a global counter at construction and again on
   /// every setSpec, so it is never reused — unlike the object's address,
-  /// which a later component may occupy. Caches of compiled specs that
-  /// outlive one solve (smt/SpecCompiler.h) key on it.
+  /// which a later component may occupy, or its name, which another
+  /// component may share. State that outlives one solve (the guarded spec
+  /// instances of a warm Z3 core, smt/Deduce.cpp) and deduction's verdict
+  /// key name a component by it.
   uint64_t specId() const { return SpecId; }
 
 private:
@@ -100,6 +108,7 @@ private:
   unsigned NumTableArgs;
   std::vector<ParamKind> ValueParams;
   SpecFormula Spec1, Spec2;
+  SpecFormula GroupFree1, GroupFree2;
   uint64_t SpecId;
 };
 

@@ -6,8 +6,6 @@
 
 #include "lang/Hypothesis.h"
 
-#include "table/Hash.h"
-
 #include <atomic>
 #include <sstream>
 
@@ -120,40 +118,6 @@ bool Hypothesis::isSketch() const { return numTblHoles() == 0; }
 
 bool Hypothesis::isCompleteProgram() const {
   return numTblHoles() == 0 && numValueHoles() == 0;
-}
-
-uint64_t Hypothesis::shapeHash() const {
-  // Component identity hashes by *name*, not by pointer, so the hash is
-  // canonical across processes and library instances (hashing::hashString).
-  using hashing::fold;
-  using hashing::hashString;
-  uint64_t Cached = ShapeHashCache.load(std::memory_order_relaxed);
-  if (Cached != 0)
-    return Cached;
-  uint64_t H = 0;
-  switch (K) {
-  case Kind::TblHole:
-    H = fold(0x3f, 1); // '?'
-    break;
-  case Kind::Input:
-    H = fold(0x78, uint64_t(InputIdx)); // 'x'
-    break;
-  case Kind::ValueHole:
-  case Kind::Filled:
-    // A hole and its fill share a shape by design (see header): only the
-    // parameter kind participates.
-    H = fold(0x76, uint64_t(PKind)); // 'v'
-    break;
-  case Kind::Apply:
-    H = fold(0x40, hashString(Comp->name())); // '@'
-    for (const HypPtr &C : Children)
-      H = fold(H, C->shapeHash());
-    break;
-  }
-  if (H == 0)
-    H = 1; // keep 0 free as the "unset" sentinel
-  ShapeHashCache.store(H, std::memory_order_relaxed);
-  return H;
 }
 
 HypPtr Hypothesis::replaceLeftmostTblHole(HypPtr Replacement) const {

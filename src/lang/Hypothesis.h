@@ -25,7 +25,6 @@
 
 #include "lang/Component.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -95,16 +94,6 @@ public:
   bool isSketch() const;          // Definition 6
   bool isCompleteProgram() const; // Definition 7
 
-  /// Canonical 64-bit hash of this tree's *sketch shape*: the component
-  /// structure (by name, so it is stable across processes and library
-  /// instances), input-leaf indices, and hole positions. Value-typed
-  /// children hash by their parameter kind only — a ValueHole and the
-  /// term later filled into it share one shape, which is the point: every
-  /// partial fill of a sketch maps to the sketch's shape, so a cache over
-  /// sketches (hash-consing, per-sketch lemmas) can key on it. Memoized
-  /// (trees are immutable and shared).
-  uint64_t shapeHash() const;
-
   /// Replaces the *leftmost* TblHole with \p Replacement; asserts one
   /// exists. Refining only the leftmost hole yields each refinement tree by
   /// exactly one derivation, deduplicating the worklist without losing any
@@ -137,10 +126,6 @@ private:
   TermPtr FilledTerm;
   const TableTransformer *Comp = nullptr;
   std::vector<HypPtr> Children;
-  /// Lazily computed shapeHash(); 0 = not yet computed (real hashes are
-  /// remapped away from 0). Atomic: shared trees are hashed from several
-  /// search threads, and racing writers all store the same value.
-  mutable std::atomic<uint64_t> ShapeHashCache{0};
 };
 
 } // namespace morpheus

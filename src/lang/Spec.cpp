@@ -104,6 +104,29 @@ std::string SpecFormula::toString() const {
   return OS.str();
 }
 
+static bool mentionsGroup(const SpecExpr &E) {
+  switch (E.K) {
+  case SpecExpr::Kind::Const:
+    return false;
+  case SpecExpr::Kind::Attr:
+    return E.Attr == TableAttr::Group;
+  default:
+    return mentionsGroup(*E.Lhs) || mentionsGroup(*E.Rhs);
+  }
+}
+
+bool morpheus::mentionsGroup(const SpecAtom &A) {
+  return ::mentionsGroup(*A.Lhs) || ::mentionsGroup(*A.Rhs);
+}
+
+SpecFormula morpheus::groupFree(const SpecFormula &F) {
+  SpecFormula Out;
+  for (const SpecAtom &A : F.Atoms)
+    if (!mentionsGroup(A))
+      Out.Atoms.push_back(A);
+  return Out;
+}
+
 int64_t AttrValues::get(TableAttr A) const {
   switch (A) {
   case TableAttr::Row:

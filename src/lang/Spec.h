@@ -79,6 +79,15 @@ struct SpecFormula {
   std::string toString() const;
 };
 
+/// Whether \p A mentions a `group` attribute of any table.
+bool mentionsGroup(const SpecAtom &A);
+
+/// The group-free projection of \p F: its atoms that mention no `group`
+/// attribute. Partial evaluation never knows a table's group attribute
+/// concretely (it is abstract, see spec/Abstraction.h), so this is the part
+/// of a spec a concrete check can evaluate.
+SpecFormula groupFree(const SpecFormula &F);
+
 /// Concrete attribute values of one table, used by the direct evaluator.
 struct AttrValues {
   int64_t Row = 0, Col = 0, Group = 1, NewCols = 0, NewVals = 0;

@@ -26,7 +26,7 @@ uint64_t morpheus::warmStateCompatKey(const ComponentLibrary &Lib,
   using hashing::hashString;
 
   // Seed distinct from every other key family (see table/Hash.h users).
-  uint64_t H = 0x5761726d53743034ULL; // "WarmSt04"
+  uint64_t H = 0x5761726d53743035ULL; // "WarmSt05"
 
   // The component library: a change to any name, signature or spec
   // formula — at either level, whichever is configured — can change a
@@ -86,7 +86,6 @@ void encodeResult(ByteWriter &W, uint64_t Fp, const Solution &S) {
   W.putU64(D.CacheHits);
   W.putU64(D.SolverChecks);
   W.putU64(D.TemplateCompiles);
-  W.putU64(D.TemplateHits);
   W.putU64(D.SessionBuilds);
   W.putU64(D.SessionHits);
   W.putU64(D.SolverPushes);
@@ -127,11 +126,10 @@ bool decodeResult(std::string_view Payload, const ComponentLibrary &Lib,
   if (!R.getU64(D.Calls) || !R.getU64(D.Rejections) ||
       !R.getU64(D.FastPathRejections) || !R.getU64(D.CacheHits) ||
       !R.getU64(D.SolverChecks) || !R.getU64(D.TemplateCompiles) ||
-      !R.getU64(D.TemplateHits) || !R.getU64(D.SessionBuilds) ||
-      !R.getU64(D.SessionHits) || !R.getU64(D.SolverPushes) ||
-      !R.getU64(D.SolverPops) || !R.getF64(D.SolverSeconds) ||
-      !R.getF64(D.SignatureSeconds) || !R.getF64(D.SessionSeconds) ||
-      !R.getF64(D.CheckSeconds))
+      !R.getU64(D.SessionBuilds) || !R.getU64(D.SessionHits) ||
+      !R.getU64(D.SolverPushes) || !R.getU64(D.SolverPops) ||
+      !R.getF64(D.SolverSeconds) || !R.getF64(D.SignatureSeconds) ||
+      !R.getF64(D.SessionSeconds) || !R.getF64(D.CheckSeconds))
     return false;
   return R.atEnd();
 }

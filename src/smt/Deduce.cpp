@@ -106,16 +106,15 @@ struct InstanceKeyHash {
 };
 
 /// The example-independent Z3 state of deduction. Building one costs
-/// about 5 ms (context, solver, and ~17 template compiles for a typical
-/// library), which used to be about half of an easy solve; its guarded
-/// instances save every later solve the encoding of Φ(H).
+/// a few ms (context and solver), which used to be about half of an easy
+/// solve; its guarded instances save every later solve the encoding of
+/// Φ(H).
 struct Core {
   z3::context Ctx;
   /// Persistent solver. Its base scope holds only example-independent
   /// assertions (positions and guarded instances), so any example can
   /// use it.
   z3::solver Solver{Ctx};
-  SpecCompiler Compiler{Ctx};
   unsigned Leases = 0;
   /// Every position with variables, by code. Elements stay in place as
   /// the map grows.
@@ -154,30 +153,34 @@ struct Core {
       return Ctx.int_const((Attr + Code).c_str());
     };
     NodeVars X{Var("r"), Var("c"), Var("g"), Var("nc"), Var("nv")};
-    Solver.add(Compiler.axiomsFor(X));
+    Solver.add(nodeAxioms(X));
     z3::expr Hole = Ctx.bool_const(("h" + Code).c_str());
     return Positions.emplace(P, Position{X, Hole, {}}).first->second;
   }
 
   /// Asserts a[P, X, Level] ⇒ φX(x_children, x_P) unless already there.
-  /// Base scope only.
-  void addInstance(uint64_t P, const TableTransformer *X, SpecLevel Level) {
+  /// Returns whether it encoded a spec (none when X's spec at \p Level is
+  /// `true`). Base scope only.
+  bool addInstance(uint64_t P, const TableTransformer *X, SpecLevel Level) {
     if (hasInstance(P, X, Level))
-      return;
+      return false;
+    // The positions exist even when the spec is `true`: the query's leaf
+    // bindings name them.
     std::vector<NodeVars> Args;
     for (unsigned K = 0; K != X->numTableArgs(); ++K)
       Args.push_back(position(childPosition(P, K)).X);
     const NodeVars &Result = position(P).X; // stays in place, see above
-    const SpecTemplate &T = Compiler.get(X, Level);
+    const SpecFormula &F = X->spec(Level);
     std::optional<z3::expr> Guard;
-    if (!T.Trivial) {
+    if (!F.isTrue()) {
       std::string Name = "a" + std::to_string(P) + "." +
                          std::to_string(X->specId()) +
                          (Level == SpecLevel::Spec1 ? ".1" : ".2");
       Guard = Ctx.bool_const(Name.c_str());
-      Solver.add(z3::implies(*Guard, T.instantiate(Args, Result)));
+      Solver.add(z3::implies(*Guard, encodeSpec(Ctx, F, Args, Result)));
     }
     Guards.emplace(InstanceKey{P, X->specId(), Level}, std::move(Guard));
+    return !F.isTrue();
   }
 };
 
@@ -266,11 +269,6 @@ struct DeductionEngine::Impl {
   CoreLease Lease;
   Core &Warm = *Lease;
   z3::solver &Solver = Warm.Solver;
-  SpecCompiler &Compiler = Warm.Compiler;
-  /// The compiler's cumulative counters when leased; stats report the
-  /// difference, so they count this engine's work only.
-  const uint64_t CompilesAtLease = Compiler.compilations();
-  const uint64_t HitsAtLease = Compiler.hits();
   std::shared_ptr<const ExampleContext> Ex;
   /// The search's table components, whose instances a base visit asserts
   /// at every position it visits.
@@ -281,24 +279,39 @@ struct DeductionEngine::Impl {
   /// this engine's queries have named so far.
   std::vector<uint64_t> Bound;
 
-  /// The current query, gathered by genConcrete: H's nodes by position,
-  /// and the concrete abstractions partial evaluation binds.
+  /// The current query, gathered by gather(): its verdict key, H's nodes
+  /// by position, and the concrete abstractions partial evaluation binds.
+  std::string Key;
   struct ComponentNode {
     uint64_t Pos;
     const TableTransformer *X;
   };
-  std::vector<ComponentNode> Components;
+  std::vector<ComponentNode> Components; ///< pre-order
   std::vector<std::pair<uint64_t, unsigned>> InputLeaves;
   std::vector<uint64_t> Holes;
-  std::vector<std::pair<uint64_t, AttrValues>> Bindings;
+  /// Post-order; the abstractions live in Ex or AbsCache.
+  std::vector<std::pair<uint64_t, const AttrValues *>> Bindings;
   /// The query names a position no code exists for.
   bool Unencodable = false;
+  /// The nodes the concrete fast path checks, in post-order: those whose
+  /// table and table arguments are all concrete. A node's argument
+  /// abstractions are FastArgs[FirstArg, FirstArg + NumArgs).
+  struct FastNode {
+    const TableTransformer *X;
+    size_t FirstArg, NumArgs;
+    const AttrValues *Result;
+  };
+  std::vector<FastNode> FastNodes;
+  std::vector<const AttrValues *> FastArgs;
+  /// The table arguments' abstractions (null when unknown) of the nodes
+  /// on the walk's path, each node's above its parent's.
+  std::vector<const AttrValues *> ArgStack;
+  std::vector<AttrValues> ArgScratch;
 
-  /// Memoized partial evaluation, keyed on node identity (trees are
-  /// immutable and structurally shared, so a node pointer determines the
-  /// subtree). KeepAlive pins the keys so pointers cannot be recycled.
-  std::unordered_map<const Hypothesis *, std::optional<Table>> EvalCache;
-  std::vector<HypPtr> KeepAlive;
+  /// Memoized partial evaluation, keyed on the node (trees are immutable
+  /// and structurally shared, so a node determines the subtree). The key
+  /// holds its node alive, so an address is never recycled under it.
+  std::unordered_map<HypPtr, std::optional<Table>> EvalCache;
   /// α results keyed on the table's 64-bit fingerprint: distinct nodes that
   /// evaluate to the same table (a very common event during sketch
   /// completion) share one α computation, and entries survive the
@@ -316,60 +329,117 @@ struct DeductionEngine::Impl {
   /// Memoized DEDUCE verdicts. The SMT query is fully determined by the
   /// tree's component structure, the input indices at its leaves and the
   /// concrete abstractions of evaluated subtrees — many candidate fills
-  /// share that signature (e.g. every equal-shape filter predicate), so
-  /// caching removes the bulk of Z3 calls.
+  /// share that key (e.g. every equal-shape filter predicate), so caching
+  /// removes the bulk of Z3 calls.
   std::unordered_map<std::string, bool> VerdictCache;
 
-  /// Builds the signature key for \p H; appends to \p Key. Returns false
-  /// when a complete subtree fails to evaluate (the hypothesis is dead).
-  bool signature(const HypPtr &H, bool UsePartialEval, std::string &Key) {
+  /// Gathers the query for \p H, the node at position \p Pos, in one walk:
+  /// appends its verdict key, and records each node's position, the
+  /// concrete abstraction of every subtree partial evaluation can evaluate
+  /// and the nodes the fast path checks. Sets \p Abs to the node's
+  /// concrete abstraction, or null when it is unknown. Returns false when
+  /// a complete subtree fails to evaluate (the hypothesis is dead).
+  bool gather(const HypPtr &H, uint64_t Pos, bool UsePartialEval,
+              const AttrValues *&Abs) {
+    Abs = nullptr;
     switch (H->kind()) {
     case Hypothesis::Kind::Input:
       Key += 'x';
       Key += char('0' + (H->inputIndex() & 0x3F));
+      InputLeaves.emplace_back(Pos, unsigned(H->inputIndex()));
+      if (H->inputIndex() < Ex->InputAbs.size())
+        Abs = &Ex->InputAbs[H->inputIndex()];
       return true;
     case Hypothesis::Kind::TblHole:
       Key += '?';
+      Holes.push_back(Pos);
       return true;
     case Hypothesis::Kind::Apply: {
-      Key += H->component()->name();
+      // A component is named by its fixed-width specId() behind a 'c', so
+      // the key stays injective and two components that share a name
+      // never share a verdict.
+      const TableTransformer *X = H->component();
+      uint64_t Id = X->specId();
+      Key += 'c';
+      Key.append(reinterpret_cast<const char *>(&Id), sizeof(Id));
       Key += '(';
-      bool HasValueHole = false;
+      Components.push_back({Pos, X});
+      Unencodable = Unencodable || !encodable(Pos, X->numTableArgs());
+      size_t Base = ArgStack.size();
+      unsigned K = 0;
       for (const HypPtr &C : H->children()) {
-        if (C->isTableTyped()) {
-          if (!signature(C, UsePartialEval, Key))
-            return false;
-          Key += ',';
-        } else if (C->isValueHole()) {
-          HasValueHole = true;
-        }
+        if (!C->isTableTyped())
+          continue;
+        const AttrValues *Arg;
+        if (!gather(C, childPosition(Pos, K++), UsePartialEval, Arg))
+          return false;
+        ArgStack.push_back(Arg);
+        Key += ',';
       }
       Key += ')';
-      if (UsePartialEval) {
-        const std::optional<Table> &T = evalCached(H);
-        bool Complete = !HasValueHole && H->numTblHoles() == 0 &&
-                        H->numValueHoles() == 0;
-        if (Complete && !T)
-          return false;
-        if (T) {
-          // A fixed-width field after the '@' (which only ever follows a
-          // ')'), so the key stays injective.
-          const AttrValues &A = absCached(*T);
-          Key += '@';
-          for (int64_t V : {A.Row, A.Col, A.NewCols, A.NewVals})
-            Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
+      const std::optional<Table> *T =
+          UsePartialEval ? &evalCached(H) : nullptr;
+      if (T && *T) {
+        Abs = &absCached(**T);
+        // A fixed-width field after the '@' (which only ever follows a
+        // ')'), so the key stays injective.
+        Key += '@';
+        for (int64_t V : {Abs->Row, Abs->Col, Abs->NewCols, Abs->NewVals})
+          Key.append(reinterpret_cast<const char *>(&V), sizeof(V));
+        Bindings.emplace_back(Pos, Abs);
+        if (std::find(ArgStack.begin() + Base, ArgStack.end(), nullptr) ==
+            ArgStack.end()) {
+          FastNodes.push_back({X, FastArgs.size(), ArgStack.size() - Base,
+                               Abs});
+          FastArgs.insert(FastArgs.end(), ArgStack.begin() + Base,
+                          ArgStack.end());
         }
       }
-      return true;
+      ArgStack.resize(Base);
+      // A complete subtree that does not evaluate: a component rejected
+      // its concrete arguments.
+      return !T || *T || H->numTblHoles() != 0 || H->numValueHoles() != 0;
     }
-    default:
-      Key += '!';
-      return true;
+    case Hypothesis::Kind::ValueHole:
+    case Hypothesis::Kind::Filled:
+      break;
     }
+    assert(false && "table-typed node expected");
+    return true;
+  }
+
+  /// Gathers the query for \p H from the root.
+  bool gather(const HypPtr &H, SpecLevel Level, bool UsePartialEval) {
+    Key.clear();
+    Key += Level == SpecLevel::Spec1 ? '1' : '2';
+    Components.clear();
+    InputLeaves.clear();
+    Holes.clear();
+    Bindings.clear();
+    Unencodable = false;
+    FastNodes.clear();
+    FastArgs.clear();
+    ArgStack.clear();
+    const AttrValues *Abs;
+    return gather(H, RootPosition, UsePartialEval, Abs);
+  }
+
+  /// The concrete fast path over the gathered nodes: whether some node's
+  /// group-free spec is false on its concrete abstractions. Checks in
+  /// post-order, so the innermost refuted node decides.
+  bool fastPathRefutes(SpecLevel Level) {
+    for (const FastNode &N : FastNodes) {
+      ArgScratch.clear();
+      for (size_t I = 0; I != N.NumArgs; ++I)
+        ArgScratch.push_back(*FastArgs[N.FirstArg + I]);
+      if (!evalSpec(N.X->groupFreeSpec(Level), ArgScratch, *N.Result))
+        return true;
+    }
+    return false;
   }
 
   const std::optional<Table> &evalCached(const HypPtr &H) {
-    auto It = EvalCache.find(H.get());
+    auto It = EvalCache.find(H);
     if (It != EvalCache.end())
       return It->second;
     std::optional<Table> Result;
@@ -404,8 +474,7 @@ struct DeductionEngine::Impl {
     default:
       break;
     }
-    KeepAlive.push_back(H);
-    return EvalCache.emplace(H.get(), std::move(Result)).first->second;
+    return EvalCache.emplace(H, std::move(Result)).first->second;
   }
 
   /// Pops the example scope so the core goes back at base scope; the
@@ -424,73 +493,6 @@ struct DeductionEngine::Impl {
     Solver.add(N.Col == Warm.Ctx.int_val(int64_t(A.Col)));
     Solver.add(N.NewCols == Warm.Ctx.int_val(int64_t(A.NewCols)));
     Solver.add(N.NewVals == Warm.Ctx.int_val(int64_t(A.NewVals)));
-  }
-
-  /// Gathers the query for \p H at position \p Pos: walks \p H in
-  /// pre-order, recording each node's position, the concrete abstraction
-  /// of every subtree partial evaluation can evaluate, and running the
-  /// interval fast path. Sets \p Dead when a complete subtree fails to
-  /// evaluate or the fast path refutes a node. Returns the node's
-  /// concrete abstraction when known.
-  std::optional<AttrValues> genConcrete(const HypPtr &H, uint64_t Pos,
-                                        SpecLevel Level, bool UsePartialEval,
-                                        bool &Dead, uint64_t &FastRejects) {
-    switch (H->kind()) {
-    case Hypothesis::Kind::Input:
-      InputLeaves.emplace_back(Pos, H->inputIndex());
-      return Ex->InputAbs[H->inputIndex()];
-    case Hypothesis::Kind::TblHole:
-      Holes.push_back(Pos);
-      return std::nullopt;
-    case Hypothesis::Kind::Apply: {
-      Components.push_back({Pos, H->component()});
-      Unencodable =
-          Unencodable || !encodable(Pos, H->component()->numTableArgs());
-      std::vector<std::optional<AttrValues>> ArgConcrete;
-      unsigned K = 0;
-      for (const HypPtr &C : H->children()) {
-        if (!C->isTableTyped())
-          continue;
-        ArgConcrete.push_back(genConcrete(C, childPosition(Pos, K++), Level,
-                                          UsePartialEval, Dead, FastRejects));
-        if (Dead)
-          return std::nullopt;
-      }
-      if (!UsePartialEval)
-        return std::nullopt;
-      const std::optional<Table> &T = evalCached(H);
-      bool Complete = H->numTblHoles() == 0 && H->numValueHoles() == 0;
-      if (Complete && !T) {
-        Dead = true; // a component rejected its concrete arguments
-        return std::nullopt;
-      }
-      if (!T)
-        return std::nullopt;
-      const AttrValues &A = absCached(*T);
-      Bindings.emplace_back(Pos, A);
-      // Concrete fast path: all table children concrete too -> check the
-      // spec's non-group atoms directly before any Z3 work.
-      bool AllArgs = true;
-      std::vector<AttrValues> Args;
-      for (const auto &AC : ArgConcrete) {
-        if (!AC)
-          AllArgs = false;
-        else
-          Args.push_back(*AC);
-      }
-      const SpecTemplate &Tpl = Compiler.get(H->component(), Level);
-      if (AllArgs && !evalSpec(Tpl.NonGroup, Args, A)) {
-        ++FastRejects;
-        Dead = true;
-      }
-      return A;
-    }
-    case Hypothesis::Kind::ValueHole:
-    case Hypothesis::Kind::Filled:
-      break;
-    }
-    assert(false && "table-typed node expected");
-    return std::nullopt;
   }
 
   /// Makes the core hold every position and instance the gathered query
@@ -512,8 +514,8 @@ struct DeductionEngine::Impl {
         if (Warm.hasInstance(N.Pos, N.X, Level))
           continue;
         for (const TableTransformer *X : Library)
-          Warm.addInstance(N.Pos, X, Level);
-        Warm.addInstance(N.Pos, N.X, Level);
+          Stats.TemplateCompiles += Warm.addInstance(N.Pos, X, Level);
+        Stats.TemplateCompiles += Warm.addInstance(N.Pos, N.X, Level);
       }
     }
     if (ExampleOpen) {
@@ -601,10 +603,7 @@ const std::optional<Table> &DeductionEngine::evaluateCached(const HypPtr &H) {
   return P->evalCached(H);
 }
 
-void DeductionEngine::clearEvalCache() {
-  P->EvalCache.clear();
-  P->KeepAlive.clear();
-}
+void DeductionEngine::clearEvalCache() { P->EvalCache.clear(); }
 
 void DeductionEngine::setLibrary(
     std::vector<const TableTransformer *> Components) {
@@ -627,10 +626,7 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     return Result;
   };
 
-  std::string Key;
-  Key.reserve(256);
-  Key += Level == SpecLevel::Spec1 ? '1' : '2';
-  bool Live = P->signature(H, UsePartialEval, Key);
+  bool Live = P->gather(H, Level, UsePartialEval);
   Stats.SignatureSeconds += secondsSince(Start);
   if (!Live) {
     // A complete subtree failed to evaluate: a concrete rejection before
@@ -638,24 +634,21 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     ++Stats.FastPathRejections;
     return Finish(false);
   }
-  auto Cached = P->VerdictCache.find(Key);
+  auto Cached = P->VerdictCache.find(P->Key);
   if (Cached != P->VerdictCache.end()) {
     ++Stats.CacheHits;
     return Finish(Cached->second);
   }
 
-  P->Components.clear();
-  P->InputLeaves.clear();
-  P->Holes.clear();
-  P->Bindings.clear();
-  P->Unencodable = false;
-  bool Dead = false;
-  P->genConcrete(H, RootPosition, Level, UsePartialEval, Dead,
-                 Stats.FastPathRejections);
-  // A tree past the reach of position codes is left unrefuted: deduction
-  // may always answer "not refuted", never a wrong ⊥.
-  bool Result = !Dead && P->Unencodable;
-  if (!Dead && !P->Unencodable) {
+  bool Result;
+  if (P->fastPathRefutes(Level)) {
+    ++Stats.FastPathRejections;
+    Result = false;
+  } else if (P->Unencodable) {
+    // A tree past the reach of position codes is left unrefuted:
+    // deduction may always answer "not refuted", never a wrong ⊥.
+    Result = true;
+  } else {
     z3::solver &S = P->Solver;
     P->openScopes(Level, Stats);
     z3::expr_vector Assumptions = P->assumptions(Level);
@@ -665,7 +658,7 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
       S.push();
       ++Stats.SolverPushes;
       for (const auto &B : P->Bindings)
-        P->bindConcrete(P->Warm.Positions.at(B.first).X, B.second);
+        P->bindConcrete(P->Warm.Positions.at(B.first).X, *B.second);
     }
     ++Stats.SolverChecks;
     Result = S.check(Assumptions) != z3::unsat;
@@ -675,8 +668,6 @@ bool DeductionEngine::deduce(const HypPtr &H, SpecLevel Level,
     }
     Stats.CheckSeconds += secondsSince(CheckStart);
   }
-  P->VerdictCache.emplace(std::move(Key), Result);
-  Stats.TemplateCompiles = P->Compiler.compilations() - P->CompilesAtLease;
-  Stats.TemplateHits = P->Compiler.hits() - P->HitsAtLease;
+  P->VerdictCache.emplace(P->Key, Result);
   return Finish(Result);
 }

@@ -22,27 +22,27 @@
 /// partially filled sketch of Example 12 without filling the remaining
 /// holes.
 ///
-/// The engine is a thin layer over the two-tier deduction substrate:
-///  - tier 1, compiled spec templates (smt/SpecCompiler.h): each
-///    component's SpecFormula is encoded to Z3 once per core and
-///    instantiated by substitution. A core — the Z3 context, the
-///    persistent solver and the template compiler — depends on no
-///    example, so engines lease one from a process-wide pool at
-///    construction and hand it back, at base scope, when destroyed;
-///  - tier 2, warm guarded instances: the core's base scope is not
-///    empty. It holds, per tree position (named by the path from the
-///    root), the node's attribute variables with their domain axioms,
-///    and per (position, component, spec level) the spec instance behind
-///    a guard literal. They depend on no example and stay in the core
-///    across solves. Each engine pushes one example scope above them
-///    (α(Tout) on the root, and each leaf position's input and hole
-///    bindings behind literals of their own), and deduce(H) asserts only
-///    partial evaluation's concrete abstractions, then checks under H's
-///    literals (Eén & Sörensson's incremental interface). A literal not
-///    assumed is free, so each query is exactly Algorithm 2's ψ for H.
+/// The engine keeps its Z3 state warm across solves. A core — the Z3
+/// context and a persistent solver — depends on no example, so engines
+/// lease one from a process-wide pool at construction and hand it back, at
+/// base scope, when destroyed. The core's base scope holds, per tree
+/// position (named by the path from the root), the node's attribute
+/// variables with their domain axioms, and per (position, component, spec
+/// level) the spec instance behind a guard literal, each encoded once
+/// (smt/SpecCompiler.h) and kept across solves. Each engine pushes one
+/// example scope above them (α(Tout) on the root, and each leaf
+/// position's input and hole bindings behind literals of their own), and
+/// deduce(H) asserts only partial evaluation's concrete abstractions, then
+/// checks under H's literals (Eén & Sörensson's incremental interface). A
+/// literal not assumed is free, so each query is exactly Algorithm 2's ψ
+/// for H.
 ///
-/// Above both tiers, the engine's verdict cache answers a repeated query
-/// within one solve without a solver call.
+/// deduce(H) walks H once. The walk evaluates complete subtrees, gathers
+/// the query (positions, leaves, holes, concrete bindings) and builds the
+/// verdict key, which names each component by its specId(). A key the
+/// engine has seen answers from its verdict cache without a solver call;
+/// otherwise the concrete fast path checks each fully concrete node's
+/// group-free spec, and only a query it cannot refute reaches Z3.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,10 +67,9 @@ struct DeduceStats {
   uint64_t FastPathRejections = 0;
   uint64_t CacheHits = 0;        ///< per-engine verdict-cache hits
   uint64_t SolverChecks = 0;     ///< actual Z3 check() invocations
-  /// Spec formulas compiled to templates by this engine; about 0 on a
-  /// core an earlier engine already warmed.
+  /// Spec instances this engine encoded into its core; about 0 on a core
+  /// an earlier engine already warmed.
   uint64_t TemplateCompiles = 0;
-  uint64_t TemplateHits = 0;     ///< template instantiations from cache
   /// Example scopes pushed: one per engine, plus one reopening after
   /// each base visit. Depends on how warm the leased core was.
   uint64_t SessionBuilds = 0;
@@ -85,8 +84,8 @@ struct DeduceStats {
   /// All of deduce(), every phase below included (perfbench reads it as
   /// `smt.z3_s`, though most of it is not Z3).
   double SolverSeconds = 0;
-  /// signature(): partial evaluation of complete subtrees plus the
-  /// abstraction keys of their tables.
+  /// The query walk: partial evaluation of complete subtrees, the
+  /// abstractions of their tables and the verdict key.
   double SignatureSeconds = 0;
   /// Base visits (the example scope's pop and the instances asserted at
   /// base) plus example-scope pushes and their bindings.
@@ -102,7 +101,6 @@ struct DeduceStats {
     CacheHits += O.CacheHits;
     SolverChecks += O.SolverChecks;
     TemplateCompiles += O.TemplateCompiles;
-    TemplateHits += O.TemplateHits;
     SessionBuilds += O.SessionBuilds;
     SessionHits += O.SessionHits;
     StoreHits += O.StoreHits;

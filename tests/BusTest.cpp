@@ -416,7 +416,6 @@ TEST(SearchEvents, SnapshotsAndSketchSpansMatchTheSolve) {
     EXPECT_EQ(Ev.Deduce.CacheHits, In.Deduce.CacheHits) << T.Id;
     EXPECT_EQ(Ev.Deduce.SolverChecks, In.Deduce.SolverChecks) << T.Id;
     EXPECT_EQ(Ev.Deduce.TemplateCompiles, In.Deduce.TemplateCompiles) << T.Id;
-    EXPECT_EQ(Ev.Deduce.TemplateHits, In.Deduce.TemplateHits) << T.Id;
     EXPECT_EQ(Ev.Deduce.SessionBuilds, In.Deduce.SessionBuilds) << T.Id;
     EXPECT_EQ(Ev.Deduce.SessionHits, In.Deduce.SessionHits) << T.Id;
     EXPECT_EQ(Ev.Deduce.SolverPushes, In.Deduce.SolverPushes) << T.Id;

@@ -63,14 +63,6 @@ Table randomTable(unsigned Seed) {
   return Table(Schema(std::move(Cols)), std::move(Rows));
 }
 
-bool mentionsGroup(const SpecExpr &E) {
-  if (E.K == SpecExpr::Kind::Const)
-    return false;
-  if (E.K == SpecExpr::Kind::Attr)
-    return E.Attr == TableAttr::Group;
-  return mentionsGroup(*E.Lhs) || mentionsGroup(*E.Rhs);
-}
-
 /// Checks that `Result = X(T)` satisfies X's specs (non-group atoms)
 /// against base sets formed from T alone.
 void expectSpecHolds(const char *Name, const Table &T, const Table &Result) {
@@ -80,10 +72,7 @@ void expectSpecHolds(const char *Name, const Table &T, const Table &Result) {
   std::vector<AttrValues> Args = {abstractTable(T, Base)};
   AttrValues Res = abstractTable(Result, Base);
   for (SpecLevel L : {SpecLevel::Spec1, SpecLevel::Spec2}) {
-    SpecFormula NonGroup;
-    for (const SpecAtom &A : X->spec(L).Atoms)
-      if (!mentionsGroup(*A.Lhs) && !mentionsGroup(*A.Rhs))
-        NonGroup.Atoms.push_back(A);
+    const SpecFormula &NonGroup = X->groupFreeSpec(L);
     EXPECT_TRUE(evalSpec(NonGroup, Args, Res))
         << Name << " violates " << NonGroup.toString() << "\non table\n"
         << T.toString() << "result\n"

@@ -174,14 +174,6 @@ TEST(Deduce, NeverRefutesGroundTruth) {
 /// attribute is abstract; see spec/Abstraction.h).
 class SpecSoundness : public ::testing::TestWithParam<size_t> {};
 
-bool mentionsGroup(const SpecExpr &E) {
-  if (E.K == SpecExpr::Kind::Const)
-    return false;
-  if (E.K == SpecExpr::Kind::Attr)
-    return E.Attr == TableAttr::Group;
-  return mentionsGroup(*E.Lhs) || mentionsGroup(*E.Rhs);
-}
-
 void checkNode(const HypPtr &H, const std::vector<Table> &Inputs,
                const ExampleBase &Base, SpecLevel Level,
                const std::string &TaskId) {
@@ -201,10 +193,7 @@ void checkNode(const HypPtr &H, const std::vector<Table> &Inputs,
   std::optional<Table> Result = H->evaluate(Inputs);
   ASSERT_TRUE(Result);
   AttrValues Res = abstractTable(*Result, Base);
-  SpecFormula NonGroup;
-  for (const SpecAtom &A : H->component()->spec(Level).Atoms)
-    if (!mentionsGroup(*A.Lhs) && !mentionsGroup(*A.Rhs))
-      NonGroup.Atoms.push_back(A);
+  const SpecFormula &NonGroup = H->component()->groupFreeSpec(Level);
   EXPECT_TRUE(evalSpec(NonGroup, Args, Res))
       << TaskId << ": " << H->component()->name()
       << " violates: " << NonGroup.toString();
@@ -219,35 +208,6 @@ TEST_P(SpecSoundness, GroundTruthSatisfiesSpecs) {
 
 INSTANTIATE_TEST_SUITE_P(AllTasks, SpecSoundness,
                          ::testing::Range(size_t(0), size_t(80)));
-
-/// Sketch-shape hashing: stable across value-hole filling (a fill maps to
-/// its sketch's shape — the property incremental sessions and the
-/// refutation store key on), sensitive to components and input indices.
-TEST(ShapeHash, FillInvariantAndStructureSensitive) {
-  const TableTransformer *Filter = StandardComponents::get().find("filter");
-  const TableTransformer *Select = StandardComponents::get().find("select");
-
-  HypPtr Hole = Hypothesis::apply(
-      Filter, {Hypothesis::input(0), Hypothesis::valueHole(ParamKind::Pred)});
-  HypPtr Filled = filter(in(0), "age", ">", num(12));
-  EXPECT_EQ(Hole->shapeHash(), Filled->shapeHash());
-
-  HypPtr OtherInput = Hypothesis::apply(
-      Filter, {Hypothesis::input(1), Hypothesis::valueHole(ParamKind::Pred)});
-  EXPECT_NE(Hole->shapeHash(), OtherInput->shapeHash());
-
-  HypPtr OtherComp = Hypothesis::apply(
-      Select, {Hypothesis::input(0), Hypothesis::valueHole(ParamKind::Cols)});
-  EXPECT_NE(Hole->shapeHash(), OtherComp->shapeHash());
-
-  HypPtr TblHole = Hypothesis::apply(
-      Filter, {Hypothesis::tblHole(), Hypothesis::valueHole(ParamKind::Pred)});
-  EXPECT_NE(Hole->shapeHash(), TblHole->shapeHash());
-
-  // Deterministic across structurally equal trees built independently.
-  EXPECT_EQ(filter(in(0), "age", ">", num(12))->shapeHash(),
-            filter(in(0), "GPA", ">", num(3))->shapeHash());
-}
 
 /// A component whose only spec is supplied by the test. apply() is never
 /// reached: the value hole keeps every hypothesis incomplete.
@@ -264,11 +224,61 @@ public:
   }
 };
 
+/// select's kernel under the name `keep`, with the spec the test gives it.
+class KeepWithSpec final : public TableTransformer {
+public:
+  explicit KeepWithSpec(SpecFormula F)
+      : TableTransformer("keep", 1, {ParamKind::ColsOrdered}) {
+    setSpec(SpecLevel::Spec1, F);
+    setSpec(SpecLevel::Spec2, std::move(F));
+  }
+  std::optional<Table> apply(const std::vector<Table> &Tables,
+                             const std::vector<TermPtr> &Args) const override {
+    return StandardComponents::get().find("select")->apply(Tables, Args);
+  }
+};
+
+/// Two components that share a name are still two components: one
+/// engine's verdict cache must not answer the second's query with the
+/// first's verdict. A's spec wrongly says keep adds columns, so it refutes
+/// keep(filter(x0, ...), ?) on an output narrower than the input; B's
+/// spec admits it.
+TEST(DeduceSubstrate, ComponentsSharingANameGetTheirOwnVerdicts) {
+  using namespace morpheus::specdsl;
+  KeepWithSpec A({{outA(TableAttr::Col) > inA(0, TableAttr::Col)}});
+  KeepWithSpec B({{outA(TableAttr::Col) < inA(0, TableAttr::Col)}});
+  Table In = makeTable({{"id", CellType::Num},
+                        {"name", CellType::Str},
+                        {"age", CellType::Num}},
+                       {{num(1), str("Alice"), num(8)},
+                        {num(2), str("Bob"), num(18)},
+                        {num(3), str("Tom"), num(12)}});
+  Table Out = makeTable({{"name", CellType::Str}, {"age", CellType::Num}},
+                        {{str("Bob"), num(18)}});
+  auto Keep = [](const TableTransformer *X) {
+    return Hypothesis::apply(
+        X, {filter(in(0), "age", ">", num(12)),
+            Hypothesis::valueHole(ParamKind::ColsOrdered)});
+  };
+  bool BAlone;
+  {
+    DeductionEngine E({In}, Out);
+    BAlone = E.deduce(Keep(&B), SpecLevel::Spec2, true);
+  }
+  EXPECT_TRUE(BAlone);
+
+  DeductionEngine E({In}, Out);
+  EXPECT_FALSE(E.deduce(Keep(&A), SpecLevel::Spec2, true));
+  EXPECT_EQ(E.deduce(Keep(&B), SpecLevel::Spec2, true), BAlone);
+  EXPECT_EQ(E.stats().CacheHits, 0u);
+  EXPECT_EQ(E.stats().SolverChecks, 2u);
+}
+
 /// Scope reuse: one engine pushes one example scope and every later query
 /// of the same positions reuses it; a query that needs an instance the
 /// core lacks costs one base visit, which pops and reopens the example
-/// scope. Spec templates compile once per component/level and core, not
-/// once per call or per engine.
+/// scope. A spec instance is encoded once per position, component, level
+/// and core, not once per call or per engine.
 TEST(DeduceSubstrate, SessionAndTemplateReuse) {
   Table In = makeTable({{"id", CellType::Num},
                         {"name", CellType::Str},
@@ -297,7 +307,6 @@ TEST(DeduceSubstrate, SessionAndTemplateReuse) {
     EXPECT_EQ(S.SolverChecks, 3u);
     EXPECT_EQ(S.SessionBuilds, 1u);
     EXPECT_EQ(S.SessionHits, 2u);
-    EXPECT_GT(S.TemplateHits, 0u);
     // Each query pushes one scope for filter's concrete abstraction and
     // pops it; the example scope stays open.
     EXPECT_EQ(S.SolverPushes, 4u);
@@ -305,15 +314,16 @@ TEST(DeduceSubstrate, SessionAndTemplateReuse) {
     return S.TemplateCompiles;
   };
 
-  // Templates: filter + select at both levels, compiled at most once each
-  // per core — exactly 4 only when this engine leased a cold core.
+  // Instances: select at the root and filter below it at Spec 2, encoded
+  // at most once each per core — exactly 2 only when this engine leased a
+  // cold core.
   {
     DeductionEngine E({In}, Out);
-    EXPECT_LE(Run(E), 4u);
+    EXPECT_LE(Run(E), 2u);
   }
   // The next engine on this thread leases the core the first one handed
-  // back (the core is far from its lease limit), so every template is
-  // already compiled.
+  // back (the core is far from its lease limit), so every instance is
+  // already there.
   DeductionEngine E({In}, Out);
   EXPECT_EQ(Run(E), 0u);
 

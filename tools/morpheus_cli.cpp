@@ -421,7 +421,6 @@ void setDeduceStats(JsonValue &D, const DeduceStats &DS) {
         JsonValue::number(double(DS.FastPathRejections)));
   D.set("cache_hits", JsonValue::number(double(DS.CacheHits)));
   D.set("solver_checks", JsonValue::number(double(DS.SolverChecks)));
-  D.set("template_hits", JsonValue::number(double(DS.TemplateHits)));
   D.set("session_builds", JsonValue::number(double(DS.SessionBuilds)));
   D.set("session_hits", JsonValue::number(double(DS.SessionHits)));
   D.set("pushes", JsonValue::number(double(DS.SolverPushes)));
@@ -650,13 +649,11 @@ int runBench(ArgReader &Args) {
               Agg.ElapsedSeconds, SumWall);
   const DeduceStats &D = Agg.Deduce;
   std::printf("deduce: %llu calls, %llu solver checks, %llu cache hits, "
-              "%llu session hits, %llu template hits, %llu/%llu "
-              "pushes/pops\n",
+              "%llu session hits, %llu/%llu pushes/pops\n",
               (unsigned long long)D.Calls,
               (unsigned long long)D.SolverChecks,
               (unsigned long long)D.CacheHits,
               (unsigned long long)D.SessionHits,
-              (unsigned long long)D.TemplateHits,
               (unsigned long long)D.SolverPushes,
               (unsigned long long)D.SolverPops);
   std::printf("deduce seconds %.2f: signature %.2f, session %.2f, check "
