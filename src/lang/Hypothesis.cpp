@@ -37,6 +37,7 @@ ComponentLibrary::findValue(std::string_view Name) const {
 HypPtr Hypothesis::tblHole() {
   auto H = std::shared_ptr<Hypothesis>(new Hypothesis());
   H->K = Kind::TblHole;
+  H->NumTblHoles = 1;
   return H;
 }
 
@@ -44,6 +45,7 @@ HypPtr Hypothesis::valueHole(ParamKind PK) {
   auto H = std::shared_ptr<Hypothesis>(new Hypothesis());
   H->K = Kind::ValueHole;
   H->PKind = PK;
+  H->NumValueHoles = 1;
   return H;
 }
 
@@ -71,6 +73,12 @@ HypPtr Hypothesis::apply(const TableTransformer *X,
   H->K = Kind::Apply;
   H->Comp = X;
   H->Children = std::move(Children);
+  H->NumApplies = 1;
+  for (const HypPtr &C : H->Children) {
+    H->NumApplies += C->NumApplies;
+    H->NumTblHoles += C->NumTblHoles;
+    H->NumValueHoles += C->NumValueHoles;
+  }
   return H;
 }
 
@@ -81,37 +89,6 @@ HypPtr Hypothesis::applyWithHoles(const TableTransformer *X) {
   for (ParamKind PK : X->valueParams())
     Children.push_back(valueHole(PK));
   return apply(X, std::move(Children));
-}
-
-size_t Hypothesis::numApplies() const {
-  if (K != Kind::Apply)
-    return 0;
-  size_t N = 1;
-  for (const HypPtr &C : Children)
-    N += C->numApplies();
-  return N;
-}
-
-size_t Hypothesis::numTblHoles() const {
-  if (K == Kind::TblHole)
-    return 1;
-  if (K != Kind::Apply)
-    return 0;
-  size_t N = 0;
-  for (const HypPtr &C : Children)
-    N += C->numTblHoles();
-  return N;
-}
-
-size_t Hypothesis::numValueHoles() const {
-  if (K == Kind::ValueHole)
-    return 1;
-  if (K != Kind::Apply)
-    return 0;
-  size_t N = 0;
-  for (const HypPtr &C : Children)
-    N += C->numValueHoles();
-  return N;
 }
 
 bool Hypothesis::isSketch() const { return numTblHoles() == 0; }

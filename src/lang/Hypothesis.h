@@ -85,11 +85,11 @@ public:
   static HypPtr applyWithHoles(const TableTransformer *X);
 
   /// Number of Apply nodes (the "size" used for Occam ordering, Sec. 8).
-  size_t numApplies() const;
+  size_t numApplies() const { return NumApplies; }
   /// Number of TblHole leaves.
-  size_t numTblHoles() const;
+  size_t numTblHoles() const { return NumTblHoles; }
   /// Number of ValueHole leaves.
-  size_t numValueHoles() const;
+  size_t numValueHoles() const { return NumValueHoles; }
 
   bool isSketch() const;          // Definition 6
   bool isCompleteProgram() const; // Definition 7
@@ -126,6 +126,9 @@ private:
   TermPtr FilledTerm;
   const TableTransformer *Comp = nullptr;
   std::vector<HypPtr> Children;
+  /// The three counts of this subtree, fixed when the node is built (a
+  /// node never changes), so each accessor is O(1).
+  size_t NumApplies = 0, NumTblHoles = 0, NumValueHoles = 0;
 };
 
 } // namespace morpheus

@@ -128,12 +128,21 @@ struct Core {
   /// Both walk the simplex rows of every instance the core has asserted,
   /// not only the ones a query assumes, so on a warm core they cost each
   /// check more than they save: over eight mid-size suite tasks, deduce
-  /// time fell 1.14 -> 0.70 s (medians of 4 runs). Z3 decides the same
-  /// formulas either way, so no verdict changes.
+  /// time fell 1.14 -> 0.70 s (medians of 4 runs). Then selects the older
+  /// simplex arithmetic solver (arith.solver=2) and turns relevancy off:
+  /// a query is a few dozen linear atoms under a handful of assumed
+  /// literals, too small for the default solver's and the relevancy
+  /// filter's bookkeeping to pay. On the perfbench oneshot and search task
+  /// sets the mean check fell 70.7 -> 50.6 and 69.7 -> 48.8 us over the
+  /// same checks (morpheus and SQL suites at 5 s, 4-vCPU Xeon VM, Z3
+  /// 4.8.12). Z3 decides the same formulas either way, so no verdict
+  /// changes.
   Core() {
     z3::params Params(Ctx);
     Params.set("arith.propagation_mode", 0u);
     Params.set("arith.propagate_eqs", false);
+    Params.set("arith.solver", 2u);
+    Params.set("relevancy", 0u);
     Solver.set(Params);
   }
 
@@ -307,6 +316,15 @@ struct DeductionEngine::Impl {
   /// on the walk's path, each node's above its parent's.
   std::vector<const AttrValues *> ArgStack;
   std::vector<AttrValues> ArgScratch;
+  /// The root's component when the root check applies: the root's own
+  /// table is not evaluated and each of its table arguments is an
+  /// evaluated child, an input leaf or a table hole. RootArgs holds their
+  /// abstractions, null for a hole.
+  const TableTransformer *RootX = nullptr;
+  std::vector<const AttrValues *> RootArgs;
+  /// ϕin as the values a table hole may take: each input's row and col,
+  /// with group 1 and no new cols or vals.
+  std::vector<AttrValues> HoleAbs;
 
   /// Memoized partial evaluation, keyed on the node (trees are immutable
   /// and structurally shared, so a node determines the subtree). The key
@@ -335,10 +353,11 @@ struct DeductionEngine::Impl {
 
   /// Gathers the query for \p H, the node at position \p Pos, in one walk:
   /// appends its verdict key, and records each node's position, the
-  /// concrete abstraction of every subtree partial evaluation can evaluate
-  /// and the nodes the fast path checks. Sets \p Abs to the node's
-  /// concrete abstraction, or null when it is unknown. Returns false when
-  /// a complete subtree fails to evaluate (the hypothesis is dead).
+  /// concrete abstraction of every subtree partial evaluation can evaluate,
+  /// the nodes the fast path checks and what the root check binds. Sets
+  /// \p Abs to the node's concrete abstraction, or null when it is unknown.
+  /// Returns false when a complete subtree fails to evaluate (the
+  /// hypothesis is dead).
   bool gather(const HypPtr &H, uint64_t Pos, bool UsePartialEval,
               const AttrValues *&Abs) {
     Abs = nullptr;
@@ -366,6 +385,9 @@ struct DeductionEngine::Impl {
       Components.push_back({Pos, X});
       Unencodable = Unencodable || !encodable(Pos, X->numTableArgs());
       size_t Base = ArgStack.size();
+      // The root check binds a table hole to ϕin, but knows nothing of an
+      // Apply child with no table.
+      bool RootCheck = Pos == RootPosition;
       unsigned K = 0;
       for (const HypPtr &C : H->children()) {
         if (!C->isTableTyped())
@@ -374,6 +396,7 @@ struct DeductionEngine::Impl {
         if (!gather(C, childPosition(Pos, K++), UsePartialEval, Arg))
           return false;
         ArgStack.push_back(Arg);
+        RootCheck = RootCheck && (Arg || C->isTblHole());
         Key += ',';
       }
       Key += ')';
@@ -394,6 +417,9 @@ struct DeductionEngine::Impl {
           FastArgs.insert(FastArgs.end(), ArgStack.begin() + Base,
                           ArgStack.end());
         }
+      } else if (RootCheck) {
+        RootX = X;
+        RootArgs.assign(ArgStack.begin() + Base, ArgStack.end());
       }
       ArgStack.resize(Base);
       // A complete subtree that does not evaluate: a component rejected
@@ -420,13 +446,16 @@ struct DeductionEngine::Impl {
     FastNodes.clear();
     FastArgs.clear();
     ArgStack.clear();
+    RootX = nullptr;
     const AttrValues *Abs;
     return gather(H, RootPosition, UsePartialEval, Abs);
   }
 
   /// The concrete fast path over the gathered nodes: whether some node's
   /// group-free spec is false on its concrete abstractions. Checks in
-  /// post-order, so the innermost refuted node decides.
+  /// post-order, so the innermost refuted node decides. Then the root
+  /// check: whether the root's group-free spec is false against α(Tout)
+  /// for every binding of its table arguments.
   bool fastPathRefutes(SpecLevel Level) {
     for (const FastNode &N : FastNodes) {
       ArgScratch.clear();
@@ -435,10 +464,36 @@ struct DeductionEngine::Impl {
       if (!evalSpec(N.X->groupFreeSpec(Level), ArgScratch, *N.Result))
         return true;
     }
+    if (!RootX)
+      return false;
+    const SpecFormula &F = RootX->groupFreeSpec(Level);
+    ArgScratch.resize(RootArgs.size());
+    return !F.isTrue() && !rootAdmits(F, 0);
+  }
+
+  /// Whether some binding of the root's table arguments K onwards, a hole
+  /// to any of HoleAbs, satisfies \p F against α(Tout) (its group free:
+  /// \p F does not name it). At most inputs^holes bindings.
+  bool rootAdmits(const SpecFormula &F, size_t K) {
+    if (K == RootArgs.size())
+      return evalSpec(F, ArgScratch, Ex->OutputAbs);
+    if (RootArgs[K]) {
+      ArgScratch[K] = *RootArgs[K];
+      return rootAdmits(F, K + 1);
+    }
+    for (const AttrValues &A : HoleAbs) {
+      ArgScratch[K] = A;
+      if (rootAdmits(F, K + 1))
+        return true;
+    }
     return false;
   }
 
   const std::optional<Table> &evalCached(const HypPtr &H) {
+    // A node with holes never evaluates, and gets no entry.
+    static const std::optional<Table> NoTable;
+    if (H->numTblHoles() != 0 || H->numValueHoles() != 0)
+      return NoTable;
     auto It = EvalCache.find(H);
     if (It != EvalCache.end())
       return It->second;
@@ -460,11 +515,8 @@ struct DeductionEngine::Impl {
             break;
           }
           TableArgs.push_back(*T);
-        } else if (C->isFilled()) {
-          ValueArgs.push_back(C->term());
         } else {
-          Ok = false;
-          break;
+          ValueArgs.push_back(C->term()); // no holes: a filled value
         }
       }
       if (Ok)
@@ -485,7 +537,10 @@ struct DeductionEngine::Impl {
   }
 
   explicit Impl(std::shared_ptr<const ExampleContext> ExIn)
-      : Ex(std::move(ExIn)) {}
+      : Ex(std::move(ExIn)) {
+    for (const AttrValues &A : Ex->InputAbs)
+      HoleAbs.push_back({A.Row, A.Col, 1, 0, 0});
+  }
 
   /// Binds the concrete (non-group) attributes of \p N to \p A.
   void bindConcrete(const NodeVars &N, const AttrValues &A) {

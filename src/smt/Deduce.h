@@ -42,7 +42,9 @@
 /// verdict key, which names each component by its specId(). A key the
 /// engine has seen answers from its verdict cache without a solver call;
 /// otherwise the concrete fast path checks each fully concrete node's
-/// group-free spec, and only a query it cannot refute reaches Z3.
+/// group-free spec, then the root's against α(Tout) over every way its
+/// table arguments can be bound (the root check), and only a query neither
+/// refutes reaches Z3.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +64,8 @@ namespace morpheus {
 struct DeduceStats {
   uint64_t Calls = 0;            ///< deduce() entries
   uint64_t Rejections = 0;       ///< verdicts that refuted the hypothesis
-  /// Concrete rejections before any Z3 call: the interval fast path
-  /// refuted a node, or a complete subtree failed to evaluate.
+  /// Concrete rejections before any Z3 call: the fast path refuted a
+  /// concrete node or the root, or a complete subtree failed to evaluate.
   uint64_t FastPathRejections = 0;
   uint64_t CacheHits = 0;        ///< per-engine verdict-cache hits
   uint64_t SolverChecks = 0;     ///< actual Z3 check() invocations
