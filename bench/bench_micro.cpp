@@ -247,8 +247,8 @@ BENCHMARK(BM_Fingerprint)->Arg(16)->Arg(64)->Arg(256);
 
 //===----------------------------------------------------------------------===//
 // Columnar hot paths: a sketch's last-hole candidate loop with and without
-// the components' header gates, and the filter and group-by kernels
-// (support/Simd.h).
+// the components' header gates, filter's row-wise predicate loop, and
+// group-by's open-addressing key table.
 //===----------------------------------------------------------------------===//
 
 /// One last-hole candidate loop, as SearchContext::fillLastHole runs it for

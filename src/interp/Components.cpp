@@ -16,8 +16,6 @@
 
 #include "interp/ValueOps.h"
 #include "spec/StdSpecs.h"
-#include "support/Arena.h"
-#include "support/Simd.h"
 #include "table/TableUtils.h"
 
 #include <algorithm>
@@ -607,110 +605,9 @@ std::optional<Table> applySelect(const Table &T,
   return Result;
 }
 
-/// Maps a standard comparison operator name to its selection kernel op.
-std::optional<simd::CmpOp> cmpOpFor(std::string_view Name) {
-  if (Name == "==")
-    return simd::CmpOp::Eq;
-  if (Name == "!=")
-    return simd::CmpOp::Ne;
-  if (Name == "<")
-    return simd::CmpOp::Lt;
-  if (Name == "<=")
-    return simd::CmpOp::Le;
-  if (Name == ">")
-    return simd::CmpOp::Gt;
-  if (Name == ">=")
-    return simd::CmpOp::Ge;
-  return std::nullopt;
-}
-
-/// The columnar filter fast path. Predicates of the shape the enumerator
-/// generates — `col <cmp> const` over the standard comparison operators —
-/// evaluate as one selection-vector kernel over the raw column span
-/// instead of a per-row Term interpretation (which would pay the
-/// grouped-row map, the App dispatch and a Value compare per row).
-///
-/// Returns true when the shape was handled and \p Result holds
-/// applyFilter's answer; false means "not this shape — use the row-wise
-/// evaluator". Semantics are bit-identical to the row-wise path:
-///  - a missing column or a cell/constant type mismatch aborts the
-///    candidate (compare() in ValueOps.cpp yields nullopt),
-///  - numeric comparison uses the exact tolerant truth table of
-///    Value::numEq (see simd::selectCmpF64),
-///  - string ==/!= reduce to interner-id compares (interning is
-///    injective), while string orderings (rank-table lookups) fall back,
-///  - a predicate keeping every row is a no-op and yields nullopt.
-bool filterFastPath(const Table &T, const Term &Pred,
-                    std::optional<Table> &Result) {
-  if (Pred.K != Term::Kind::App || !Pred.Fn || Pred.Args.size() != 2 ||
-      Pred.Args[0]->K != Term::Kind::ColRef ||
-      Pred.Args[1]->K != Term::Kind::Const)
-    return false;
-  // Operator identity, not name: a custom transformer that borrows a
-  // comparison name keeps its own semantics on the row-wise path.
-  if (StandardValueOps::get().find(Pred.Fn->name()) != Pred.Fn)
-    return false;
-  std::optional<simd::CmpOp> Op = cmpOpFor(Pred.Fn->name());
-  if (!Op)
-    return false;
-  const Value &C = Pred.Args[1]->ConstVal;
-  if (C.isStr() && *Op != simd::CmpOp::Eq && *Op != simd::CmpOp::Ne)
-    return false;
-
-  Result = std::nullopt;
-  std::optional<size_t> Col = T.schema().indexOf(Pred.Args[0]->Name);
-  const size_t N = T.numRows();
-  if (!Col || N == 0)
-    return true; // missing column aborts; an empty table is keep-all
-
-  const ColumnData &Cells = T.col(*Col);
-  Arena &A = threadArena();
-  ArenaScope Scope(A);
-  uint32_t *Sel = A.alloc<uint32_t>(N);
-  size_t Kept;
-  if (C.isNum()) {
-    double *Nums = A.alloc<double>(N);
-    for (size_t R = 0; R != N; ++R) {
-      if (!Cells[R].isNum())
-        return true; // type mismatch aborts the candidate
-      Nums[R] = Cells[R].num();
-    }
-    Kept = simd::selectCmpF64(Nums, N, C.num(), *Op, Sel);
-  } else {
-    uint32_t *Ids = A.alloc<uint32_t>(N);
-    for (size_t R = 0; R != N; ++R) {
-      if (!Cells[R].isStr())
-        return true;
-      Ids[R] = Cells[R].strId();
-    }
-    Kept = simd::selectCmpU32(Ids, N, C.strId(),
-                              /*Ne=*/*Op == simd::CmpOp::Ne, Sel);
-  }
-  if (Kept == N)
-    return true; // keep-all no-op, rejected like the row-wise path
-
-  std::vector<ColumnPtr> Out;
-  Out.reserve(T.numCols());
-  for (size_t Cl = 0; Cl != T.numCols(); ++Cl) {
-    const ColumnData &Src = T.col(Cl);
-    ColumnData Gathered;
-    Gathered.reserve(Kept);
-    for (size_t I = 0; I != Kept; ++I)
-      Gathered.push_back(Src[Sel[I]]);
-    Out.push_back(ownCol(std::move(Gathered)));
-  }
-  Table R(T.schema(), std::move(Out), Kept);
-  R.setGroupCols(T.groupCols());
-  Result = std::move(R);
-  return true;
-}
-
 std::optional<Table> applyFilter(const Table &T, const TermPtr &Pred) {
   if (!Pred)
     return std::nullopt;
-  std::optional<Table> Fast;
-  if (filterFastPath(T, *Pred, Fast))
-    return Fast;
   auto Groups = T.groupedRowIndices();
   auto GroupMap = rowToGroup(T, Groups);
   std::vector<size_t> Keep;

@@ -96,8 +96,13 @@ public:
 
   /// Replaces the *leftmost* TblHole with \p Replacement; asserts one
   /// exists. Refining only the leftmost hole yields each refinement tree by
-  /// exactly one derivation, deduplicating the worklist without losing any
-  /// tree reachable by the paper's any-hole rule.
+  /// exactly one derivation, but it reaches fewer trees than the paper's
+  /// any-hole rule: a hole becomes an input only in sketches(), after
+  /// refinement ends, so once the leftmost hole has to stay an input no
+  /// hole right of it can be refined. A tree whose input leaf precedes a
+  /// later application in pre-order is never derived, e.g.
+  /// `inner_join(x0, filter(x1, ...))` or the two-`gather` join of the
+  /// paper's Example 3 (suite task C7-01).
   HypPtr replaceLeftmostTblHole(HypPtr Replacement) const;
 
   /// All assignments of input indices (0..NumInputs-1) to TblHole leaves —

@@ -7,7 +7,6 @@
 #include "synth/Synthesizer.h"
 
 #include "bus/EventBus.h"
-#include "support/Arena.h"
 #include "synth/Inhabitation.h"
 
 #include <algorithm>
@@ -454,13 +453,6 @@ bool SearchContext::fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
 }
 
 bool SearchContext::fillSketch(const HypPtr &Sketch) {
-  // Pin the search thread's arena for the whole completion: the kernels
-  // below (fingerprint folds, group-by scratch, filter selections) stack
-  // their own scopes on top, and this rewind point returns the arena to its
-  // pre-sketch watermark even if a kernel's scope hierarchy grows the
-  // arena mid-completion. Chunks are retained, so steady-state sketch
-  // completion performs zero temporary heap allocations in the kernels.
-  ArenaScope Scratch(threadArena());
   SketchWork = 0;
   std::vector<HoleInfo> Holes;
   std::vector<size_t> Path;

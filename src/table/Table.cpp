@@ -6,8 +6,6 @@
 
 #include "table/Table.h"
 
-#include "support/Arena.h"
-#include "support/Simd.h"
 #include "table/TableUtils.h"
 
 #include <algorithm>
@@ -167,9 +165,7 @@ size_t Table::numGroups() const { return groupedRowIndices().size(); }
 
 namespace {
 
-/// The fingerprint finalizer. support/Simd.cpp's fold and reduce kernels
-/// embed the same mixer; the fingerprint reference test (TableTest) guards
-/// the pairing.
+/// The fingerprint finalizer (the murmur3 64-bit mixer).
 inline uint64_t mix64(uint64_t X) {
   X ^= X >> 33;
   X *= 0xff51afd7ed558ccdULL;
@@ -193,46 +189,16 @@ uint64_t Table::fingerprint() const {
   }
   // Row hashes folded commutatively (sum and xor-of-mixed), so row order
   // cannot change the fingerprint. Within a row the fold is
-  // order-dependent; cell hashing matches Value::hash, whose printed-form
+  // order-dependent; cell hashing is Value::hash, whose printed-form
   // numeric hashing keeps tolerant-equal cells fingerprint-equal for all
   // values that arise in practice.
-  // The fold runs column by column (RH = mix64(RH ^ cell hash) per
-  // column, in schema order) over contiguous per-row hash spans.
   uint64_t Sum = 0, Xor = 0;
-  if (NRows != 0) {
-    Arena &A = threadArena();
-    ArenaScope Scope(A);
-    uint64_t *RowHs = A.alloc<uint64_t>(NRows);
-    uint32_t *SlowIdx = A.alloc<uint32_t>(NRows);
-    for (size_t R = 0; R != NRows; ++R)
-      RowHs[R] = 0x9e3779b97f4a7c15ULL;
-    static_assert(sizeof(Value) == 16,
-                  "raw-cell kernels assume 16-byte cells");
-    for (size_t C = 0; C != Cols.size(); ++C) {
-      const ColumnData &Col = *Cols[C];
-      // One streamed pass per column: the raw-cell kernels read the Value
-      // structs in place (layout contract in support/Simd.h, pinned by
-      // TableTest) and fold each cell's hash into its row hash. Lanes the
-      // fast paths cannot cover — non-integral numbers (printed-form
-      // hashing) and cells whose type differs from the schema's (a mixed
-      // column, impossible via the public constructors) — come back in
-      // SlowIdx and are folded here with the full Value::hash. The salts
-      // are Value.cpp's mixInt salts; the fingerprint reference test
-      // guards the pairing.
-      size_t NSlow =
-          TableSchema[C].Type == CellType::Str
-              ? simd::foldStrCellsU64(RowHs, Col.data(), NRows,
-                                      uint32_t(CellType::Str),
-                                      0x5851f42d4c957f2dULL, SlowIdx)
-              : simd::foldNumCellsU64(RowHs, Col.data(), NRows,
-                                      uint32_t(CellType::Num),
-                                      0x2545f4914f6cdd1dULL, SlowIdx);
-      for (size_t S = 0; S != NSlow; ++S) {
-        size_t R = SlowIdx[S];
-        RowHs[R] = mix64(RowHs[R] ^ uint64_t(Col[R].hash()));
-      }
-    }
-    simd::reduceSumXorU64(RowHs, NRows, Sum, Xor);
+  for (size_t R = 0; R != NRows; ++R) {
+    uint64_t RH = 0x9e3779b97f4a7c15ULL;
+    for (const ColumnPtr &Col : Cols)
+      RH = mix64(RH ^ uint64_t((*Col)[R].hash()));
+    Sum += RH;
+    Xor ^= mix64(RH);
   }
   uint64_t Fp = mix64(H ^ Sum) ^ mix64(Xor ^ (uint64_t(NRows) << 32));
 

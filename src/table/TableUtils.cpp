@@ -6,11 +6,6 @@
 
 #include "table/TableUtils.h"
 
-#include "support/Arena.h"
-#include "support/Simd.h"
-
-#include <cstring>
-
 using namespace morpheus;
 
 TokenSet morpheus::headerTokens(const Table &T) {
@@ -97,27 +92,22 @@ RowGrouping morpheus::groupRowsBy(const Table &T,
 
   if (N == 0)
     return G;
-  // The per-row key hash is one FNV-combine sweep per key column over the
-  // contiguous token spans, and the bucket map is a flat open-addressing
-  // table in arena scratch. Group identity is decided by Equal over the
-  // full key tuples, never by the hash, and rows are scanned in order — so
-  // groups are numbered by first appearance no matter how probing lays
-  // them out.
-  Arena &A = threadArena();
-  ArenaScope Scope(A);
-  uint64_t *Hs = A.alloc<uint64_t>(N);
-  for (size_t R = 0; R != N; ++R)
-    Hs[R] = 0xcbf29ce484222325ULL;
-  for (size_t K = 0; K != Keys.size(); ++K)
-    simd::fnvCombineU64(Hs, Keys[K].data(), N);
+  // The per-row key hash is an FNV-1a fold over the key columns, and the
+  // bucket map is a flat open-addressing table. Group identity is decided
+  // by Equal over the full key tuples, never by the hash, and rows are
+  // scanned in order — so groups are numbered by first appearance no
+  // matter how probing lays them out.
+  std::vector<uint64_t> Hs(N, 0xcbf29ce484222325ULL);
+  for (const std::vector<uint64_t> &Key : Keys)
+    for (size_t R = 0; R != N; ++R)
+      Hs[R] = (Hs[R] ^ Key[R]) * 0x100000001b3ULL;
 
   size_t Cap = 16;
   while (Cap < 2 * N)
     Cap *= 2;
   constexpr uint32_t Empty = UINT32_MAX;
-  uint32_t *SlotGid = A.alloc<uint32_t>(Cap);
-  uint64_t *SlotHash = A.alloc<uint64_t>(Cap);
-  std::memset(SlotGid, 0xFF, Cap * sizeof(uint32_t));
+  std::vector<uint32_t> SlotGid(Cap, Empty);
+  std::vector<uint64_t> SlotHash(Cap);
   for (size_t R = 0; R != N; ++R) {
     size_t S = size_t(Hs[R]) & (Cap - 1);
     for (;;) {

@@ -21,7 +21,11 @@ std::string_view morpheus::cellTypeName(CellType T) {
 namespace {
 
 /// Prints \p N the way toString does, into \p Buf; returns the length.
+/// Negative zero prints as "0", like R and like the +0 it compares and
+/// hashes equal to, so it shares +0's canonical token too.
 size_t printNum(double N, char (&Buf)[48]) {
+  if (N == 0)
+    N = 0.0;
   if (std::isfinite(N) && N == std::floor(N) && std::fabs(N) < 1e15)
     return size_t(std::snprintf(Buf, sizeof(Buf), "%.0f", N));
   return size_t(std::snprintf(Buf, sizeof(Buf), "%.7g", N));
@@ -81,31 +85,10 @@ bool Value::numEq(double A, double B) {
   return std::fabs(A - B) <= 1e-9 * std::fmax(Scale, 1.0);
 }
 
-namespace {
-
-inline size_t mixInt(uint64_t X, uint64_t Salt) {
-  X = (X + Salt) * 0x9e3779b97f4a7c15ULL;
-  X ^= X >> 29;
-  X *= 0xbf58476d1ce4e5b9ULL;
-  X ^= X >> 32;
-  return size_t(X);
-}
-
-} // namespace
-
-size_t Value::hash() const {
-  if (isStr()) {
-    // Ids are unique per text, so mixing the id hashes the content.
-    return mixInt(StrId, 0x5851f42d4c957f2dULL);
-  }
+size_t Value::hashPrinted() const {
   // Numbers hash their *printed form's* equivalence class, so tolerant
   // equality and hashing agree for all values that arise in practice
-  // (7 significant digits). The hot case — integral values, the bulk of
-  // every table — skips formatting entirely: an integral below 1e15
-  // prints as its exact decimal digits, so hashing the integer IS hashing
-  // the printed form.
-  if (std::isfinite(Num) && Num == std::floor(Num) && std::fabs(Num) < 1e15)
-    return mixInt(uint64_t(int64_t(Num)), 0x2545f4914f6cdd1dULL);
+  // (7 significant digits).
   char Buf[48];
   size_t Len = std::snprintf(Buf, sizeof(Buf), "%.7g", Num);
   // A non-integral value can still print as a pure integer ("3" for
@@ -115,7 +98,6 @@ size_t Value::hash() const {
   for (size_t I = (Buf[0] == '-' ? 1 : 0); I != Len && PureInt; ++I)
     PureInt = Buf[I] >= '0' && Buf[I] <= '9';
   if (PureInt && Len > size_t(Buf[0] == '-'))
-    return mixInt(uint64_t(std::strtoll(Buf, nullptr, 10)),
-                  0x2545f4914f6cdd1dULL);
+    return mixInt(uint64_t(std::strtoll(Buf, nullptr, 10)), NumSalt);
   return std::hash<std::string_view>()(std::string_view(Buf, Len));
 }

@@ -25,6 +25,7 @@
 #include "table/Interner.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -132,13 +133,37 @@ public:
   /// Hash usable with unordered containers; consistent with operator== for
   /// values produced by toString-stable arithmetic (strings hash their
   /// interner id; numbers hash their printed form so tolerant equality and
-  /// hashing agree).
-  size_t hash() const;
+  /// hashing agree). The two hot cases are inline: a string's id (ids are
+  /// unique per text), and an integral number below 1e15, whose printed
+  /// form is its exact decimal digits, so hashing the integer is hashing
+  /// the printed form. Everything else formats the number (hashPrinted).
+  size_t hash() const {
+    if (isStr())
+      return mixInt(StrId, StrSalt);
+    if (std::fabs(Num) < 1e15 && Num == std::floor(Num))
+      return mixInt(uint64_t(int64_t(Num)), NumSalt);
+    return hashPrinted();
+  }
 
   /// The tolerant numeric comparison used by operator== on num cells.
   static bool numEq(double A, double B);
 
 private:
+  static constexpr uint64_t StrSalt = 0x5851f42d4c957f2dULL;
+  static constexpr uint64_t NumSalt = 0x2545f4914f6cdd1dULL;
+
+  static size_t mixInt(uint64_t X, uint64_t Salt) {
+    X = (X + Salt) * 0x9e3779b97f4a7c15ULL;
+    X ^= X >> 29;
+    X *= 0xbf58476d1ce4e5b9ULL;
+    X ^= X >> 32;
+    return size_t(X);
+  }
+
+  /// hash() of a number off the integral fast path: non-integral, NaN,
+  /// infinite or |x| >= 1e15.
+  size_t hashPrinted() const;
+
   double Num;
   uint32_t StrId;
   CellType Type;

@@ -332,8 +332,8 @@ TEST(GoldenRenders, All108GroundTruthsRenderByteIdentically) {
 
 //===----------------------------------------------------------------------===//
 // Columnar evaluation against row-wise references written here: filter
-// predicates (selection-vector compare kernels) against a per-row
-// evalTerm loop, and the open-addressing group-by against std::map
+// over every enumerated predicate against a per-row evalTerm loop with
+// one all-rows group, and the open-addressing group-by against std::map
 // first-appearance numbering. The header-gated last-hole check must
 // synthesize the programs the ungated per-candidate check found.
 //===----------------------------------------------------------------------===//

@@ -5,16 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/ValueOps.h"
-#include "support/Arena.h"
-#include "support/Simd.h"
+#include "suite/Task.h"
 #include "table/Table.h"
 #include "table/TableUtils.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 using namespace morpheus;
@@ -207,97 +204,23 @@ TEST(TableUtils, DistinctColumnValues) {
   EXPECT_EQ(D[1], str("a"));
 }
 
-//===----------------------------------------------------------------------===//
-// Raw cell layout: the contract the fold*CellsU64 kernels (support/Simd.h)
-// stream over. Pinned empirically so a Value layout change cannot silently
-// desynchronize the kernels from Value::hash.
-//===----------------------------------------------------------------------===//
-
-TEST(Value, RawCellLayout) {
-  ASSERT_EQ(sizeof(Value), 16u);
-  char Raw[16];
-  Value N = num(-12.75);
-  std::memcpy(Raw, &N, 16);
-  double Payload;
-  std::memcpy(&Payload, Raw, 8); // payload double at byte 0
-  EXPECT_EQ(Payload, -12.75);
-  uint32_t Type;
-  std::memcpy(&Type, Raw + 12, 4); // 32-bit type code at byte 12
-  EXPECT_EQ(Type, uint32_t(CellType::Num));
-
-  Value S = str("abc");
-  std::memcpy(Raw, &S, 16);
-  uint32_t Id;
-  std::memcpy(&Id, Raw + 8, 4); // interner id at byte 8
-  EXPECT_EQ(Id, S.strId());
-  std::memcpy(&Type, Raw + 12, 4);
-  EXPECT_EQ(Type, uint32_t(CellType::Str));
+TEST(Value, NegativeZeroIsZero) {
+  // -0.0 compares and hashes equal to 0, so it must print and tokenize
+  // like 0 too: R prints 0, and grouping/dedupe key on the token.
+  Value Neg = num(-0.0), Pos = num(0);
+  EXPECT_EQ(Neg, Pos);
+  EXPECT_EQ(Neg.hash(), Pos.hash());
+  EXPECT_EQ(Neg.toString(), "0");
+  EXPECT_EQ(Neg.canonicalToken(), Pos.canonicalToken());
+  Table T = makeTable({{"k", CellType::Num}}, {{Pos}, {Neg}, {Pos}});
+  RowGrouping G = groupRowsBy(T, {0});
+  EXPECT_EQ(G.FirstRow.size(), 1u);
+  EXPECT_EQ(G.GroupOf, (std::vector<uint32_t>{0, 0, 0}));
 }
 
 //===----------------------------------------------------------------------===//
-// Arena (support/Arena.h): bump allocation, scope rewind, chunk retention
-//===----------------------------------------------------------------------===//
-
-TEST(Arena, AlignsAndGrows) {
-  Arena A(64); // tiny first chunk so the big request forces growth
-  char *C = A.alloc<char>(3);
-  (void)C;
-  double *D = A.alloc<double>(4);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(D) % alignof(double), 0u);
-  uint64_t *Big = A.alloc<uint64_t>(1024); // larger than any chunk so far
-  Big[0] = 1;
-  Big[1023] = 42;
-  EXPECT_EQ(Big[1023], 42u);
-  EXPECT_GE(A.capacityBytes(), 1024 * sizeof(uint64_t));
-}
-
-TEST(Arena, ScopeRewindReusesMemory) {
-  Arena A;
-  void *First = nullptr;
-  {
-    ArenaScope S(A);
-    First = A.alloc<uint64_t>(16);
-  }
-  {
-    ArenaScope S(A);
-    // The scope rewound the cursor, so the same block comes back.
-    EXPECT_EQ(A.alloc<uint64_t>(16), First);
-  }
-}
-
-TEST(Arena, ScopesNestLikeAStack) {
-  Arena A;
-  ArenaScope Outer(A);
-  uint64_t *X = A.alloc<uint64_t>(4);
-  X[0] = 7;
-  void *Inner = nullptr;
-  {
-    ArenaScope S(A);
-    Inner = A.alloc<uint64_t>(4);
-    EXPECT_NE(Inner, static_cast<void *>(X));
-  }
-  // The inner rewind released only the inner allocation.
-  EXPECT_EQ(X[0], 7u);
-  EXPECT_EQ(A.alloc<uint64_t>(4), Inner);
-}
-
-TEST(Arena, RetainsChunksAcrossReset) {
-  Arena A(128);
-  A.alloc<char>(100);
-  A.alloc<char>(200); // spills into a second chunk
-  size_t Cap = A.capacityBytes();
-  A.reset();
-  A.alloc<char>(100);
-  A.alloc<char>(200);
-  // Steady state: rewinding keeps the chunks, so repeating the same
-  // allocation pattern allocates nothing new.
-  EXPECT_EQ(A.capacityBytes(), Cap);
-}
-
-//===----------------------------------------------------------------------===//
-// Kernels (support/Simd.h), each checked against the semantics it restates:
-// the standard comparison operators, Value::hash, and the row-wise
-// fingerprint fold.
+// filter over edge cells, checked against the standard comparison operators
+// applied row by row, and the fingerprint against its row-wise definition.
 //===----------------------------------------------------------------------===//
 
 /// The table-fingerprint finalizer, restated from table/Table.cpp.
@@ -310,137 +233,56 @@ uint64_t mixFp(uint64_t X) {
   return X;
 }
 
-/// Indices where the standard comparison operator \p Name (the filter's
-/// row-wise semantics) holds for `Cells[I] <op> C`.
-std::vector<uint32_t> standardSelect(const std::vector<Value> &Cells,
-                                     std::string_view Name, const Value &C) {
-  const ValueTransformer *Op = StandardValueOps::get().find(Name);
-  std::vector<uint32_t> Out;
+/// Checks `filter(x0, x <op> C)` over a table whose column "x" holds
+/// \p Cells and column "i" the row index: it keeps exactly the rows where
+/// the standard comparison operator \p Op holds, and rejects the
+/// candidate when that is every row (a keep-all predicate is a no-op).
+void expectFilterMatchesStandardOp(const std::vector<Value> &Cells,
+                                   const char *Op, const Value &C) {
+  const ValueTransformer *Cmp = StandardValueOps::get().find(Op);
+  std::vector<double> Want;
+  std::vector<std::vector<Value>> Rows;
   for (size_t I = 0; I != Cells.size(); ++I) {
-    std::optional<Value> V = Op->applyScalar({Cells[I], C});
+    std::optional<Value> V = Cmp->applyScalar({Cells[I], C});
     if (V && isTruthy(*V))
-      Out.push_back(uint32_t(I));
+      Want.push_back(double(I));
+    Rows.push_back({Cells[I], num(double(I))});
   }
-  return Out;
+  Table In = makeTable({{"x", Cells[0].type()}, {"i", CellType::Num}}, Rows);
+  std::optional<Table> Out = pb::filter(pb::in(0), "x", Op, C)->evaluate({In});
+  if (Want.size() == Cells.size()) {
+    EXPECT_FALSE(Out) << Op << " " << C.toString();
+    return;
+  }
+  ASSERT_TRUE(Out) << Op << " " << C.toString();
+  std::vector<double> Kept;
+  for (const Value &V : Out->column("i"))
+    Kept.push_back(V.num());
+  EXPECT_EQ(Kept, Want) << Op << " " << C.toString();
 }
 
-TEST(Simd, SelectCmpF64MatchesStandardOps) {
+TEST(Filter, EdgeCellsMatchStandardOps) {
   // Edge inputs around compare()'s tolerant equality (|a-b| <= 1e-9 *
   // max(|a|,|b|,1)): exact hit, within-tolerance, just outside, NaN and
   // infinities, zeros, and plain misses on both sides — against a large
-  // constant, zero, and infinity.
-  std::vector<double> Xs = {100.0,
-                            100.0 + 5e-8,
-                            100.0 - 5e-8,
-                            100.0 + 1e-6,
-                            100.0 - 1e-6,
-                            std::numeric_limits<double>::quiet_NaN(),
-                            std::numeric_limits<double>::infinity(),
-                            -std::numeric_limits<double>::infinity(),
-                            0.0,
-                            -0.0,
-                            1e-10,
-                            99.0,
-                            101.0,
-                            -100.0};
-  std::vector<Value> Cells;
-  for (double X : Xs)
-    Cells.push_back(num(X));
-  const std::pair<simd::CmpOp, std::string_view> Ops[] = {
-      {simd::CmpOp::Eq, "=="}, {simd::CmpOp::Ne, "!="},
-      {simd::CmpOp::Lt, "<"},  {simd::CmpOp::Le, "<="},
-      {simd::CmpOp::Gt, ">"},  {simd::CmpOp::Ge, ">="}};
+  // constant, zero, negative zero and infinity.
+  std::vector<Value> Nums;
+  for (double X : {100.0, 100.0 + 5e-8, 100.0 - 5e-8, 100.0 + 1e-6,
+                   100.0 - 1e-6, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), 0.0, -0.0, 1e-10,
+                   99.0, 101.0, -100.0})
+    Nums.push_back(num(X));
   for (double C : {100.0, 0.0, -0.0, std::numeric_limits<double>::infinity()})
-    for (const auto &[Op, Name] : Ops) {
-      std::vector<uint32_t> Out(Xs.size());
-      Out.resize(simd::selectCmpF64(Xs.data(), Xs.size(), C, Op, Out.data()));
-      EXPECT_EQ(Out, standardSelect(Cells, Name, num(C)))
-          << Name << " " << C;
-    }
-}
+    for (const char *Op : {"==", "!=", "<", "<=", ">", ">="})
+      expectFilterMatchesStandardOp(Nums, Op, num(C));
 
-TEST(Simd, SelectCmpU32MatchesStandardOps) {
-  std::vector<Value> Cells;
-  std::vector<uint32_t> Ids;
-  for (int I = 0; I != 41; ++I) {
-    Cells.push_back(str("s" + std::to_string(I % 5)));
-    Ids.push_back(Cells.back().strId());
-  }
-  for (bool Ne : {false, true})
-    for (const Value &Target : {str("s3"), str("absent")}) {
-      std::vector<uint32_t> Out(Ids.size());
-      Out.resize(simd::selectCmpU32(Ids.data(), Ids.size(), Target.strId(),
-                                    Ne, Out.data()));
-      EXPECT_EQ(Out, standardSelect(Cells, Ne ? "!=" : "==", Target));
-    }
-}
-
-TEST(Simd, HashKernelsMatchDefinitions) {
-  const size_t N = 71;
-  std::vector<uint64_t> Ks(N), Seed(N);
-  uint64_t S = 0x1234;
-  for (size_t I = 0; I != N; ++I) {
-    S = S * 6364136223846793005ULL + 1442695040888963407ULL;
-    Ks[I] = S;
-    Seed[I] = S ^ (I * 0x9e3779b97f4a7c15ULL);
-  }
-  std::vector<uint64_t> Fnv = Seed;
-  simd::fnvCombineU64(Fnv.data(), Ks.data(), N);
-  uint64_t Sum = 0, Xor = 0;
-  simd::reduceSumXorU64(Seed.data(), N, Sum, Xor);
-  uint64_t RefSum = 0, RefXor = 0;
-  for (size_t I = 0; I != N; ++I) {
-    EXPECT_EQ(Fnv[I], (Seed[I] ^ Ks[I]) * 0x100000001b3ULL);
-    RefSum += Seed[I];
-    RefXor ^= mixFp(Seed[I]);
-  }
-  EXPECT_EQ(Sum, RefSum);
-  EXPECT_EQ(Xor, RefXor);
-}
-
-TEST(Simd, FoldCellKernelsMatchValueHash) {
-  // A numeric column with every fast/slow edge: integral values, the 1e15
-  // boundary (1e15 - 1 is fast, 1e15 itself is slow), negatives, -0.0,
-  // non-integral values, NaN, both infinities — plus str cells to model a
-  // foreign-typed lane. The str column likewise gets num intruders.
-  std::vector<Value> NumCells = {
-      num(0),    num(1),      num(-1),     num(42),
-      num(-0.0), num(1e15 - 1), num(-1e15 + 1), num(1e15),
-      num(-1e15), num(2.5),   num(-2.5),   num(1.0 / 3.0),
-      num(std::numeric_limits<double>::quiet_NaN()),
-      num(std::numeric_limits<double>::infinity()),
-      num(-std::numeric_limits<double>::infinity()),
-      str("intruder"), num(7),  num(123456789)};
-  std::vector<Value> StrCells = {str("a"), str("b"), str(""), num(3),
-                                 str("a"), str("long-ish token value"),
-                                 str("c"), num(2.5), str("d")};
-  const uint64_t Seed = 0x9e3779b97f4a7c15ULL;
-  // Fast lanes fold Value::hash into the row hash; slow lanes are left
-  // untouched and reported in ascending order.
-  auto Check = [&](const std::vector<Value> &Cells, bool StrCol,
-                   const std::vector<uint32_t> &ExpectSlow) {
-    std::vector<uint64_t> RowHs(Cells.size(), Seed);
-    std::vector<uint32_t> Slow(Cells.size());
-    Slow.resize(StrCol ? simd::foldStrCellsU64(
-                             RowHs.data(), Cells.data(), Cells.size(),
-                             uint32_t(CellType::Str), 0x5851f42d4c957f2dULL,
-                             Slow.data())
-                       : simd::foldNumCellsU64(
-                             RowHs.data(), Cells.data(), Cells.size(),
-                             uint32_t(CellType::Num), 0x2545f4914f6cdd1dULL,
-                             Slow.data()));
-    EXPECT_EQ(Slow, ExpectSlow);
-    for (size_t I = 0; I != Cells.size(); ++I) {
-      bool IsSlow =
-          std::find(Slow.begin(), Slow.end(), uint32_t(I)) != Slow.end();
-      EXPECT_EQ(RowHs[I],
-                IsSlow ? Seed : mixFp(Seed ^ uint64_t(Cells[I].hash())))
-          << "cell " << I;
-    }
-  };
-  // Everything from index 7 (1e15) through 15 (the str cell) is slow.
-  Check(NumCells, false, {7, 8, 9, 10, 11, 12, 13, 14, 15});
-  Check(StrCells, true, {3, 7});
+  std::vector<Value> Strs;
+  for (int I = 0; I != 41; ++I)
+    Strs.push_back(str("s" + std::to_string(I % 5)));
+  for (const char *Op : {"==", "!="})
+    for (const Value &C : {str("s3"), str("absent")})
+      expectFilterMatchesStandardOp(Strs, Op, C);
 }
 
 TEST(Table, FingerprintMatchesRowWiseFold) {
