@@ -35,14 +35,14 @@ ComponentLibrary::findValue(std::string_view Name) const {
 }
 
 HypPtr Hypothesis::tblHole() {
-  auto H = std::shared_ptr<Hypothesis>(new Hypothesis());
+  auto H = std::make_shared<Hypothesis>(Token());
   H->K = Kind::TblHole;
   H->NumTblHoles = 1;
   return H;
 }
 
 HypPtr Hypothesis::valueHole(ParamKind PK) {
-  auto H = std::shared_ptr<Hypothesis>(new Hypothesis());
+  auto H = std::make_shared<Hypothesis>(Token());
   H->K = Kind::ValueHole;
   H->PKind = PK;
   H->NumValueHoles = 1;
@@ -50,14 +50,14 @@ HypPtr Hypothesis::valueHole(ParamKind PK) {
 }
 
 HypPtr Hypothesis::input(size_t InputIdx) {
-  auto H = std::shared_ptr<Hypothesis>(new Hypothesis());
+  auto H = std::make_shared<Hypothesis>(Token());
   H->K = Kind::Input;
   H->InputIdx = InputIdx;
   return H;
 }
 
 HypPtr Hypothesis::filled(ParamKind PK, TermPtr T) {
-  auto H = std::shared_ptr<Hypothesis>(new Hypothesis());
+  auto H = std::make_shared<Hypothesis>(Token());
   H->K = Kind::Filled;
   H->PKind = PK;
   H->FilledTerm = std::move(T);
@@ -69,7 +69,7 @@ HypPtr Hypothesis::apply(const TableTransformer *X,
   assert(X && "null component");
   assert(Children.size() == X->numTableArgs() + X->valueParams().size() &&
          "child count does not match component signature");
-  auto H = std::shared_ptr<Hypothesis>(new Hypothesis());
+  auto H = std::make_shared<Hypothesis>(Token());
   H->K = Kind::Apply;
   H->Comp = X;
   H->Children = std::move(Children);
@@ -125,7 +125,8 @@ static void enumerateSketches(const HypPtr &H, size_t NumInputs,
 
 std::vector<HypPtr> Hypothesis::sketches(size_t NumInputs) const {
   std::vector<HypPtr> Out;
-  // shared_from_this is unavailable (private ctor); rebuild a cheap alias.
+  // Nodes do not derive from enable_shared_from_this; rebuild a cheap
+  // alias.
   HypPtr Self;
   if (K == Kind::TblHole)
     Self = tblHole();

@@ -15,8 +15,12 @@
 ///  - Apply      : `?X_i(H1, ..., Hn)`, refinement with component X
 ///
 /// Trees are immutable and shared; refinement and filling rebuild only the
-/// spine. A *sketch* (Definition 6) has no TblHole leaves; a *complete
-/// program* (Definition 7) additionally has no ValueHole leaves.
+/// spine. Filling does not even build its leaf: the search takes the Filled
+/// node from the per-solve term list of the hole's universe
+/// (synth/Inhabitation.h), so one leaf is shared by every tree that fills
+/// a hole of that universe with that term. A *sketch* (Definition 6) has
+/// no TblHole leaves; a *complete program* (Definition 7) additionally has
+/// no ValueHole leaves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,8 +41,17 @@ class Hypothesis;
 using HypPtr = std::shared_ptr<const Hypothesis>;
 
 class Hypothesis {
+  /// Passkey of the constructor: only the factories below can name it, and
+  /// make_shared can still call the constructor, so every node is one
+  /// allocation (object and control block together).
+  struct Token {
+    explicit Token() = default;
+  };
+
 public:
   enum class Kind { TblHole, ValueHole, Input, Filled, Apply };
+
+  explicit Hypothesis(Token) {}
 
   Kind kind() const { return K; }
   bool isTblHole() const { return K == Kind::TblHole; }
@@ -123,8 +136,6 @@ public:
   std::string toString() const;
 
 private:
-  Hypothesis() = default;
-
   Kind K = Kind::TblHole;
   ParamKind PKind = ParamKind::Cols;
   size_t InputIdx = 0;

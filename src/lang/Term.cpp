@@ -152,7 +152,7 @@ std::optional<Value> morpheus::evalTerm(const Term &T,
   case Term::Kind::ColRef: {
     if (!Ctx.T || Ctx.RowIdx >= Ctx.T->numRows())
       return std::nullopt;
-    std::optional<size_t> Idx = Ctx.T->schema().indexOf(T.Name);
+    std::optional<size_t> Idx = Ctx.T->schema().indexOf(T.NameId);
     if (!Idx)
       return std::nullopt;
     return Ctx.T->at(Ctx.RowIdx, *Idx);
@@ -167,7 +167,7 @@ std::optional<Value> morpheus::evalTerm(const Term &T,
         if (T.Args.size() != 1 || T.Args[0]->K != Term::Kind::ColRef)
           return std::nullopt;
         std::optional<size_t> Idx =
-            Ctx.T->schema().indexOf(T.Args[0]->Name);
+            Ctx.T->schema().indexOf(T.Args[0]->NameId);
         if (!Idx)
           return std::nullopt;
         const ColumnData &Cells = Ctx.T->col(*Idx);

@@ -6,6 +6,7 @@
 
 #include "synth/Inhabitation.h"
 
+#include "table/Hash.h"
 #include "table/TableUtils.h"
 
 #include <algorithm>
@@ -22,6 +23,20 @@ constexpr size_t MaxCandidatesPerHole = 50000;
 /// Orderings are enumerated for ColsOrdered subsets up to this size (k!
 /// variants per subset); larger subsets fall back to schema order.
 constexpr size_t MaxPermutedColsSubset = 3;
+/// The terms() memo is dropped when it would hold more terms than this.
+/// Measured: a perfbench `search` solve holds at most 4.9k terms and a
+/// 20 s solve of C5-10 or C9-01 at most 33k; only C7-01, the suite's
+/// deepest search, reaches the cap (once in 20 s), and its peak RSS stays
+/// below that of a search without the memo.
+constexpr size_t MaxListedTerms = size_t(1) << 16;
+
+/// Appends a header's (NameId, Type) words to \p Key, after its width.
+void appendHeader(std::vector<uint64_t> &Key, const Schema &S) {
+  Key.push_back(S.size());
+  for (const Column &C : S.columns())
+    Key.push_back(uint64_t(C.NameId) << 1 |
+                  uint64_t(C.Type == CellType::Str));
+}
 
 /// Inserts \p Id into the sorted vector \p Ids; false if already present.
 bool insertSorted(std::vector<uint32_t> &Ids, uint32_t Id) {
@@ -68,6 +83,61 @@ bool comparisonAppliesTo(const ValueTransformer &Op, CellType CT) {
 }
 
 } // namespace
+
+size_t Inhabitation::KeyHash::operator()(
+    const std::vector<uint64_t> &Key) const {
+  uint64_t H = Key.size();
+  for (uint64_t W : Key)
+    H = hashing::fold(H, W);
+  return size_t(H);
+}
+
+TermListPtr Inhabitation::terms(ParamKind PK,
+                                const std::vector<const Table *> &ChildTables,
+                                const Table &Output, unsigned HoleSeq) {
+  auto Build = [&] {
+    std::vector<Table> Tables;
+    for (const Table *T : ChildTables)
+      Tables.push_back(*T);
+    auto List = std::make_shared<TermList>();
+    enumerate(PK, Tables, Output, HoleSeq, [&](TermPtr T) {
+      List->Leaves.push_back(Hypothesis::filled(PK, T));
+      List->Terms.push_back(std::move(T));
+      return true;
+    });
+    return List;
+  };
+  // Pred constants come from cells: two universes with one header rarely
+  // share a list, and a memo of them grows with every table seen.
+  if (PK == ParamKind::Pred)
+    return Build();
+
+  // The universe key: kind, hole sequence (NewName only), then each child
+  // header and for NewName the output's header, each after its width.
+  bool Named = PK == ParamKind::NewName;
+  Key.clear();
+  Key.push_back(uint64_t(PK));
+  Key.push_back(Named ? HoleSeq : 0);
+  Key.push_back(ChildTables.size());
+  for (const Table *T : ChildTables)
+    appendHeader(Key, T->schema());
+  if (Named)
+    appendHeader(Key, Output.schema());
+  auto It = Lists.find(Key);
+  if (It != Lists.end())
+    return It->second;
+
+  TermListPtr List = Build();
+  if (ListedTerms + List->Terms.size() > MaxListedTerms) {
+    // Callers hold their lists, so dropping the memo frees only lists no
+    // fill is iterating.
+    Lists.clear();
+    ListedTerms = 0;
+  }
+  ListedTerms += List->Terms.size();
+  Lists.emplace(Key, List);
+  return List;
+}
 
 bool Inhabitation::enumerate(ParamKind PK,
                              const std::vector<Table> &ChildTables,

@@ -224,15 +224,16 @@ private:
   bool fillSketch(const HypPtr &Sketch);
   bool fillHoles(size_t Index, const HypPtr &Tree,
                  const std::vector<HoleInfo> &Holes);
-  /// The candidate loop of a sketch's final value hole.
+  /// The candidate loop of a sketch's final value hole over its terms.
   bool fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
-                    const std::vector<Table> &Universe, unsigned Index);
+                    const TermList &List);
 
-  /// The tables whose contents finitize the candidate universe for a hole
-  /// of \p Node. With partial evaluation these are the node's concrete
-  /// child tables; without it, only the example's tables are available
-  /// (Section 1: partial evaluation "drives enumerative search").
-  std::optional<std::vector<Table>> universeFor(const HypPtr &Node);
+  /// Sets Universe to the tables whose contents finitize the candidate
+  /// universe for a hole of \p Node; false if a child fails to evaluate.
+  /// With partial evaluation these are the node's concrete child tables;
+  /// without it, only the example's tables are available (Section 1:
+  /// partial evaluation "drives enumerative search").
+  bool universeFor(const HypPtr &Node);
 
   /// Publishes a scalar event when a bus is attached and some subscriber
   /// wants the kind; otherwise one pointer test (no bus) or one relaxed
@@ -260,6 +261,9 @@ private:
   SynthesisStats Stats;
   HypPtr Solution;
   EventBus *Bus = nullptr;
+  /// universeFor's result, read by Inhab.terms() right after: pointers
+  /// into the eval cache or Inputs, valid until the sketch is done.
+  std::vector<const Table *> Universe;
 
   /// A table one completed node evaluated to under the current prefix,
   /// with the sketch work the rest of the completion consumed after it.
@@ -276,25 +280,25 @@ private:
   std::vector<std::unordered_multimap<uint64_t, ExploredTable>> NodeMemos;
 };
 
-std::optional<std::vector<Table>>
-SearchContext::universeFor(const HypPtr &Node) {
-  std::vector<Table> ChildTables;
+bool SearchContext::universeFor(const HypPtr &Node) {
+  Universe.clear();
   if (!Cfg.UsePartialEval) {
     // No-partial-evaluation ablation: the universe degrades to the input
     // tables (new-name holes still draw from the output header, which the
     // enumerator receives separately).
-    ChildTables = Inputs;
-    return ChildTables;
+    for (const Table &T : Inputs)
+      Universe.push_back(&T);
+    return true;
   }
   for (const HypPtr &C : Node->children()) {
     if (!C->isTableTyped())
       continue;
     const std::optional<Table> &T = Engine.evaluateCached(C);
     if (!T)
-      return std::nullopt; // a completed child fails to evaluate
-    ChildTables.push_back(*T);
+      return false; // a completed child fails to evaluate
+    Universe.push_back(&*T);
   }
-  return ChildTables;
+  return true;
 }
 
 bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
@@ -311,76 +315,73 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
   // empty map skips clear(), which would zero its whole bucket array.)
   if (HI.FirstOfNode == Index && !NodeMemos[Index].empty())
     NodeMemos[Index].clear();
-  const HypPtr &Node = nodeAt(Tree, HI.NodePath);
-  std::optional<std::vector<Table>> Universe = universeFor(Node);
-  if (!Universe)
+  if (!universeFor(nodeAt(Tree, HI.NodePath)))
     return false;
+  // Held for the whole loop: a nested fill may drop the Inhab memo.
+  TermListPtr List = Inhab.terms(HI.Kind, Universe, Output, unsigned(Index));
 
   // The final hole's completions all go straight to the candidate check,
   // which subsumes deduction on a fully complete tree.
   if (Index + 1 == Holes.size())
-    return fillLastHole(Tree, HI, *Universe, unsigned(Index));
+    return fillLastHole(Tree, HI, *List);
 
-  bool Found = false;
-  Inhab.enumerate(
-      HI.Kind, *Universe, Output, unsigned(Index), [&](TermPtr T) {
-        if (expired())
-          return false;
-        HypPtr NewTree = replaceAtPath(
-            Tree, HI.Path, 0, Hypothesis::filled(HI.Kind, std::move(T)));
-        std::unordered_multimap<uint64_t, ExploredTable> *Memo = nullptr;
-        const Table *Completed = nullptr;
-        if (HI.LastOfNode) {
-          const HypPtr &Done = nodeAt(NewTree, HI.NodePath);
-          // The owning subtree is now complete: partial evaluation gives
-          // deduction a concrete table to abstract (rule 1/3 of Fig. 14).
-          if (Cfg.UseDeduction && Cfg.UsePartialEval) {
-            ++Stats.PartialFillsTried;
-            ++SketchWork;
-            if (!deduce(NewTree)) {
-              ++Stats.PartialFillsPruned;
-              return true; // refuted; try the next candidate
-            }
-          } else if (!Engine.evaluateCached(Done)) {
-            return true; // plain enumerative search still evaluates
-          }
-          // Holes fill in post-order, so the rest of the completion sees
-          // this node only through its table: a table already explored
-          // under this prefix repeats a sub-search that found nothing.
-          // Skip it, but charge the work it consumed the first time, so
-          // the sketch budget cuts exactly where it would have.
-          if (Cfg.UsePartialEval) {
-            // Deduction evaluated every complete subtree, or refuted.
-            assert(Engine.evaluateCached(Done) && "complete node unevaluated");
-            Completed = &*Engine.evaluateCached(Done);
-            Memo = &NodeMemos[HI.FirstOfNode];
-            auto Range = Memo->equal_range(Completed->fingerprint());
-            for (auto It = Range.first; It != Range.second; ++It) {
-              if (!identicalTables(*It->second.T, *Completed))
-                continue;
-              ++Stats.ReusedCompletions;
-              SketchWork += It->second.Work;
-              return !TimedOut && !sketchBudgetSpent();
-            }
-          }
+  for (const HypPtr &Leaf : List->Leaves) {
+    if (expired())
+      return false;
+    HypPtr NewTree = replaceAtPath(Tree, HI.Path, 0, Leaf);
+    std::unordered_multimap<uint64_t, ExploredTable> *Memo = nullptr;
+    const Table *Completed = nullptr;
+    if (HI.LastOfNode) {
+      const HypPtr &Done = nodeAt(NewTree, HI.NodePath);
+      // The owning subtree is now complete: partial evaluation gives
+      // deduction a concrete table to abstract (rule 1/3 of Fig. 14).
+      if (Cfg.UseDeduction && Cfg.UsePartialEval) {
+        ++Stats.PartialFillsTried;
+        ++SketchWork;
+        if (!deduce(NewTree)) {
+          ++Stats.PartialFillsPruned;
+          continue; // refuted; try the next candidate
         }
-        uint64_t WorkBefore = SketchWork;
-        if (fillHoles(Index + 1, NewTree, Holes)) {
-          Found = true;
-          return false;
+      } else if (!Engine.evaluateCached(Done)) {
+        continue; // plain enumerative search still evaluates
+      }
+      // Holes fill in post-order, so the rest of the completion sees
+      // this node only through its table: a table already explored
+      // under this prefix repeats a sub-search that found nothing.
+      // Skip it, but charge the work it consumed the first time, so
+      // the sketch budget cuts exactly where it would have.
+      if (Cfg.UsePartialEval) {
+        // Deduction evaluated every complete subtree, or refuted.
+        assert(Engine.evaluateCached(Done) && "complete node unevaluated");
+        Completed = &*Engine.evaluateCached(Done);
+        Memo = &NodeMemos[HI.FirstOfNode];
+        auto Range = Memo->equal_range(Completed->fingerprint());
+        auto Seen = std::find_if(Range.first, Range.second, [&](auto &E) {
+          return identicalTables(*E.second.T, *Completed);
+        });
+        if (Seen != Range.second) {
+          ++Stats.ReusedCompletions;
+          SketchWork += Seen->second.Work;
+          if (TimedOut || sketchBudgetSpent())
+            return false;
+          continue;
         }
-        bool More = !TimedOut && !sketchBudgetSpent();
-        if (Memo && More)
-          Memo->emplace(Completed->fingerprint(),
-                        ExploredTable{Completed, SketchWork - WorkBefore});
-        return More;
-      });
-  return Found;
+      }
+    }
+    uint64_t WorkBefore = SketchWork;
+    if (fillHoles(Index + 1, NewTree, Holes))
+      return true;
+    if (TimedOut || sketchBudgetSpent())
+      return false;
+    if (Memo)
+      Memo->emplace(Completed->fingerprint(),
+                    ExploredTable{Completed, SketchWork - WorkBefore});
+  }
+  return false;
 }
 
 bool SearchContext::fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
-                                 const std::vector<Table> &Universe,
-                                 unsigned Index) {
+                                 const TermList &List) {
   // Every candidate differs from its siblings only in the term filled into
   // this one hole. When the hole's owning Apply node is the root, the
   // shared prefix (the root's table children) is evaluated once (cache-hot:
@@ -419,37 +420,32 @@ bool SearchContext::fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
       Direct = false;
   }
 
-  bool Found = false;
-  Inhab.enumerate(HI.Kind, Universe, Output, Index, [&](TermPtr T) {
+  for (size_t I = 0, E = List.Terms.size(); I != E; ++I) {
     if (expired())
       return false;
     if (!Direct) {
       // Not the root's hole: the rest of the tree above it evaluates
       // through the eval cache.
-      if (checkCandidate(replaceAtPath(Tree, HI.Path, 0,
-                                       Hypothesis::filled(HI.Kind, T)))) {
-        Found = true;
-        return false;
-      }
-      return !TimedOut && !sketchBudgetSpent();
-    }
-    // Charged before the gate, so the sketch budget cuts where it would if
-    // every candidate ran its kernel.
-    ++Stats.CandidatesChecked;
-    ++SketchWork;
-    ValueArgs[HoleSlot] = T;
-    if (X->mayYield(TableArgs, ValueArgs, Output)) {
-      std::optional<Table> Cand = X->apply(TableArgs, ValueArgs);
-      if (Cand && equalsOutput(*Cand)) {
-        Solution = replaceAtPath(Tree, HI.Path, 0,
-                                 Hypothesis::filled(HI.Kind, std::move(T)));
-        Found = true;
-        return false;
+      if (checkCandidate(replaceAtPath(Tree, HI.Path, 0, List.Leaves[I])))
+        return true;
+    } else {
+      // Charged before the gate, so the sketch budget cuts where it would
+      // if every candidate ran its kernel.
+      ++Stats.CandidatesChecked;
+      ++SketchWork;
+      ValueArgs[HoleSlot] = List.Terms[I];
+      if (X->mayYield(TableArgs, ValueArgs, Output)) {
+        std::optional<Table> Cand = X->apply(TableArgs, ValueArgs);
+        if (Cand && equalsOutput(*Cand)) {
+          Solution = replaceAtPath(Tree, HI.Path, 0, List.Leaves[I]);
+          return true;
+        }
       }
     }
-    return !TimedOut && !sketchBudgetSpent();
-  });
-  return Found;
+    if (TimedOut || sketchBudgetSpent())
+      return false;
+  }
+  return false;
 }
 
 bool SearchContext::fillSketch(const HypPtr &Sketch) {

@@ -73,6 +73,14 @@ public:
 
   /// Returns the index of the column named \p Name, or nullopt.
   std::optional<size_t> indexOf(std::string_view Name) const;
+  /// As above for the name the interner holds as \p NameId: interning is
+  /// injective, so this is the same column without a string compare.
+  std::optional<size_t> indexOf(uint32_t NameId) const {
+    for (size_t I = 0, E = Cols.size(); I != E; ++I)
+      if (Cols[I].NameId == NameId)
+        return I;
+    return std::nullopt;
+  }
   bool contains(std::string_view Name) const {
     return indexOf(Name).has_value();
   }

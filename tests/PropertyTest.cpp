@@ -187,6 +187,50 @@ TEST_P(RandomTables, SpreadInvertsGather) {
   EXPECT_EQ(Out->numRows(), Dedup->numRows());
 }
 
+/// \p T's header over fresh cells: 2-6 rows whose keys and numbers are
+/// all outside randomTable's universes, so no cell of \p T reappears.
+Table sameHeaderOtherCells(const Table &T, unsigned Seed) {
+  Rng R(Seed);
+  const char *Keys[] = {"kw", "kx", "ky", "kz"};
+  std::vector<Row> Rows(size_t(R.range(2, 6)));
+  for (Row &Rw : Rows)
+    for (const Column &C : T.schema().columns())
+      Rw.push_back(C.Type == CellType::Str ? str(Keys[R.range(0, 3)])
+                                           : num(R.range(51, 99)));
+  return Table(T.schema(), Rows);
+}
+
+// The premise of Inhabitation::terms()' memo: every kind but Pred
+// enumerates from headers alone, so tables that share a header share a
+// term list, and one universe asked for twice is one list.
+TEST_P(RandomTables, OnlyPredTermsReadCells) {
+  Table A = randomTable(GetParam());
+  Table B = sameHeaderOtherCells(A, GetParam() + 1000);
+  Table Out = makeTable({{"key", CellType::Str}, {"total", CellType::Num}},
+                        {{str("ka"), num(1)}});
+  ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
+  Inhabitation Inhab(Lib);
+  auto Printed = [&](ParamKind PK, const Table &T) {
+    std::vector<std::string> Terms;
+    Inhab.enumerate(PK, {T}, Out, 0, [&](TermPtr X) {
+      Terms.push_back(X->toString());
+      return true;
+    });
+    return Terms;
+  };
+  for (ParamKind PK :
+       {ParamKind::Cols, ParamKind::ColsOrdered, ParamKind::ColName,
+        ParamKind::NewName, ParamKind::Agg, ParamKind::NumExpr}) {
+    std::vector<std::string> FromA = Printed(PK, A);
+    EXPECT_FALSE(FromA.empty()) << paramKindName(PK);
+    EXPECT_EQ(FromA, Printed(PK, B)) << paramKindName(PK);
+    TermListPtr List = Inhab.terms(PK, {&A}, Out, 0);
+    EXPECT_EQ(Inhab.terms(PK, {&A}, Out, 0), List) << paramKindName(PK);
+    EXPECT_EQ(Inhab.terms(PK, {&B}, Out, 0), List) << paramKindName(PK);
+  }
+  EXPECT_NE(Printed(ParamKind::Pred, A), Printed(ParamKind::Pred, B));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTables,
                          ::testing::Range(1u, 25u));
 

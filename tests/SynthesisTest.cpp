@@ -176,6 +176,30 @@ TEST_F(InhabitationFixture, AggsCoverNumericColumnsOnly) {
       EXPECT_NE(Arg->Name, "k");
 }
 
+TEST_F(InhabitationFixture, TermListsAreSharedPerUniverse) {
+  Table T = smallTable();
+  TermListPtr Cols = Inhab.terms(ParamKind::Cols, {&T}, T, 0);
+  EXPECT_EQ(Inhab.terms(ParamKind::Cols, {&T}, T, 0), Cols);
+  // The list follows enumerate's order, one filled leaf per term.
+  auto Terms = enumerate(ParamKind::Cols, T, T);
+  ASSERT_EQ(Cols->Terms.size(), Terms.size());
+  ASSERT_EQ(Cols->Leaves.size(), Terms.size());
+  for (size_t I = 0; I != Terms.size(); ++I) {
+    EXPECT_EQ(Cols->Terms[I]->toString(), Terms[I]->toString());
+    ASSERT_TRUE(Cols->Leaves[I]->isFilled());
+    EXPECT_EQ(Cols->Leaves[I]->paramKind(), ParamKind::Cols);
+    EXPECT_EQ(Cols->Leaves[I]->term(), Cols->Terms[I]);
+  }
+  // Another kind, header or new-name hole is another universe.
+  EXPECT_NE(Inhab.terms(ParamKind::ColsOrdered, {&T}, T, 0), Cols);
+  EXPECT_NE(Inhab.terms(ParamKind::Cols, {&T, &T}, T, 0), Cols);
+  EXPECT_NE(Inhab.terms(ParamKind::NewName, {&T}, T, 0),
+            Inhab.terms(ParamKind::NewName, {&T}, T, 1));
+  // Pred lists read cells and are never kept.
+  EXPECT_NE(Inhab.terms(ParamKind::Pred, {&T}, T, 0),
+            Inhab.terms(ParamKind::Pred, {&T}, T, 0));
+}
+
 TEST(NGram, CorpusOrdersIdiomaticPipelines) {
   const NGramModel &M = NGramModel::standard();
   // group_by |> summarise is idiomatic; summarise |> group_by is not.
