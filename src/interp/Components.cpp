@@ -200,7 +200,9 @@ private:
 // order) from its arguments' headers and terms in one function below. The
 // kernel builds its result under that header, and the verb's gate
 // (TableTransformer::mayYield) compares the same header with the wanted
-// table's, so a gate cannot drift from its kernel. A header function
+// table's, so a gate cannot drift from its kernel. mutate's gate, asked
+// of every NumExpr candidate, compares in place through the function next
+// to its header's rather than building it. A header function
 // returns nullopt exactly where the kernel rejects a call for header
 // reasons (a missing or clashing column, a full-width select, ...).
 //===----------------------------------------------------------------------===//
@@ -248,6 +250,7 @@ gatherHeader(const Table &T, const Term &KeyName, const Term &ValName,
     ValType = CellType::Str;
 
   std::vector<Column> Cols;
+  Cols.reserve(H.KeepIdx.size() + 2);
   for (size_t I : H.KeepIdx)
     Cols.push_back(T.schema()[I]);
   Cols.push_back({KeyName.Name, CellType::Str, KeyName.NameId});
@@ -294,6 +297,7 @@ std::optional<Header> separateHeader(const Table &T, const std::string &Col,
       return std::nullopt;
   }
   std::vector<Column> Cols;
+  Cols.reserve(T.numCols() + 1);
   for (size_t I = 0; I != T.numCols(); ++I) {
     if (I == *Idx) {
       Cols.push_back({Into1.Name, CellType::Str, Into1.NameId});
@@ -316,6 +320,7 @@ std::optional<Header> uniteHeader(const Table &T, const Term &NewName,
     if (I != *I1 && I != *I2 && T.schema()[I].NameId == NewName.NameId)
       return std::nullopt;
   std::vector<Column> Cols;
+  Cols.reserve(T.numCols() - 1);
   for (size_t I = 0; I != T.numCols(); ++I) {
     if (I == *I1)
       Cols.push_back({NewName.Name, CellType::Str, NewName.NameId});
@@ -334,6 +339,8 @@ std::optional<Header> selectHeader(const Table &T,
     return std::nullopt;
   Header H;
   std::vector<Column> NewCols;
+  NewCols.reserve(Cols.size());
+  H.Idx.reserve(Cols.size());
   for (const std::string &C : Cols) {
     size_t I = *T.schema().indexOf(C);
     NewCols.push_back(T.schema()[I]);
@@ -354,6 +361,8 @@ bool groupByAccepts(const Table &T, const std::vector<std::string> &Cols) {
 std::optional<Header> summariseHeader(const Table &T, const Term &NewName) {
   Header H;
   std::vector<Column> Cols;
+  Cols.reserve(T.groupCols().size() + 1);
+  H.Idx.reserve(T.groupCols().size());
   for (const std::string &G : T.groupCols()) {
     std::optional<size_t> I = T.schema().indexOf(G);
     if (!I || T.schema()[*I].NameId == NewName.NameId)
@@ -370,9 +379,29 @@ std::optional<Header> summariseHeader(const Table &T, const Term &NewName) {
 std::optional<Schema> mutateHeader(const Table &T, const Term &NewName) {
   if (T.schema().contains(NewName.Name) || T.numRows() == 0)
     return std::nullopt;
-  Schema S = T.schema();
-  S.append({NewName.Name, CellType::Num, NewName.NameId});
-  return S;
+  const std::vector<Column> &In = T.schema().columns();
+  std::vector<Column> Cols;
+  Cols.reserve(In.size() + 1);
+  Cols.insert(Cols.end(), In.begin(), In.end());
+  Cols.push_back({NewName.Name, CellType::Num, NewName.NameId});
+  return Schema(std::move(Cols));
+}
+
+/// Whether mutateHeader(T, NewName) is \p Want, compared in place: T's
+/// columns, then the new numeric column. mutate's gate asks this of every
+/// candidate, where building the header would copy T's whole schema.
+bool mutateHeaderIs(const Table &T, const Term &NewName,
+                    const Schema &Want) {
+  const Schema &In = T.schema();
+  if (Want.size() != In.size() + 1)
+    return false;
+  const Column &New = Want[In.size()];
+  if (New.NameId != NewName.NameId || New.Type != CellType::Num)
+    return false;
+  for (size_t I = 0; I != In.size(); ++I)
+    if (!(In[I] == Want[I]))
+      return false;
+  return T.numRows() != 0 && !In.contains(NewName.Name);
 }
 
 //===----------------------------------------------------------------------===//
@@ -960,11 +989,8 @@ StandardComponents::StandardComponents() {
       },
       [SameRows](const Tables &T, const Args &A, const Table &Want) {
         const Term *NN = nameOf(A[0]);
-        if (!NN || !A[1] || !SameRows(T[0], Want) ||
-            T[0].numCols() + 1 != Want.numCols())
-          return false;
-        std::optional<Schema> S = mutateHeader(T[0], *NN);
-        return S && *S == Want.schema();
+        return NN && A[1] && SameRows(T[0], Want) &&
+               mutateHeaderIs(T[0], *NN, Want.schema());
       });
 
   Add("inner_join", 2, {}, [](const Tables &T, const Args &) {

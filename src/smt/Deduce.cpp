@@ -326,14 +326,32 @@ struct DeductionEngine::Impl {
   /// with group 1 and no new cols or vals.
   std::vector<AttrValues> HoleAbs;
 
-  /// Memoized partial evaluation, keyed on the node (trees are immutable
-  /// and structurally shared, so a node determines the subtree). The key
-  /// holds its node alive, so an address is never recycled under it.
-  std::unordered_map<HypPtr, std::optional<Table>> EvalCache;
+  /// One evaluated node: trees are immutable and structurally shared, so
+  /// the node determines the subtree. The entry holds its node alive, so
+  /// an address is never recycled under it.
+  struct Evaluated {
+    HypPtr Node;
+    std::optional<Table> T;
+  };
+  /// The evaluation stack: Stack[0, Top) are live, innermost scope last.
+  /// Slots above Top stay allocated for reuse, so an entry never moves
+  /// and pushing allocates nothing once the stack has been this deep.
+  std::vector<std::unique_ptr<Evaluated>> Stack;
+  size_t Top = 0;
+
+  /// Releases every entry above \p Mark.
+  void releaseTo(size_t Mark) {
+    while (Top > Mark) {
+      Evaluated &E = *Stack[--Top];
+      E.Node.reset();
+      E.T.reset();
+    }
+  }
+
   /// α results keyed on the table's 64-bit fingerprint: distinct nodes that
   /// evaluate to the same table (a very common event during sketch
-  /// completion) share one α computation, and entries survive the
-  /// per-sketch eval-cache clear because they carry no node identity.
+  /// completion) share one α computation, and entries outlive the
+  /// evaluation stack's because they carry no node identity.
   std::unordered_map<uint64_t, AttrValues> AbsCache;
 
   const AttrValues &absCached(const Table &T) {
@@ -400,10 +418,9 @@ struct DeductionEngine::Impl {
         Key += ',';
       }
       Key += ')';
-      const std::optional<Table> *T =
-          UsePartialEval ? &evalCached(H) : nullptr;
-      if (T && *T) {
-        Abs = &absCached(**T);
+      const Table *T = UsePartialEval ? evalCached(H) : nullptr;
+      if (T) {
+        Abs = &absCached(*T);
         // A fixed-width field after the '@' (which only ever follows a
         // ')'), so the key stays injective.
         Key += '@';
@@ -424,7 +441,8 @@ struct DeductionEngine::Impl {
       ArgStack.resize(Base);
       // A complete subtree that does not evaluate: a component rejected
       // its concrete arguments.
-      return !T || *T || H->numTblHoles() != 0 || H->numValueHoles() != 0;
+      return T || !UsePartialEval || H->numTblHoles() != 0 ||
+             H->numValueHoles() != 0;
     }
     case Hypothesis::Kind::ValueHole:
     case Hypothesis::Kind::Filled:
@@ -489,44 +507,45 @@ struct DeductionEngine::Impl {
     return false;
   }
 
-  const std::optional<Table> &evalCached(const HypPtr &H) {
+  /// evaluateCached's work: the node's table, or null.
+  const Table *evalCached(const HypPtr &H) {
     // A node with holes never evaluates, and gets no entry.
-    static const std::optional<Table> NoTable;
     if (H->numTblHoles() != 0 || H->numValueHoles() != 0)
-      return NoTable;
-    auto It = EvalCache.find(H);
-    if (It != EvalCache.end())
-      return It->second;
+      return nullptr;
+    if (H->isInput())
+      return H->inputIndex() < Ex->Inputs.size() ? &Ex->Inputs[H->inputIndex()]
+                                                 : nullptr;
+    for (size_t I = Top; I-- != 0;)
+      if (Stack[I]->Node == H)
+        return Stack[I]->T ? &*Stack[I]->T : nullptr;
+    assert(H->isApply() && "complete table node expected");
+    const TableTransformer *X = H->component();
     std::optional<Table> Result;
-    switch (H->kind()) {
-    case Hypothesis::Kind::Input:
-      if (H->inputIndex() < Ex->Inputs.size())
-        Result = Ex->Inputs[H->inputIndex()];
-      break;
-    case Hypothesis::Kind::Apply: {
-      std::vector<Table> TableArgs;
-      std::vector<TermPtr> ValueArgs;
-      bool Ok = true;
-      for (const HypPtr &C : H->children()) {
-        if (C->isTableTyped()) {
-          const std::optional<Table> &T = evalCached(C);
-          if (!T) {
-            Ok = false;
-            break;
-          }
-          TableArgs.push_back(*T);
-        } else {
-          ValueArgs.push_back(C->term()); // no holes: a filled value
+    std::vector<Table> TableArgs;
+    std::vector<TermPtr> ValueArgs;
+    TableArgs.reserve(X->numTableArgs());
+    ValueArgs.reserve(X->valueParams().size());
+    bool Ok = true;
+    for (const HypPtr &C : H->children()) {
+      if (C->isTableTyped()) {
+        const Table *T = evalCached(C);
+        if (!T) {
+          Ok = false;
+          break;
         }
+        TableArgs.push_back(*T);
+      } else {
+        ValueArgs.push_back(C->term()); // no holes: a filled value
       }
-      if (Ok)
-        Result = H->component()->apply(TableArgs, ValueArgs);
-      break;
     }
-    default:
-      break;
-    }
-    return EvalCache.emplace(H, std::move(Result)).first->second;
+    if (Ok)
+      Result = X->apply(TableArgs, ValueArgs);
+    if (Top == Stack.size())
+      Stack.push_back(std::make_unique<Evaluated>());
+    Evaluated &E = *Stack[Top++];
+    E.Node = H;
+    E.T = std::move(Result);
+    return E.T ? &*E.T : nullptr;
   }
 
   /// Pops the example scope so the core goes back at base scope; the
@@ -654,11 +673,14 @@ DeductionEngine::DeductionEngine(const std::vector<Table> &Inputs,
 
 DeductionEngine::~DeductionEngine() = default;
 
-const std::optional<Table> &DeductionEngine::evaluateCached(const HypPtr &H) {
+const Table *DeductionEngine::evaluateCached(const HypPtr &H) {
   return P->evalCached(H);
 }
 
-void DeductionEngine::clearEvalCache() { P->EvalCache.clear(); }
+DeductionEngine::EvalScope::EvalScope(DeductionEngine &E)
+    : P(*E.P), Mark(P.Top) {}
+
+DeductionEngine::EvalScope::~EvalScope() { P.releaseTo(Mark); }
 
 void DeductionEngine::setLibrary(
     std::vector<const TableTransformer *> Components) {

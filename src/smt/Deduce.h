@@ -54,6 +54,7 @@
 #include "lang/Hypothesis.h"
 #include "spec/Abstraction.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -121,6 +122,8 @@ struct DeduceStats {
 /// which any thread's next engine may lease it. The ExampleContext it is
 /// built on IS shared across engines.
 class DeductionEngine {
+  struct Impl;
+
 public:
   /// Preferred constructor: \p Ex carries the example and its precomputed
   /// abstractions, shared across every engine solving the same example.
@@ -141,11 +144,32 @@ public:
   /// and false is returned as well.
   bool deduce(const HypPtr &H, SpecLevel Level, bool UsePartialEval);
 
-  /// Memoized partial evaluation of a (sub)hypothesis against the example
-  /// inputs. The cache is keyed on node identity — sound because trees are
-  /// immutable and shared — and also serves the sketch-completion engine's
-  /// candidate-universe computation.
-  const std::optional<Table> &evaluateCached(const HypPtr &H);
+  /// Partial evaluation of a (sub)hypothesis against the example inputs:
+  /// its table, or null when it still has holes or a component rejects
+  /// its arguments. An input leaf resolves to the example's own table. Any
+  /// other complete node is evaluated once and its result kept on the
+  /// engine's evaluation stack, found again by node identity, until the
+  /// innermost EvalScope open at the time is released; until then the
+  /// table stays where it is. Deduction's partial evaluation and the
+  /// sketch-completion engine share the stack.
+  const Table *evaluateCached(const HypPtr &H);
+
+  /// Marks the evaluation stack; destroying the scope releases every
+  /// result computed since. Scopes nest like the completion walk that
+  /// opens them: one per sketch, one per fill of a middle hole. A lookup
+  /// scans the stack from the top, so it is only as deep as the tree.
+  class EvalScope {
+  public:
+    explicit EvalScope(DeductionEngine &E);
+    ~EvalScope();
+
+    EvalScope(const EvalScope &) = delete;
+    EvalScope &operator=(const EvalScope &) = delete;
+
+  private:
+    Impl &P;
+    size_t Mark;
+  };
 
   /// Hands the engine the search's table components. The first time a
   /// tree position lacks a component's instance at some spec level, the
@@ -155,15 +179,11 @@ public:
   /// asserted.
   void setLibrary(std::vector<const TableTransformer *> Components);
 
-  /// Drops the evaluation cache (called between sketches to bound memory).
-  void clearEvalCache();
-
   const std::shared_ptr<const ExampleContext> &exampleContext() const;
 
   const DeduceStats &stats() const { return Stats; }
 
 private:
-  struct Impl;
   std::unique_ptr<Impl> P;
   DeduceStats Stats;
 };

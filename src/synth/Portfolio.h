@@ -13,7 +13,7 @@
 /// find a solution wins; the token cancels every other member mid-search
 /// (SynthesisConfig::Cancel).
 ///
-/// Members are independent engines (own Z3 context, own evaluation cache,
+/// Members are independent engines (own Z3 context, own evaluation stack,
 /// own worklist); the only shared mutable state is the cancellation token
 /// and the winner index. The component library and the singleton models
 /// (StandardComponents, NGramModel) are immutable after construction and

@@ -212,7 +212,7 @@ private:
   bool checkCandidate(const HypPtr &Candidate) {
     ++Stats.CandidatesChecked;
     ++SketchWork;
-    const std::optional<Table> &T = Engine.evaluateCached(Candidate);
+    const Table *T = Engine.evaluateCached(Candidate);
     if (!T || !equalsOutput(*T))
       return false;
     Solution = Candidate;
@@ -227,6 +227,9 @@ private:
   /// The candidate loop of a sketch's final value hole over its terms.
   bool fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
                     const TermList &List);
+  /// Whether filling the final hole with \p T makes Frames evaluate to
+  /// the output table.
+  bool yieldsOutput(const TermPtr &T);
 
   /// Sets Universe to the tables whose contents finitize the candidate
   /// universe for a hole of \p Node; false if a child fails to evaluate.
@@ -262,15 +265,28 @@ private:
   HypPtr Solution;
   EventBus *Bus = nullptr;
   /// universeFor's result, read by Inhab.terms() right after: pointers
-  /// into the eval cache or Inputs, valid until the sketch is done.
+  /// into the evaluation stack or Inputs.
   std::vector<const Table *> Universe;
+
+  /// One application on the path from a final hole's owning node up to
+  /// the root, with every argument but one fixed for all the hole's
+  /// candidates. Slot is the hole's place in the owning node's ValueArgs,
+  /// and the path child's place in an ancestor's TableArgs.
+  struct Frame {
+    const TableTransformer *X = nullptr;
+    std::vector<Table> TableArgs;
+    std::vector<TermPtr> ValueArgs;
+    size_t Slot = SIZE_MAX;
+  };
+  /// fillLastHole's frames, the root's first and the owning node's last.
+  std::vector<Frame> Frames;
 
   /// A table one completed node evaluated to under the current prefix,
   /// with the sketch work the rest of the completion consumed after it.
-  /// The pointer is into the engine's eval cache, which is only cleared
-  /// once the sketch is done.
+  /// The memo owns the table (a copy shares the column buffers): it
+  /// outlives the evaluation scope of the fill that produced it.
   struct ExploredTable {
-    const Table *T;
+    Table T;
     uint64_t Work;
   };
   /// The observational-equivalence memo of sketch completion, one per
@@ -293,10 +309,10 @@ bool SearchContext::universeFor(const HypPtr &Node) {
   for (const HypPtr &C : Node->children()) {
     if (!C->isTableTyped())
       continue;
-    const std::optional<Table> &T = Engine.evaluateCached(C);
+    const Table *T = Engine.evaluateCached(C);
     if (!T)
       return false; // a completed child fails to evaluate
-    Universe.push_back(&*T);
+    Universe.push_back(T);
   }
   return true;
 }
@@ -328,6 +344,8 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
   for (const HypPtr &Leaf : List->Leaves) {
     if (expired())
       return false;
+    // What this fill evaluates is released when the next one begins.
+    DeductionEngine::EvalScope Scope(Engine);
     HypPtr NewTree = replaceAtPath(Tree, HI.Path, 0, Leaf);
     std::unordered_multimap<uint64_t, ExploredTable> *Memo = nullptr;
     const Table *Completed = nullptr;
@@ -352,12 +370,12 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
       // the sketch budget cuts exactly where it would have.
       if (Cfg.UsePartialEval) {
         // Deduction evaluated every complete subtree, or refuted.
-        assert(Engine.evaluateCached(Done) && "complete node unevaluated");
-        Completed = &*Engine.evaluateCached(Done);
+        Completed = Engine.evaluateCached(Done);
+        assert(Completed && "complete node unevaluated");
         Memo = &NodeMemos[HI.FirstOfNode];
         auto Range = Memo->equal_range(Completed->fingerprint());
         auto Seen = std::find_if(Range.first, Range.second, [&](auto &E) {
-          return identicalTables(*E.second.T, *Completed);
+          return identicalTables(E.second.T, *Completed);
         });
         if (Seen != Range.second) {
           ++Stats.ReusedCompletions;
@@ -375,7 +393,7 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
       return false;
     if (Memo)
       Memo->emplace(Completed->fingerprint(),
-                    ExploredTable{Completed, SketchWork - WorkBefore});
+                    ExploredTable{*Completed, SketchWork - WorkBefore});
   }
   return false;
 }
@@ -383,69 +401,80 @@ bool SearchContext::fillHoles(size_t Index, const HypPtr &Tree,
 bool SearchContext::fillLastHole(const HypPtr &Tree, const HoleInfo &HI,
                                  const TermList &List) {
   // Every candidate differs from its siblings only in the term filled into
-  // this one hole. When the hole's owning Apply node is the root, the
-  // shared prefix (the root's table children) is evaluated once (cache-hot:
-  // universeFor just did) and each sibling is a direct component call over
-  // the shared arguments, with no tree rebuild or eval-cache insertion.
-  // The component's header gate runs before its kernel: almost every
-  // sibling's output has the wrong header, and the gate rejects it without
-  // building the table.
-  const HypPtr &Node = nodeAt(Tree, HI.NodePath);
-  const TableTransformer *X = Node->component();
-  bool Direct = HI.NodePath.empty();
-  std::vector<Table> TableArgs;
-  std::vector<TermPtr> ValueArgs; // one null slot where the hole sits
-  size_t HoleSlot = SIZE_MAX;
-  if (Direct) {
-    for (const HypPtr &C : Node->children()) {
-      if (C->isTableTyped()) {
-        const std::optional<Table> &T = Engine.evaluateCached(C);
-        if (!T) {
-          // A dead child: every candidate evaluates to nothing; the
-          // per-candidate path still charges each one to the sketch.
-          Direct = false;
-          break;
-        }
-        TableArgs.push_back(*T);
+  // this one hole, so everything else the tree evaluates is shared. The
+  // owning node and each of its ancestors become one frame, gathered once
+  // from the evaluation stack. A candidate then runs the owning node's
+  // kernel, and each ancestor's with the table from below put in place of
+  // that child: no candidate tree is built and the evaluation stack does
+  // not grow.
+  Frames.resize(HI.NodePath.size() + 1);
+  bool Dead = false;
+  const HypPtr *N = &Tree;
+  for (size_t D = 0; D != Frames.size(); ++D) {
+    Frame &F = Frames[D];
+    F.X = (*N)->component();
+    F.TableArgs.clear();
+    F.ValueArgs.clear();
+    F.Slot = SIZE_MAX;
+    const HypPtr *Next = nullptr;
+    const std::vector<HypPtr> &Children = (*N)->children();
+    for (size_t I = 0; I != Children.size(); ++I) {
+      const HypPtr &C = Children[I];
+      if (D != HI.NodePath.size() && I == HI.NodePath[D]) {
+        F.Slot = F.TableArgs.size(); // filled per candidate
+        F.TableArgs.emplace_back();
+        Next = &C;
+      } else if (C->isTableTyped()) {
+        const Table *T = Engine.evaluateCached(C);
+        Dead = Dead || !T;
+        F.TableArgs.push_back(T ? *T : Table());
       } else if (C->isFilled()) {
-        ValueArgs.push_back(C->term());
+        F.ValueArgs.push_back(C->term());
       } else {
         assert(C->isValueHole() && "unexpected child kind");
-        HoleSlot = ValueArgs.size(); // exactly one: the last hole
-        ValueArgs.push_back(nullptr);
+        F.Slot = F.ValueArgs.size(); // exactly one: the last hole
+        F.ValueArgs.push_back(nullptr);
       }
     }
-    if (Direct &&
-        (HoleSlot == SIZE_MAX || TableArgs.size() != X->numTableArgs()))
-      Direct = false;
+    N = Next;
   }
 
   for (size_t I = 0, E = List.Terms.size(); I != E; ++I) {
     if (expired())
       return false;
-    if (!Direct) {
-      // Not the root's hole: the rest of the tree above it evaluates
-      // through the eval cache.
-      if (checkCandidate(replaceAtPath(Tree, HI.Path, 0, List.Leaves[I])))
-        return true;
-    } else {
-      // Charged before the gate, so the sketch budget cuts where it would
-      // if every candidate ran its kernel.
-      ++Stats.CandidatesChecked;
-      ++SketchWork;
-      ValueArgs[HoleSlot] = List.Terms[I];
-      if (X->mayYield(TableArgs, ValueArgs, Output)) {
-        std::optional<Table> Cand = X->apply(TableArgs, ValueArgs);
-        if (Cand && equalsOutput(*Cand)) {
-          Solution = replaceAtPath(Tree, HI.Path, 0, List.Leaves[I]);
-          return true;
-        }
-      }
+    // Charged before any gate or kernel, so the sketch budget cuts where
+    // it would if every candidate were evaluated. A dead child makes
+    // every candidate evaluate to nothing: each is only charged.
+    ++Stats.CandidatesChecked;
+    ++SketchWork;
+    if (!Dead && yieldsOutput(List.Terms[I])) {
+      Solution = replaceAtPath(Tree, HI.Path, 0, List.Leaves[I]);
+      return true;
     }
     if (TimedOut || sketchBudgetSpent())
       return false;
   }
   return false;
+}
+
+bool SearchContext::yieldsOutput(const TermPtr &T) {
+  Frame &Own = Frames.back();
+  Own.ValueArgs[Own.Slot] = T;
+  std::optional<Table> Result;
+  for (size_t D = Frames.size(); D-- != 0;) {
+    Frame &F = Frames[D];
+    if (Result)
+      F.TableArgs[F.Slot] = std::move(*Result);
+    // The root's header gate runs before its kernel: almost every
+    // candidate's output has the wrong header, and the gate rejects it
+    // without building the table.
+    if (D == 0 && !F.X->mayYield(F.TableArgs, F.ValueArgs, Output))
+      return false;
+    Result = F.X->apply(F.TableArgs, F.ValueArgs);
+    if (!Result)
+      return false;
+  }
+  return equalsOutput(*Result);
 }
 
 bool SearchContext::fillSketch(const HypPtr &Sketch) {
@@ -459,12 +488,10 @@ bool SearchContext::fillSketch(const HypPtr &Sketch) {
   // ONE event per sketch completion, closing its SketchGenerated span.
   bool Found = fillHoles(0, Sketch, Holes);
   emit(EventKind::HoleFillBatch);
-  // Bound cache growth: entries only help within one sketch's completion.
-  // The memos point into the eval cache, so they go first.
+  // The memos only help within one sketch's completion; drop their tables.
   for (auto &Memo : NodeMemos)
     if (!Memo.empty())
       Memo.clear();
-  Engine.clearEvalCache();
   return Found;
 }
 
@@ -516,6 +543,9 @@ SynthesisResult SearchContext::run() {
           break;
         ++Stats.SketchesGenerated;
         emit(EventKind::SketchGenerated, S->numApplies());
+        // What deduction and completion evaluate for this sketch is
+        // released when it is done.
+        DeductionEngine::EvalScope Scope(Engine);
         if (S->isApply() && Cfg.UseDeduction && !deduce(S)) {
           ++Stats.SketchesRefuted;
           emit(EventKind::SketchRefuted, S->numApplies());

@@ -753,6 +753,38 @@ TEST(DeduceSubstrate, SpecIdSurvivesAddressReuse) {
   EXPECT_FALSE(Deduce({{outA(TableAttr::Row) > inA(0, TableAttr::Row)}}));
 }
 
+/// The evaluation stack releases only the innermost scope's tables: a
+/// table evaluated in an outer scope keeps its address and contents while
+/// an inner scope evaluates on top of it and is released. An input leaf
+/// resolves to the example's own table.
+TEST(DeduceSubstrate, OuterScopeTablesSurviveAnInnerRelease) {
+  Table In = paperStudents();
+  DeductionEngine E({In}, In);
+  EXPECT_EQ(E.evaluateCached(in(0)), &E.exampleContext()->Inputs[0]);
+
+  HypPtr Sigma = filter(in(0), "age", ">", num(10));
+  std::optional<Table> Want = Sigma->evaluate({In});
+  ASSERT_TRUE(Want);
+  DeductionEngine::EvalScope Outer(E);
+  const Table *T = E.evaluateCached(Sigma);
+  ASSERT_NE(T, nullptr);
+  {
+    DeductionEngine::EvalScope Inner(E);
+    HypPtr Pi = select(Sigma, {"name", "age"});
+    HypPtr Young = filter(in(0), "age", "<", num(10));
+    ASSERT_NE(E.evaluateCached(Pi), nullptr);
+    ASSERT_NE(E.evaluateCached(Young), nullptr);
+    EXPECT_EQ(E.evaluateCached(Pi)->numCols(), 2u);
+    EXPECT_EQ(E.evaluateCached(Sigma), T);
+    // A complete tree over Sigma deduces, reading Sigma from the stack.
+    EXPECT_FALSE(E.deduce(Pi, SpecLevel::Spec2, true));
+  }
+  EXPECT_EQ(E.evaluateCached(Sigma), T);
+  EXPECT_EQ(T->numRows(), 2u);
+  EXPECT_TRUE(T->schema() == Want->schema());
+  EXPECT_TRUE(T->equalsOrdered(*Want));
+}
+
 /// The shared ExampleContext carries the same abstractions the engine
 /// used to compute privately (Appendix A pinning included).
 TEST(DeduceSubstrate, ExampleContextMatchesDirectAbstraction) {

@@ -356,4 +356,44 @@ TEST(Configs, Spec2PrunesAtLeastAsMuchAsSpec1) {
             1u);
 }
 
+/// A program whose final value hole sits below the root: inner_join owns
+/// no value hole, so the last one is mutate's expression. Each candidate
+/// runs mutate's kernel, then the join's over the new table. The other
+/// order, mutate over the join, puts `rate` after `site`, so only this
+/// tree yields the output header. The program and the candidate count are
+/// those of the node-keyed evaluation cache this path replaced.
+TEST(Synthesis, FinalHoleBelowTheRoot) {
+  Table Staff = makeTable({{"emp", CellType::Str},
+                           {"salary", CellType::Num},
+                           {"years", CellType::Num}},
+                          {{str("ann"), num(60), num(3)},
+                           {str("bob"), num(80), num(4)},
+                           {str("cat"), num(90), num(9)}});
+  Table Sites = makeTable({{"emp", CellType::Str}, {"site", CellType::Str}},
+                          {{str("ann"), str("north")},
+                           {str("cat"), str("south")}});
+  Table Out = makeTable({{"emp", CellType::Str},
+                         {"salary", CellType::Num},
+                         {"years", CellType::Num},
+                         {"rate", CellType::Num},
+                         {"site", CellType::Str}},
+                        {{str("ann"), num(60), num(3), num(20), str("north")},
+                         {str("cat"), num(90), num(9), num(10), str("south")}});
+  ComponentLibrary Lib = StandardComponents::get().tidyDplyr();
+  std::vector<const TableTransformer *> Keep;
+  for (const TableTransformer *T : Lib.TableTransformers)
+    if (T->name() == "mutate" || T->name() == "inner_join")
+      Keep.push_back(T);
+  Lib.TableTransformers = std::move(Keep);
+  SynthesisConfig Cfg;
+  Cfg.MaxComponents = 2;
+  Cfg.Timeout = std::chrono::seconds(60);
+  SynthesisResult R = Synthesizer(Lib, Cfg).synthesize({Staff, Sites}, Out);
+  ASSERT_TRUE(R.Program);
+  EXPECT_EQ(printSexp(R.Program),
+            "(inner_join (mutate (input 0) (name rate) (/ (col salary) "
+            "(col years))) (input 1))");
+  EXPECT_EQ(R.Stats.CandidatesChecked, 3661u);
+}
+
 } // namespace
